@@ -63,6 +63,16 @@ def _prefetch_standard(runner: ExperimentRunner, names,
     runner.prefetch(points)
 
 
+def _prefetch_policy(runner: ExperimentRunner, field: str,
+                     *values) -> None:
+    """Batch the G-TSC-RC points of a §V ablation: each coherent
+    benchmark at each value of ``field``, in the order its loop
+    reads them."""
+    runner.prefetch(
+        [point_of(n, Protocol.GTSC, Consistency.RC, **{field: value})
+         for n in COHERENT_NAMES for value in values])
+
+
 # ---------------------------------------------------------------------------
 # Table II
 # ---------------------------------------------------------------------------
@@ -451,6 +461,8 @@ def ablation_visibility(runner: ExperimentRunner) -> ExperimentResult:
         "G-TSC-RC cycles: delay-until-ack vs old-copy buffer",
         ["benchmark", "delay", "old_copy", "old_copy/delay"],
     )
+    _prefetch_policy(runner, "visibility", VisibilityPolicy.DELAY,
+                     VisibilityPolicy.OLD_COPY)
     ratios = []
     for name in COHERENT_NAMES:
         delay = runner.run(name, Protocol.GTSC, Consistency.RC,
@@ -476,6 +488,8 @@ def ablation_combining(runner: ExperimentRunner) -> ExperimentResult:
         ["benchmark", "mshr_cycles", "fwd_cycles",
          "mshr_msgs", "fwd_msgs", "msg_increase"],
     )
+    _prefetch_policy(runner, "combining", CombiningPolicy.MSHR,
+                     CombiningPolicy.FORWARD_ALL)
     increases = []
     for name in COHERENT_NAMES:
         mshr = runner.run(name, Protocol.GTSC, Consistency.RC,
@@ -507,6 +521,7 @@ def ablation_inclusion(runner: ExperimentRunner) -> ExperimentResult:
         ["benchmark", "noninc_cycles", "inc_cycles",
          "noninc_bytes", "inc_bytes", "recalls"],
     )
+    _prefetch_policy(runner, "l2_inclusive", False, True)
     for name in COHERENT_NAMES:
         noninc = runner.run(name, Protocol.GTSC, Consistency.RC,
                             l2_inclusive=False)
@@ -665,6 +680,8 @@ def ablation_adaptive_lease(runner: ExperimentRunner) -> ExperimentResult:
         ["benchmark", "fixed_cycles", "adaptive_cycles",
          "fixed_renewals", "adaptive_renewals", "renewal_reduction"],
     )
+    _prefetch_policy(runner, "lease_policy", LeasePolicy.FIXED,
+                     LeasePolicy.ADAPTIVE)
     reductions = []
     for name in COHERENT_NAMES:
         fixed = runner.run(name, Protocol.GTSC, Consistency.RC,
@@ -687,11 +704,12 @@ def ablation_tc_lease(runner: ExperimentRunner,
                       leases: Optional[List[int]] = None,
                       workloads: Optional[List[str]] = None,
                       ) -> ExperimentResult:
-    """TC lease sensitivity (§II-D3) contrasted with G-TSC's flatness.
+    """TC lease sensitivity (§II-D3).
 
     TC's physical lease trades expiration misses (short leases)
-    against write stalls (long leases); G-TSC's logical lease has no
-    such physical meaning and stays flat (Fig. 14).
+    against write stalls (long leases).  The table holds TC only; the
+    contrast with G-TSC's logical lease, which has no such physical
+    meaning and stays flat, is Fig. 14.
     """
     leases = leases or [25, 50, 100, 200, 400, 800]
     workloads = workloads or ["DLP", "STN"]
@@ -702,10 +720,8 @@ def ablation_tc_lease(runner: ExperimentRunner,
         ["benchmark"] + [f"lease={v}" for v in leases],
     )
     runner.prefetch(
-        [point_of(n, Protocol.DISABLED, Consistency.RC)
-         for n in COHERENT_NAMES]
-        + [point_of(n, Protocol.GTSC, Consistency.RC, lease=lease)
-           for n in COHERENT_NAMES for lease in leases])
+        [point_of(n, Protocol.TC, Consistency.RC, tc_lease=lease)
+         for n in workloads for lease in leases])
     spreads = []
     for name in workloads:
         cycles = [

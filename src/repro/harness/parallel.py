@@ -114,7 +114,8 @@ class ParallelRunner(ExperimentRunner):
     by ``matrix``, ``sweep`` and the figure functions with their full
     point sets) fans out.  Cached points — in-memory or on-disk — are
     filtered before any worker is spawned, so a warm cache costs no
-    processes at all.
+    processes at all, and a batch simulates each run_key at most once
+    however many spellings of it the batch holds.
     """
 
     def __init__(self, jobs: Optional[int] = None, preset: str = "small",
@@ -145,24 +146,31 @@ class ParallelRunner(ExperimentRunner):
 
     # ------------------------------------------------------------------
     def _missing(self, points: Iterable[Point]) -> list:
-        """The deduplicated points not satisfiable from any cache."""
+        """The points of a batch no cache can satisfy, one per run_key.
+
+        A point is skipped when its run_key is already resolved in
+        memory or queued earlier in the batch: ``run`` later finds
+        the result under that run_key, whatever the spelling.
+        """
         missing = []
-        seen = set()
+        queued = set()
         for point in points:
-            if point in self._cache or point in seen:
+            if point in self._cache:
+                continue
+            workload, protocol, consistency, overrides = point
+            config = self.base_config(protocol, consistency,
+                                      **dict(overrides))
+            digest = self._disk_key(workload, config)
+            if digest in self._cache or digest in queued:
                 continue
             if self.disk_cache is not None:
-                workload, protocol, consistency, overrides = point
-                config = self.base_config(protocol, consistency,
-                                          **dict(overrides))
-                digest = self._disk_key(workload, config)
                 stats = self.disk_cache.get(digest)
                 if stats is not None:
-                    self._cache[point] = stats
+                    self._cache[point] = self._cache[digest] = stats
                     self._record_run(digest, stats, point, config,
                                      source="runner-cache")
                     continue
-            seen.add(point)
+            queued.add(digest)
             missing.append(point)
         return missing
 
@@ -201,11 +209,11 @@ class ParallelRunner(ExperimentRunner):
                     zip(missing, futures), start=1):
                 stats = RunStats.from_dict(future.result())
                 self.simulations_run += 1
-                self._cache[point] = stats
                 workload, protocol, consistency, overrides = point
                 config = self.base_config(protocol, consistency,
                                           **dict(overrides))
                 digest = self._disk_key(workload, config)
+                self._cache[point] = self._cache[digest] = stats
                 if self.disk_cache is not None:
                     self.disk_cache.put(digest, stats)
                 # per-point wall time stays in the worker process; the

@@ -3,7 +3,10 @@
 An :class:`ExperimentRunner` owns the machine preset, workload scale
 and seed, and memoises finished runs, so experiments that share
 baselines (every figure normalises against the no-L1 BL run) reuse
-them instead of re-simulating.
+them instead of re-simulating.  The memo is keyed on the run_key (see
+:func:`repro.harness.cache.run_key`): spellings that resolve to one
+:class:`~repro.config.GPUConfig` — ``visibility=DELAY`` and no override
+at all, say — share one simulation.
 
 Two optional accelerators sit on top of the in-memory memo:
 
@@ -20,7 +23,7 @@ import os
 import sys
 import time
 import warnings
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple, Union
 
 from repro.config import Consistency, GPUConfig, Protocol
 from repro.gpu.gpu import make_gpu
@@ -54,7 +57,9 @@ class ExperimentRunner:
         self.scale = scale
         self.seed = seed
         self.config_overrides = dict(config_overrides)
-        self._cache: Dict[Point, RunStats] = {}
+        # finished runs under both the Point that asked (its spelling)
+        # and the run_key it resolved to; clear() forgets both
+        self._cache: Dict[Union[Point, str], RunStats] = {}
         self.disk_cache = RunCache(cache_dir) if cache_dir else None
         # results database: a ResultsDB handle or a path to open one.
         # Every point this runner resolves (fresh simulation or disk
@@ -131,18 +136,26 @@ class ExperimentRunner:
 
     def run(self, workload: str, protocol: Protocol,
             consistency: Consistency, **overrides) -> RunStats:
-        """Simulate one point, memoised on all of its parameters."""
+        """Simulate one point, memoised on its run_key.
+
+        Spellings that resolve to one :class:`GPUConfig` share one
+        simulation.  A point already asked for in this spelling is
+        returned at once.  Otherwise the config and its run_key are
+        resolved, and the first of these supplies the result: a run
+        this process finished under that run_key, the disk cache, the
+        engine.
+        """
         key = point_of(workload, protocol, consistency, **overrides)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
         config = self.base_config(protocol, consistency, **overrides)
         digest = self._disk_key(workload, config)
-        stats = None
         wall_time = None
         source = "runner-cache"
-        backend = ""  # disk-cache hits ran no engine this process
-        if self.disk_cache is not None:
+        backend = ""  # cache hits ran no engine this process
+        stats = self._cache.get(digest)
+        if stats is None and self.disk_cache is not None:
             stats = self.disk_cache.get(digest)
         if stats is None:
             started = time.perf_counter()
@@ -152,7 +165,7 @@ class ExperimentRunner:
             backend = self.last_sim_backend
             if self.disk_cache is not None:
                 self.disk_cache.put(digest, stats)
-        self._cache[key] = stats
+        self._cache[key] = self._cache[digest] = stats
         self._record_run(digest, stats, key, config,
                          wall_time_s=wall_time, source=source,
                          sim_backend=backend)

@@ -20,11 +20,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import Consistency, Protocol
+from repro.config import Consistency, Protocol, VisibilityPolicy
 from repro.db.ingest import ingest_runcache, parse_config_desc
 from repro.db.provenance import config_hash, git_commit
 from repro.db.query import comparison_rows, latest_by_point, \
-    matrix_result
+    matrix_result, sweep_result
 from repro.db.report import render_report, write_report
 from repro.db.store import ResultsDB
 from repro.harness.runner import ExperimentRunner
@@ -274,6 +274,26 @@ def test_runner_and_serve_write_identical_stats_rows(tmp_path):
     assert serve_row["wall_time_s"] is not None
     assert serve_row["config_hash"] == row["config_hash"]
     assert db_serve.get_stats(key) == db_runner.get_stats(key)
+
+
+def test_run_key_memo_hit_is_recorded_like_a_disk_cache_hit(tmp_path):
+    runner = ExperimentRunner(preset="tiny", scale=0.3, seed=7,
+                              db=str(tmp_path / "runner.db"))
+    runner.run("BFS", Protocol.GTSC, Consistency.RC)
+    [row] = runner.results_db.runs()
+    assert row["source"] == "runner"
+    assert row["wall_time_s"] is not None
+
+    runner.run("BFS", Protocol.GTSC, Consistency.RC,
+               visibility=VisibilityPolicy.DELAY)
+    assert runner.simulations_run == 1
+    [row] = runner.results_db.runs()
+    assert row["source"] == "runner-cache"
+    assert row["wall_time_s"] is None
+    assert json.loads(row["spec"])["overrides"] == {"visibility": "delay"}
+    # a sweep rebuilt from spec overrides sees the spelling
+    swept = sweep_result(runner.results_db, "visibility")
+    assert swept.rows == [["BFS", row["cycles"]]]
 
 
 def test_db_failure_never_breaks_the_run(tmp_path):

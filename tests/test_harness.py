@@ -5,10 +5,13 @@ whole module stays fast; the shape assertions on their outputs live in
 test_integration_shapes.py.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.config import Consistency, Protocol
-from repro.harness.runner import ExperimentRunner
+from repro.harness.report import build_report
+from repro.harness.runner import ExperimentRunner, point_of
 from repro.harness.tables import ExperimentResult, format_result, geomean
 from repro.harness import experiments as exp
 
@@ -148,3 +151,49 @@ def test_ablations_run(runner):
     lease_result = exp.ablation_tc_lease(runner, leases=[50, 200],
                                          workloads=["DLP"])
     assert lease_result.rows[0][0] == "DLP"
+
+
+# ---------------------------------------------------------------------------
+# what the report asks of its runner
+# ---------------------------------------------------------------------------
+
+class RecordingRunner(ExperimentRunner):
+    """Logs every simulated run_key (and whether a prefetch batch ran
+    it), every point a batch names, and every point read outside one."""
+
+    def __init__(self, **options):
+        super().__init__(**options)
+        self.simulated = []
+        self.prefetched = set()
+        self.read = set()
+        self.batches = 0          # prefetch calls in progress
+
+    def prefetch(self, points):
+        points = list(points)
+        self.prefetched.update(points)
+        self.batches += 1
+        try:
+            super().prefetch(points)
+        finally:
+            self.batches -= 1
+
+    def run(self, workload, protocol, consistency, **overrides):
+        if not self.batches:
+            self.read.add(point_of(workload, protocol, consistency,
+                                   **overrides))
+        return super().run(workload, protocol, consistency, **overrides)
+
+    def _simulate(self, workload, config):
+        self.simulated.append((self._disk_key(workload, config),
+                               bool(self.batches)))
+        return super()._simulate(workload, config)
+
+
+def test_report_simulates_each_run_key_once_inside_a_batch():
+    runner = RecordingRunner(preset="tiny", scale=0.1, seed=5)
+    build_report(runner)
+    repeats = Counter(key for key, _ in runner.simulated)
+    assert [key for key, count in repeats.items() if count > 1] == []
+    assert runner.prefetched - runner.read == set()
+    assert [key for key, batched in runner.simulated if not batched] == []
+    assert runner.simulations_run == len(runner.simulated)

@@ -7,7 +7,8 @@ histogram buckets — because the figures diff against golden numbers.
 
 import pytest
 
-from repro.config import Consistency, Protocol
+from repro.config import (Consistency, LeasePolicy, Protocol,
+                          VisibilityPolicy)
 from repro.harness.parallel import ParallelRunner, _simulate_point
 from repro.harness.runner import ExperimentRunner, point_of
 from repro.stats.collector import RunStats
@@ -64,6 +65,41 @@ def test_prefetch_counts_simulations_and_fills_memo():
     for workload in WORKLOADS:
         runner.matrix(workload)
     assert runner.simulations_run == len(points)
+
+
+def test_batch_simulates_each_run_key_once():
+    runner = make_parallel(jobs=2)
+    plain = point_of("BFS", Protocol.GTSC, Consistency.RC)
+    spelled = point_of("BFS", Protocol.GTSC, Consistency.RC,
+                       visibility=VisibilityPolicy.DELAY)
+    runner.prefetch([plain, spelled])
+    assert runner.simulations_run == 1
+    assert runner.run("BFS", Protocol.GTSC, Consistency.RC) == \
+        runner.run("BFS", Protocol.GTSC, Consistency.RC,
+                   visibility=VisibilityPolicy.DELAY)
+    assert runner.simulations_run == 1
+
+
+def test_pool_batch_dedupes_spellings_and_resolved_run_keys():
+    runner = make_parallel(jobs=2)
+    runner.run("STN", Protocol.TC, Consistency.RC)
+    # every override below spells a default
+    points = [
+        point_of("BFS", Protocol.GTSC, Consistency.RC),
+        point_of("BFS", Protocol.GTSC, Consistency.RC,
+                 lease_policy=LeasePolicy.FIXED),
+        point_of("STN", Protocol.TC, Consistency.RC, tc_lease=300),
+        point_of("STN", Protocol.GTSC, Consistency.RC),
+    ]
+    assert runner._missing(points) == [points[0], points[3]]
+    runner.prefetch(points)
+    assert runner.simulations_run == 3
+    sequential = make_sequential()
+    for workload, protocol, consistency, overrides in points:
+        assert runner.run(workload, protocol, consistency,
+                          **dict(overrides)) == \
+            sequential.run(workload, protocol, consistency)
+    assert runner.simulations_run == 3
 
 
 def test_parallel_runner_shares_the_disk_cache(tmp_path):

@@ -13,7 +13,8 @@ import os
 import pytest
 
 import repro
-from repro.config import Consistency, GPUConfig, Protocol
+from repro.config import (Consistency, GPUConfig, LeasePolicy,
+                          Protocol, VisibilityPolicy)
 from repro.gpu.gpu import GPU
 from repro.harness.cache import RunCache, run_key
 from repro.harness.runner import ExperimentRunner
@@ -195,6 +196,28 @@ def test_cacheless_runner_still_memoises_in_memory():
     second = runner.run("BFS", Protocol.GTSC, Consistency.RC)
     assert first is second
     assert runner.simulations_run == 1
+
+
+#: three spellings of the G-TSC-RC default configuration
+DEFAULT_SPELLINGS = [{}, {"visibility": VisibilityPolicy.DELAY},
+                     {"lease_policy": LeasePolicy.FIXED}]
+
+
+def test_spellings_of_one_config_share_one_simulation():
+    runner = ExperimentRunner(preset="tiny", scale=0.3, seed=7)
+    results = [runner.run("BFS", Protocol.GTSC, Consistency.RC, **spelling)
+               for spelling in DEFAULT_SPELLINGS]
+    assert runner.simulations_run == 1
+    assert results[0] is results[1] is results[2]
+
+
+def test_clearing_the_memo_forgets_every_spelling():
+    runner = ExperimentRunner(preset="tiny", scale=0.3, seed=7)
+    runner.run("BFS", Protocol.GTSC, Consistency.RC)
+    for done, spelling in enumerate(DEFAULT_SPELLINGS, start=2):
+        runner._cache.clear()
+        runner.run("BFS", Protocol.GTSC, Consistency.RC, **spelling)
+        assert runner.simulations_run == done
 
 
 def test_corrupt_entry_warns_with_the_offending_path(tmp_path):
