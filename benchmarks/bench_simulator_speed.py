@@ -82,10 +82,9 @@ def test_scheduler_ready_mask(benchmark):
     Rebuilding the candidate bitmask from the packed classification
     array is the scheduler's hot rebuild path; this measures it over a
     seeded mixed population (ready, done, blocked with and without
-    wake timers) without any simulation around it.  ``ready_mask``
-    resolves to the vectorized numpy scan when numpy imports and the
-    portable loop otherwise, so this benchmark tracks whichever the
-    simulator would actually use.
+    wake timers) without any simulation around it.  ``ready_mask`` is
+    the one per-slot loop the SM calls, so this benchmark tracks the
+    scan the simulator actually runs.
     """
     import random
 

@@ -4,29 +4,9 @@ The execution environment has no ``wheel`` package, so PEP 660
 editable installs (which build an editable wheel) fail.  This shim
 lets ``pip install -e . --no-use-pep517 --no-build-isolation`` fall
 back to the classic ``setup.py develop`` path, which needs no wheel.
-
-Optional compiled backend: set ``REPRO_BUILD_FAST=1`` to compile
-``repro/sim/_fast.py`` (the fast simulation backend) with mypyc.
-This is strictly opt-in — the default install needs no build
-toolchain, and a missing or failed extension degrades silently to
-the pure-Python engine (see ``repro/sim/backend.py``).
 """
 
-import os
-
 from setuptools import find_packages, setup
-
-ext_modules = []
-if os.environ.get("REPRO_BUILD_FAST", "").strip() not in ("", "0"):
-    try:
-        from mypyc.build import mypycify
-        ext_modules = mypycify(
-            ["src/repro/sim/_fast.py"],
-            opt_level="3",
-        )
-    except ImportError:
-        print("REPRO_BUILD_FAST set but mypyc is not installed; "
-              "building pure-Python only")
 
 setup(
     name="repro",
@@ -38,5 +18,4 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.9",
-    ext_modules=ext_modules,
 )

@@ -148,8 +148,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         # so one consumer handles local and service results alike
         import json
         envelope = serve_schema.result_envelope(
-            spec, stats, key=serve_schema.spec_key(spec),
-            sim_backend=gpu.machine.sim_backend)
+            spec, stats, key=serve_schema.spec_key(spec))
         print(json.dumps(envelope, indent=2, sort_keys=True))
         return 0
     print(f"machine: {config.describe()}")
@@ -224,25 +223,24 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 #: where simulation time actually goes since the calendar-queue
-#: engine and packed-state rewrites: the event loop itself (pure or
-#: fast twin), the packed scheduler scan, and the packed cache probe.
+#: engine and packed-state rewrites: the event loop itself, the
+#: packed scheduler scan, and the packed cache probe.
 #: ``--cprofile`` prints a focused self-time table restricted to these
 #: files after the overall cumulative view, so the named hot symbols
 #: (``Engine.run`` / ``_next_cycle`` / ``_advance_window`` /
 #: ``SM._issue`` / ``ready_mask`` / ``CacheArray.lookup``) are
 #: readable without scrolling past harness frames.
-_HOT_MODULES = r"repro/(sim/engine|sim/_fast|gpu/sm|gpu/warp|mem/cache)\.py"
+_HOT_MODULES = r"repro/(sim/engine|gpu/sm|gpu/warp|mem/cache)\.py"
 
 
 def _cprofile_run(args: argparse.Namespace, workload: str) -> int:
     """Profile one simulation under cProfile and print the hotspots.
 
     Runs the paper's headline configuration (G-TSC under RC) for the
-    given workload with the requested preset/scale/seed under the
-    selected backend, then prints the top 25 functions by cumulative
-    time plus a self-time table restricted to the simulator's hot
-    modules — so perf work on the simulator measures instead of
-    guessing.
+    given workload with the requested preset/scale/seed, then prints
+    the top 25 functions by cumulative time plus a self-time table
+    restricted to the simulator's hot modules — so perf work on the
+    simulator measures instead of guessing.
     """
     import cProfile
     import pstats
@@ -257,8 +255,7 @@ def _cprofile_run(args: argparse.Namespace, workload: str) -> int:
     stats = gpu.run(kernel)
     profiler.disable()
     print(f"cProfile: {workload} gtsc-rc on {config.describe()} "
-          f"({stats.cycles} cycles simulated, "
-          f"backend={gpu.machine.sim_backend})\n")
+          f"({stats.cycles} cycles simulated)\n")
     profile = pstats.Stats(profiler, stream=sys.stdout)
     profile.sort_stats("cumulative").print_stats(25)
     print("simulator hot modules by self time "
@@ -651,13 +648,6 @@ def make_parser() -> argparse.ArgumentParser:
         description="Reproduction of G-TSC (HPCA 2018): simulate, "
                     "regenerate figures, build reports.",
     )
-    parser.add_argument(
-        "--backend", choices=["auto", "pure", "fast"], default=None,
-        help="simulation backend: 'pure' (reference engine), 'fast' "
-             "(the mypyc-compilable engine, interpreted if unbuilt), "
-             "or 'auto' (fast only when compiled; the default).  "
-             "Overrides REPRO_BACKEND; results are bit-identical "
-             "either way.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_list = sub.add_parser("list", help="list workloads and experiments")
@@ -988,9 +978,6 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = make_parser().parse_args(argv)
-    if getattr(args, "backend", None) is not None:
-        from repro.sim.backend import select_backend
-        select_backend(args.backend)
     return args.fn(args)
 
 

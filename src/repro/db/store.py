@@ -109,7 +109,9 @@ CREATE TABLE IF NOT EXISTS timeseries (
 #: and ``n_gpus`` are deliberately last, in migration order:
 #: pre-existing databases gain them via ALTER TABLE, which appends,
 #: and ``SELECT *`` must zip against the same order on both fresh and
-#: migrated files.
+#: migrated files.  ``sim_backend`` is a legacy column: the simulator
+#: has one engine, so every new row stores ``"pure"``; it stays so
+#: files written when an alternative engine existed still load.
 RUN_COLUMNS = (
     "run_key", "workload", "protocol", "consistency", "preset",
     "scale", "seed", "spec", "config_desc", "config_hash",
@@ -200,7 +202,6 @@ class ResultsDB:
                config=None, config_hash: str = "",
                git_commit: Optional[str] = None,
                host: Optional[str] = None,
-               sim_backend: str = "",
                n_gpus: Optional[int] = None) -> None:
         """Upsert one finished run and its flattened statistics.
 
@@ -256,7 +257,7 @@ class ResultsDB:
             meta,
             now,
             now,
-            sim_backend,
+            "pure",  # legacy sim_backend column
             n_gpus,
         )
         stat_rows: List[tuple] = [

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 from repro.config import GPUConfig, NocTopology
 from repro.mem.dram import DRAMPartition
 from repro.mem.noc import MeshNetwork, Network
-from repro.sim.backend import backend_name, engine_class
+from repro.sim.engine import Engine
 from repro.stats.collector import StatsCollector
 from repro.validate.versions import AccessLog, VersionStore
 
@@ -34,15 +34,11 @@ class Machine:
                  engine=None, stats=None, versions=None, log=None,
                  gpu_id: int = 0, cluster=None) -> None:
         self.config = config
-        # backend resolution happens per construction (flag, then
-        # REPRO_BACKEND, then auto); both backends are bit-identical,
-        # so the name is provenance for results rows, never a run key
-        self.sim_backend = backend_name()
         # engine/stats/versions/log may be injected so that N machines
         # in a multi-GPU cluster share one event timeline and one
         # statistics namespace (repro.multigpu); single-GPU callers
         # never pass them and get private instances as before
-        self.engine = engine if engine is not None else engine_class()()
+        self.engine = engine if engine is not None else Engine()
         self.stats = stats if stats is not None else StatsCollector()
         self.versions = versions if versions is not None else VersionStore()
         self.log = log if log is not None else AccessLog(

@@ -39,13 +39,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Deque, List, Optional
 
-try:  # optional: vectorizes the candidate-mask rebuild
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy-less fallback
-    _np = None
-
 from repro.config import Consistency, SchedulerPolicy
-from repro.sim.backend import ready_mask_fn as backend_ready_mask
 from repro.trace.compiled import (
     OP_ATOMIC,
     OP_BARRIER,
@@ -72,12 +66,15 @@ _BLOCKED_SYNC = 4   # waiting at an intra-CTA barrier
 _NO_WAKE = 1 << 62
 
 
-def ready_mask_loop(cls_values: List[int], now: int) -> int:
-    """Reference per-slot loop for :func:`ready_mask` (and its tests).
+def ready_mask(cls_values: List[int], now: int) -> int:
+    """Candidate bitmask over a packed classification array.
 
     A slot is a *candidate* when its packed classification says the
     warp might issue at ``now``: dirty (-1), ready (0), or blocked
-    with a wake time the clock has reached.
+    with a wake time the clock has reached.  The SM calls this to
+    rebuild its incremental candidate mask after warp
+    arrival/retirement; the per-issue hot path maintains the mask
+    incrementally instead.
     """
     mask = 0
     bit = 1
@@ -86,25 +83,6 @@ def ready_mask_loop(cls_values: List[int], now: int) -> int:
             mask |= bit
         bit <<= 1
     return mask
-
-
-def ready_mask(cls_values: List[int], now: int) -> int:
-    """Candidate bitmask over a packed classification array.
-
-    One vectorized compare over the packed ints when numpy is
-    importable, the plain per-slot loop otherwise — both return the
-    exact same mask (property-tested).  The SM calls this to rebuild
-    its incremental candidate mask after warp arrival/retirement; the
-    per-issue hot path maintains the mask incrementally instead.
-    """
-    if _np is not None:
-        a = _np.asarray(cls_values, dtype=_np.int64)
-        cond = (a <= 0) | ((a >= 8) & ((a >> 3) - 1 <= now))
-        mask = 0
-        for index in _np.nonzero(cond)[0]:
-            mask |= 1 << int(index)
-        return mask
-    return ready_mask_loop(cls_values, now)
 
 
 class SM:
@@ -140,8 +118,6 @@ class SM:
         self._cand = -1
         self._timed = 0
         self._min_wake = _NO_WAKE
-        # backend-resolved rebuild scan (identical masks either way)
-        self._ready_mask = backend_ready_mask()
         self.retired = 0
         self._rr = 0
         self._greedy = machine.config.scheduler is SchedulerPolicy.GTO
@@ -371,8 +347,8 @@ class SM:
         min_wake = self._min_wake
         if cand < 0:
             # slots were added/renumbered: rebuild from the packed
-            # classifications (one vectorized compare when numpy is in)
-            cand = self._ready_mask(cls_arr, now)
+            # classifications
+            cand = ready_mask(cls_arr, now)
             timed = 0
             min_wake = _NO_WAKE
             for slot in range(count):

@@ -34,7 +34,6 @@ from repro.config import Consistency, Protocol
 from repro.gpu.gpu import make_gpu
 from repro.harness.progress import RateEstimator
 from repro.harness.runner import ExperimentRunner, Point
-from repro.sim.backend import backend_name
 from repro.stats.collector import RunStats
 from repro.workloads import build_workload
 
@@ -217,12 +216,9 @@ class ParallelRunner(ExperimentRunner):
                 if self.disk_cache is not None:
                     self.disk_cache.put(digest, stats)
                 # per-point wall time stays in the worker process; the
-                # row still records which pool run produced it.  The
-                # workers are forked, so the parent's backend
-                # resolution (env + any --backend override) is theirs
+                # row still records which pool run produced it
                 self._record_run(digest, stats, point, config,
-                                 source="runner-pool",
-                                 sim_backend=backend_name())
+                                 source="runner-pool")
                 estimator.tick()
                 self._heartbeat(
                     f"{index}/{total} {self._describe_point(point)} "

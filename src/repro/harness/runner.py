@@ -79,9 +79,6 @@ class ExperimentRunner:
         #: engine hot-loop counters summed over fresh simulations
         #: (engine_* names; cached points contribute nothing)
         self.engine_counters: Dict[str, int] = {}
-        #: backend name the most recent fresh simulation resolved
-        #: ("" until one runs); recorded as provenance, never a key
-        self.last_sim_backend = ""
         #: emit live heartbeat lines to stderr during batch prefetches
         self.progress = progress
 
@@ -127,7 +124,6 @@ class ExperimentRunner:
         kernel = self._kernel(workload)
         self.simulations_run += 1
         gpu = make_gpu(config, record_accesses=False)
-        self.last_sim_backend = gpu.machine.sim_backend
         stats = gpu.run(kernel)
         totals = self.engine_counters
         for name, value in gpu.machine.engine.counters().items():
@@ -153,7 +149,6 @@ class ExperimentRunner:
         digest = self._disk_key(workload, config)
         wall_time = None
         source = "runner-cache"
-        backend = ""  # cache hits ran no engine this process
         stats = self._cache.get(digest)
         if stats is None and self.disk_cache is not None:
             stats = self.disk_cache.get(digest)
@@ -162,13 +157,11 @@ class ExperimentRunner:
             stats = self._simulate(workload, config)
             wall_time = time.perf_counter() - started
             source = "runner"
-            backend = self.last_sim_backend
             if self.disk_cache is not None:
                 self.disk_cache.put(digest, stats)
         self._cache[key] = self._cache[digest] = stats
         self._record_run(digest, stats, key, config,
-                         wall_time_s=wall_time, source=source,
-                         sim_backend=backend)
+                         wall_time_s=wall_time, source=source)
         return stats
 
     # ------------------------------------------------------------------
@@ -199,8 +192,7 @@ class ExperimentRunner:
     def _record_run(self, digest: str, stats: RunStats, point: Point,
                     config: GPUConfig,
                     wall_time_s: Optional[float] = None,
-                    source: str = "runner",
-                    sim_backend: str = "") -> None:
+                    source: str = "runner") -> None:
         """Upsert one resolved point into the results DB (if any).
 
         Database trouble (read-only disk, concurrent schema upgrade)
@@ -213,7 +205,7 @@ class ExperimentRunner:
             self.results_db.record(
                 digest, stats, spec=self.point_spec(point),
                 config=config, source=source,
-                wall_time_s=wall_time_s, sim_backend=sim_backend)
+                wall_time_s=wall_time_s)
         except Exception as error:
             warnings.warn(
                 f"results-db record failed for {digest[:12]}…: "

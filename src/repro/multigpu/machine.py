@@ -36,7 +36,7 @@ from repro.gpu.warp import Warp
 from repro.multigpu.home import HomeDirectory
 from repro.multigpu.interlink import Interlink
 from repro.protocols.factory import build_protocol
-from repro.sim.backend import engine_class
+from repro.sim.engine import Engine
 from repro.stats.collector import RunStats, StatsCollector
 from repro.trace.compiled import CompiledKernel, compile_kernel
 from repro.trace.instr import Kernel
@@ -56,7 +56,7 @@ class MultiGpuGPU:
         self.config = config
         self.obs = obs
         self.n_gpus = config.n_gpus
-        engine = engine_class()()
+        engine = Engine()
         stats = StatsCollector()
         versions = VersionStore()
         log = AccessLog(enabled=record_accesses)

@@ -316,12 +316,10 @@ class Scheduler:
                 self.cache.prune(self.cache_max_bytes)
         if self.db is not None:
             try:
-                from repro.sim.backend import backend_name
                 self.db.record(
                     job.key, stats, spec=job.spec, source="serve",
                     wall_time_s=getattr(job, "wall_time_s", None),
-                    config=schema.spec_config(job.spec),
-                    sim_backend=backend_name())
+                    config=schema.spec_config(job.spec))
             except Exception as error:
                 warnings.warn(
                     f"results-db record failed for {job.key[:12]}…: "

@@ -25,7 +25,6 @@ from typing import Dict, Optional
 
 from repro.config import Consistency, GPUConfig, Protocol
 from repro.harness.cache import run_key
-from repro.sim.backend import backend_name
 from repro.stats.collector import RunStats
 from repro.workloads import ALL_NAMES, MULTIGPU_NAMES
 
@@ -132,8 +131,7 @@ def spec_key(spec: Dict) -> str:
 def result_envelope(spec: Dict, stats: RunStats, *, key: str,
                     job_id: Optional[str] = None,
                     cached: bool = False,
-                    coalesced: bool = False,
-                    sim_backend: Optional[str] = None) -> Dict:
+                    coalesced: bool = False) -> Dict:
     """The canonical result message for one finished simulation.
 
     ``cached``/``coalesced`` describe how the service satisfied the
@@ -142,12 +140,9 @@ def result_envelope(spec: Dict, stats: RunStats, *, key: str,
     ``RunStats.from_dict(envelope["stats"])`` round-trips the result
     bit-identically to the simulation that produced it.
 
-    ``sim_backend`` names the engine backend ("pure" or "fast") that
-    produced ``stats``.  Callers who held the machine pass its
-    resolved name; otherwise the field reports this process's own
-    resolution, which matches the worker's because backend selection
-    is environment-driven and both backends are bit-identical — the
-    field is provenance, never part of the cache identity.
+    ``sim_backend`` is a legacy field, always ``"pure"``: the
+    simulator has one engine, and the key stays so envelope consumers
+    written against earlier versions keep working.
     """
     envelope = {
         "v": PROTOCOL_VERSION,
@@ -156,8 +151,7 @@ def result_envelope(spec: Dict, stats: RunStats, *, key: str,
         "key": key,
         "cached": cached,
         "coalesced": coalesced,
-        "sim_backend": (backend_name() if sim_backend is None
-                        else sim_backend),
+        "sim_backend": "pure",
         # machine-shape provenance: how many GPUs simulated this point
         "n_gpus": int(spec.get("overrides", {}).get("n_gpus", 1)),
         "stats": stats.to_dict(),

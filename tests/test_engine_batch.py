@@ -87,12 +87,18 @@ def test_protocol_runs_are_horizon_invariant(protocol, monkeypatch):
         return GPU(config, record_accesses=False).run(kernel).to_dict()
 
     reference = simulate()
-    # the machine resolves its engine through the backend dispatch,
-    # so shrink the horizon behind that seam
-    monkeypatch.setattr(machine_mod, "engine_class",
-                        lambda: (lambda: Engine(horizon=2)))
+    # shrink the horizon at the name the machine constructs its
+    # engine through
+    built = []
+
+    def small_engine():
+        built.append(Engine(horizon=2))
+        return built[-1]
+
+    monkeypatch.setattr(machine_mod, "Engine", small_engine)
     assert json.dumps(simulate(), sort_keys=True) == \
         json.dumps(reference, sort_keys=True)
+    assert len(built) == 1  # the run really used the small horizon
 
 
 def test_cancel_of_bucketed_event_is_slot_clear():

@@ -29,13 +29,18 @@ with open(GOLDEN_PATH) as handle:
     GOLDEN = json.load(handle)
 
 
-def _simulate(key: str) -> dict:
+def _run(key: str, obs=None):
     workload, protocol, consistency, scheduler = key.split("|")
     config = GPUConfig.tiny(protocol=Protocol(protocol),
                             consistency=Consistency(consistency),
                             scheduler=SchedulerPolicy(scheduler))
     kernel = build_workload(workload, scale=0.3, seed=2018)
-    return GPU(config, record_accesses=False).run(kernel).to_dict()
+    gpu = GPU(config, record_accesses=False, obs=obs)
+    return gpu, gpu.run(kernel)
+
+
+def _simulate(key: str) -> dict:
+    return _run(key)[1].to_dict()
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN))
@@ -56,89 +61,43 @@ def test_golden_covers_every_protocol_and_two_workloads():
 
 
 # ---------------------------------------------------------------------------
-# cross-backend equivalence: pure vs fast x obs on/off x every protocol
+# one golden key per protocol x obs on/off: audit replay, packed state
 # ---------------------------------------------------------------------------
-# The fast backend (repro.sim._fast) is the same algorithm whether it
-# imports interpreted or as a mypyc extension, so running it here —
-# with or without the compiled artifact present — proves the twin
-# module stays bit-identical to the pure engine.  One golden key per
-# protocol keeps the matrix (4 protocols x 2 backends x obs on/off)
-# affordable.
+# With or without the full observability bundle attached, the run must
+# match its golden (obs adds only a timeseries), the G-TSC audit log
+# must replay clean, and the packed cache columns must still agree
+# with the line records they mirror.  One key per protocol keeps the
+# matrix affordable.
 
 from repro.obs import Observability, replay_audit  # noqa: E402
-from repro.sim.backend import backend_name, select_backend  # noqa: E402
 
-BACKEND_KEYS = sorted(
+PROTOCOL_KEYS = sorted(
     {key.split("|")[1]: key for key in sorted(GOLDEN)}.values())
-
-
-def _simulate_backend(key: str, backend: str, with_obs: bool):
-    workload, protocol, consistency, scheduler = key.split("|")
-    config = GPUConfig.tiny(protocol=Protocol(protocol),
-                            consistency=Consistency(consistency),
-                            scheduler=SchedulerPolicy(scheduler))
-    kernel = build_workload(workload, scale=0.3, seed=2018)
-    obs = Observability.full() if with_obs else None
-    select_backend(backend)
-    try:
-        assert backend_name() == backend
-        gpu = GPU(config, record_accesses=False, obs=obs)
-        stats = gpu.run(kernel)
-    finally:
-        select_backend("auto")
-    return gpu, stats, obs, config
 
 
 @pytest.mark.parametrize("with_obs", [False, True],
                          ids=["obs-off", "obs-on"])
-@pytest.mark.parametrize("key", BACKEND_KEYS)
-def test_fast_backend_bit_identical(key, with_obs):
-    """pure and fast produce the same RunStats, audit, and goldens."""
-    pure_gpu, pure_stats, pure_obs, config = \
-        _simulate_backend(key, "pure", with_obs)
-    fast_gpu, fast_stats, fast_obs, _ = \
-        _simulate_backend(key, "fast", with_obs)
-    assert pure_gpu.machine.sim_backend == "pure"
-    assert fast_gpu.machine.sim_backend == "fast"
-    assert json.dumps(fast_stats.to_dict(), sort_keys=True) == \
-        json.dumps(pure_stats.to_dict(), sort_keys=True), \
-        f"backends diverge for {key} (obs={with_obs})"
-    if not with_obs:
-        # both must also still match the committed golden
-        assert json.dumps(pure_stats.to_dict(), sort_keys=True) == \
-            json.dumps(GOLDEN[key], sort_keys=True)
+@pytest.mark.parametrize("key", PROTOCOL_KEYS)
+def test_golden_audit_and_packed_state(key, with_obs):
+    obs = Observability.full() if with_obs else None
+    gpu, stats = _run(key, obs)
+    payload = stats.to_dict()
+    assert bool(payload.pop("timeseries", None)) == with_obs
+    assert json.dumps(payload, sort_keys=True) == \
+        json.dumps(GOLDEN[key], sort_keys=True)
     protocol = key.split("|")[1]
     if with_obs and protocol == "gtsc":
-        # the G-TSC audit replay sees the identical event stream
-        checked_pure = replay_audit(pure_obs.audit.records, config.lease)
-        checked_fast = replay_audit(fast_obs.audit.records, config.lease)
-        assert checked_pure == checked_fast > 0
+        assert replay_audit(obs.audit.records,
+                            gpu.machine.config.lease) > 0
     if protocol in ("gtsc", "tc"):
-        # packed cache columns stayed in lockstep with the line records
-        for gpu in (pure_gpu, fast_gpu):
-            for l1 in gpu.machine.l1s:
-                assert l1.cache.check_packed() == []
-            for bank in gpu.machine.l2_banks:
-                assert bank.cache.check_packed() == []
-
-
-def test_backend_selection_resolution_order():
-    """Flag beats environment beats the auto default."""
-    import os
-    select_backend("pure")
-    try:
-        os.environ["REPRO_BACKEND"] = "fast"
-        try:
-            assert backend_name() == "pure"  # flag wins
-        finally:
-            del os.environ["REPRO_BACKEND"]
-    finally:
-        select_backend("auto")
-    assert backend_name() in ("pure", "fast")
+        for l1 in gpu.machine.l1s:
+            assert l1.cache.check_packed() == []
+        for bank in gpu.machine.l2_banks:
+            assert bank.cache.check_packed() == []
 
 
 # ---------------------------------------------------------------------------
-# ready-mask property: the vectorized scan equals the reference loop
+# ready-mask property: the scheduler scan equals a per-slot predicate
 # ---------------------------------------------------------------------------
 
 from hypothesis import given, settings  # noqa: E402
@@ -155,13 +114,22 @@ _cls_entry = st.one_of(
 )
 
 
+def _is_candidate(cls: int, now: int) -> bool:
+    """Whether one packed slot might issue at ``now``."""
+    if cls == -1:            # dirty: must be reclassified
+        return True
+    wake = (cls >> 3) - 1    # -1 when no wake time is packed
+    if wake < 0:
+        return cls == 0      # a bare state issues only when READY
+    return now >= wake       # timed: a candidate once the clock is there
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_cls_entry, max_size=64),
        st.integers(min_value=0, max_value=200_000))
 def test_ready_mask_implementations_agree(cls_values, now):
-    from repro.gpu.sm import ready_mask, ready_mask_loop
-    from repro.sim import _fast
+    from repro.gpu.sm import ready_mask
 
-    expected = ready_mask_loop(cls_values, now)
+    expected = sum(1 << slot for slot, cls in enumerate(cls_values)
+                   if _is_candidate(cls, now))
     assert ready_mask(cls_values, now) == expected
-    assert _fast.ready_mask_loop(cls_values, now) == expected
