@@ -118,13 +118,14 @@ def test_scheduler_ready_mask(benchmark):
 
 
 def test_l1_packed_probe(benchmark):
-    """Packed L1 tag + lease probe: the TC load-hit path in isolation.
+    """L1 tag + lease probe: the TC load-hit path in isolation.
 
-    One dict probe for the tag plus one indexed compare against the
-    packed expiry column — exactly the sequence the TC and G-TSC L1
-    controllers run per load — over a seeded address stream with ~20%
-    misses.  Guards the packed-column layout against regressions
-    independently of protocol logic.
+    One dict probe of the packed tag index for the slot, then one
+    compare against that slot's line-record expiry — the sequence the
+    TC and G-TSC L1 controllers run per load — over a seeded address
+    stream with ~20% misses.  Guards the tag-index layout and the
+    line-record read against regressions independently of protocol
+    logic.
     """
     import random
 
@@ -134,22 +135,18 @@ def test_l1_packed_probe(benchmark):
     rng = random.Random(2018)
     for addr in range(256):  # fills the array exactly
         line, _ = cache.allocate(addr)
-        slot = cache._where[addr]
-        expiry = rng.randrange(1, 2000)
-        line.expiry = expiry
+        line.expiry = rng.randrange(1, 2000)
         line.version = addr
-        cache.expiry_col[slot] = expiry
-        cache.version_col[slot] = addr
     stream = [rng.randrange(0, 320) for _ in range(8192)]
 
     def probe():
         hits = 0
         where_get = cache._where.get
-        expiry_col = cache.expiry_col
+        lines = cache._lines
         now = 1000
         for addr in stream:
             slot = where_get(addr)
-            if slot is not None and now < expiry_col[slot]:
+            if slot is not None and now < lines[slot].expiry:
                 hits += 1
         return hits
 

@@ -222,15 +222,17 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-#: where simulation time actually goes since the calendar-queue
-#: engine and packed-state rewrites: the event loop itself, the
-#: packed scheduler scan, and the packed cache probe.
+#: where simulation time actually goes: the event loop itself, the
+#: packed scheduler scan, the cache array, and the G-TSC L1 and L2
+#: controllers (the L1 hit probe is inlined in ``GTSCL1Controller.load``).
 #: ``--cprofile`` prints a focused self-time table restricted to these
 #: files after the overall cumulative view, so the named hot symbols
 #: (``Engine.run`` / ``_next_cycle`` / ``_advance_window`` /
-#: ``SM._issue`` / ``ready_mask`` / ``CacheArray.lookup``) are
-#: readable without scrolling past harness frames.
-_HOT_MODULES = r"repro/(sim/engine|gpu/sm|gpu/warp|mem/cache)\.py"
+#: ``SM._issue`` / ``ready_mask`` / ``GTSCL1Controller.load`` /
+#: ``GTSCL2Bank._read``) are readable without scrolling past harness
+#: frames.
+_HOT_MODULES = (r"repro/(sim/engine|gpu/sm|gpu/warp|mem/cache"
+                r"|core/l1|core/l2)\.py")
 
 
 def _cprofile_run(args: argparse.Namespace, workload: str) -> int:
@@ -259,7 +261,7 @@ def _cprofile_run(args: argparse.Namespace, workload: str) -> int:
     profile = pstats.Stats(profiler, stream=sys.stdout)
     profile.sort_stats("cumulative").print_stats(25)
     print("simulator hot modules by self time "
-          "(engine event loop, scheduler scan, cache probe):")
+          "(engine event loop, scheduler scan, caches, G-TSC L1/L2):")
     profile.sort_stats("tottime").print_stats(_HOT_MODULES, 15)
     # the engine's own instrumentation: how events were dispatched
     counters = gpu.machine.engine.counters()

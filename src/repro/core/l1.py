@@ -105,8 +105,9 @@ class GTSCL1Controller(L1ControllerBase):
         counters = self._counters
         counters["l1_access"] += 1
 
-        # inline _load_blocked_by_store: the common case (no pending
-        # store on this line) must cost two dict probes, nothing more
+        # update-visibility rule (Section V-A): the common case (no
+        # pending store on this line) must cost two dict probes, so
+        # the policy check runs only when one exists
         pending = (self._pending_stores.get(addr)
                    or self._pending_atomics.get(addr))
         if pending and self._blocks_load(warp, addr):
@@ -116,28 +117,27 @@ class GTSCL1Controller(L1ControllerBase):
             )
             return True
 
-        # tag probe + lease check over the packed columns (the Fig. 2
-        # hit test, as indexed int reads — the line object is never
-        # touched on this path).  The LRU touch fires on any tag
-        # match, hit or expired, exactly like lookup() did.
+        # tag probe + lease check (the Fig. 2 hit test): lookup()
+        # inlined.  The LRU touch fires on any tag match, hit or
+        # expired, exactly like lookup() does.
         cache = self.cache
         slot = cache._where.get(addr)
         if slot is not None:
             cache._tick += 1
             cache._lru[slot] = cache._tick
-            if warp.ts <= cache.rts_col[slot]:
+            line = cache._lines[slot]
+            if warp.ts <= line.rts:
                 counters["l1_hit"] += 1
-                wts = cache.wts_col[slot]
+                wts = line.wts
                 if wts > warp.ts:
                     warp.ts = wts
                 engine = self.engine
                 if self.audit is not None:
                     self.audit.record(engine.now, "l1_load",
-                                      self.track, addr, wts,
-                                      cache.rts_col[slot],
+                                      self.track, addr, wts, line.rts,
                                       warp.ts, self.epoch, warp.uid)
-                self._record_load(warp, addr, cache.version_col[slot],
-                                  engine.now, hit=True)
+                self._record_load(warp, addr, line.version, engine.now,
+                                  hit=True)
                 # Engine.post, inlined (one completion per L1 hit)
                 time = engine.now + self._l1_latency
                 seq = engine._seq
@@ -157,7 +157,7 @@ class GTSCL1Controller(L1ControllerBase):
         stale_wts = 0
         if slot is not None:
             counters["l1_expired_miss"] += 1
-            stale_wts = cache.wts_col[slot]
+            stale_wts = line.wts
 
         waiter = LoadWaiter(warp, on_done, self.engine.now)
         entry = self.mshr.get(addr)
@@ -220,23 +220,17 @@ class GTSCL1Controller(L1ControllerBase):
     # ------------------------------------------------------------------
     # update-visibility policy (Section V-A)
     # ------------------------------------------------------------------
-    def _load_blocked_by_store(self, warp: "Warp", addr: int) -> bool:
+    def _blocks_load(self, warp: "Warp", addr: int) -> bool:
         """Does the update-visibility rule delay this load?
 
-        Option 1 (DELAY): any pending store to the line blocks every
-        load of it from this SM.  Option 2 (OLD_COPY): only the warps
-        that themselves have a pending store to the line wait (they
-        must not read past their own unacknowledged write); other
-        warps may keep reading the old copy.
+        Called by :meth:`load` once a pending store or atomic on the
+        line is known to exist.  Option 1 (DELAY): any pending store to
+        the line blocks every load of it from this SM.  Option 2
+        (OLD_COPY): only the warps that themselves have a pending store
+        to the line wait (they must not read past their own
+        unacknowledged write); other warps may keep reading the old
+        copy.
         """
-        pending = (self._pending_stores.get(addr)
-                   or self._pending_atomics.get(addr))
-        return bool(pending) and self._blocks_load(warp, addr)
-
-    def _blocks_load(self, warp: "Warp", addr: int) -> bool:
-        """The policy half of the rule, once a pending store/atomic on
-        the line is known to exist (see :meth:`_load_blocked_by_store`;
-        the existence probe is inlined in :meth:`load`)."""
         if self.config.visibility is VisibilityPolicy.DELAY:
             return True
         writers = self._pending_writers.get(addr)
@@ -301,8 +295,7 @@ class GTSCL1Controller(L1ControllerBase):
             # meaningless now; refetch for whoever is still waiting
             self._refetch(msg.addr)
             return
-        cache = self.cache
-        line, _evicted = cache.allocate(msg.addr, _unpinned)
+        line, _evicted = self.cache.allocate(msg.addr, _unpinned)
         if line is None:
             # every way is pinned by pending stores: serve the waiters
             # straight from the response without caching the line
@@ -314,10 +307,6 @@ class GTSCL1Controller(L1ControllerBase):
             line.rts = max(line.rts, msg.rts)
             line.version = msg.version
             line.epoch = self.epoch
-            slot = cache._where[msg.addr]
-            cache.wts_col[slot] = line.wts
-            cache.rts_col[slot] = line.rts
-            cache.version_col[slot] = line.version
         self._drain(msg.addr, line.wts, line.rts, line.version,
                     installed=True)
 
@@ -332,7 +321,6 @@ class GTSCL1Controller(L1ControllerBase):
             self._refetch(msg.addr)
             return
         line.rts = max(line.rts, msg.rts)
-        self.cache.rts_col[self.cache._where[msg.addr]] = line.rts
         self._drain(msg.addr, line.wts, line.rts, line.version,
                     installed=True)
 
@@ -351,11 +339,6 @@ class GTSCL1Controller(L1ControllerBase):
                 line.rts = msg.rts
                 line.version = pending.version
                 line.epoch = self.epoch
-                cache = self.cache
-                slot = cache._where[msg.addr]
-                cache.wts_col[slot] = msg.wts
-                cache.rts_col[slot] = msg.rts
-                cache.version_col[slot] = pending.version
         if not stale:
             pending.warp.ts = max(pending.warp.ts, msg.wts)
             if self.audit is not None:
@@ -399,11 +382,6 @@ class GTSCL1Controller(L1ControllerBase):
                 line.rts = msg.rts
                 line.version = pending.version
                 line.epoch = self.epoch
-                cache = self.cache
-                slot = cache._where[msg.addr]
-                cache.wts_col[slot] = msg.wts
-                cache.rts_col[slot] = msg.rts
-                cache.version_col[slot] = pending.version
         if not stale:
             pending.warp.ts = max(pending.warp.ts, msg.wts)
             if self.audit is not None:

@@ -114,7 +114,6 @@ class GTSCL2Bank(L2BankBase):
             warp_ts = 1
             desired = max(line.rts, 1 + self.config.lease)
         line.rts = desired
-        self.cache.rts_col[self.cache._where[msg.addr]] = desired
 
         if self.audit is not None:
             self.audit.record(self.engine.now,
@@ -159,11 +158,6 @@ class GTSCL2Bank(L2BankBase):
         line.version = msg.version
         line.dirty = True
         line.renewals = 0  # a write ends the line's read-only streak
-        cache = self.cache
-        slot = cache._where[msg.addr]
-        cache.wts_col[slot] = wts
-        cache.rts_col[slot] = line.rts
-        cache.version_col[slot] = msg.version
         self.machine.versions.record_wts(msg.addr, msg.version, wts,
                                          self.domain.epoch)
         if self.audit is not None:
@@ -208,11 +202,6 @@ class GTSCL2Bank(L2BankBase):
         line.version = msg.version
         line.dirty = True
         line.renewals = 0
-        cache = self.cache
-        slot = cache._where[msg.addr]
-        cache.wts_col[slot] = wts
-        cache.rts_col[slot] = line.rts
-        cache.version_col[slot] = msg.version
         self.machine.versions.record_wts(msg.addr, msg.version, wts,
                                          self.domain.epoch)
         if self.audit is not None:
@@ -242,11 +231,6 @@ class GTSCL2Bank(L2BankBase):
         line.version = self._memory_version(addr)
         line.dirty = False
         line.epoch = self.domain.epoch
-        cache = self.cache
-        slot = cache._where[addr]
-        cache.wts_col[slot] = line.wts
-        cache.rts_col[slot] = line.rts
-        cache.version_col[slot] = line.version
         if self.audit is not None:
             self.audit.record(self.engine.now, "fill", self.track,
                               addr, line.wts, line.rts, 0,
@@ -281,20 +265,12 @@ class GTSCL2Bank(L2BankBase):
     # ------------------------------------------------------------------
     def _timestamp_reset(self) -> None:
         """Rewrite every timestamp in this bank; data stays in place."""
-        cache = self.cache
         lease = self.config.lease
         epoch = self.domain.epoch
-        lines = cache._lines
-        wts_col = cache.wts_col
-        rts_col = cache.rts_col
-        for slot, tag in enumerate(cache._tags):
-            if tag != -1:
-                line = lines[slot]
-                line.wts = 1
-                line.rts = lease
-                line.epoch = epoch
-                wts_col[slot] = 1
-                rts_col[slot] = lease
+        for line in self.cache.lines():
+            line.wts = 1
+            line.rts = lease
+            line.epoch = epoch
         self.mem_ts = 1
         if self.audit is not None:
             self.audit.record(self.engine.now, "ts_reset", self.track,

@@ -20,16 +20,11 @@ valid line and ``-1`` otherwise, which holds because validity and tag
 only change inside this module (controllers mutate protocol state —
 versions, timestamps, dirty bits — never the tag).
 
-The probe-relevant protocol state is additionally packed into parallel
-int columns (``wts_col``/``rts_col``/``expiry_col``/``version_col``,
-same flat indexing): controllers read these on their probe hot paths
-(G-TSC's ``warp_ts <= rts`` lease check, TC's physical-expiry check,
-MESI's state probe) as indexed operations over packed ints, and
-dual-write them wherever they mutate the matching :class:`CacheLine`
-field.  The array itself zeroes a slot's columns whenever the slot is
-reset (allocate/invalidate/flush), so the invariant "column value ==
-line field" (checked by :meth:`check_packed`) only depends on the
-controllers' mutation sites.
+Protocol state has one home, the line record.  Controllers that
+inline the tag probe on their hit paths read ``_lines[slot]`` after
+the ``_where`` probe.  A slot keeps its line object for the life of
+the array (lines are reset in place, never replaced), so per-set views
+of ``_lines`` stay valid.
 """
 
 from __future__ import annotations
@@ -116,13 +111,6 @@ class CacheArray:
         # exact-match accelerator: addr -> flat slot of its valid line
         self._where: dict[int, int] = {}
         self._tick = 0
-        # packed protocol-state columns (see module docstring):
-        # controllers probe these instead of chasing CacheLine
-        # attributes and dual-write them at their mutation sites
-        self.wts_col: list[int] = [0] * size
-        self.rts_col: list[int] = [0] * size
-        self.expiry_col: list[int] = [0] * size
-        self.version_col: list[int] = [0] * size
 
     # -- queries ---------------------------------------------------------------
     def lookup(self, addr: int, touch: bool = True) -> Optional[CacheLine]:
@@ -185,15 +173,6 @@ class CacheArray:
                         best_age = age
         return best
 
-    def victim_for(
-        self,
-        addr: int,
-        evictable: Optional[Callable[[CacheLine], bool]] = None,
-    ) -> Optional[CacheLine]:
-        """Line object view of :meth:`_victim_slot` (None when pinned)."""
-        slot = self._victim_slot(addr, evictable)
-        return None if slot < 0 else self._lines[slot]
-
     def allocate(
         self,
         addr: int,
@@ -235,10 +214,6 @@ class CacheArray:
             evicted.renewals = victim.renewals
             del self._where[victim.addr]
         victim.reset()
-        self.wts_col[slot] = 0
-        self.rts_col[slot] = 0
-        self.expiry_col[slot] = 0
-        self.version_col[slot] = 0
         victim.addr = addr
         victim.valid = True
         self._tags[slot] = addr
@@ -255,10 +230,6 @@ class CacheArray:
         self._tags[slot] = -1
         self._free[addr % self.num_sets] += 1
         self._lines[slot].reset()
-        self.wts_col[slot] = 0
-        self.rts_col[slot] = 0
-        self.expiry_col[slot] = 0
-        self.version_col[slot] = 0
         return True
 
     def flush(self) -> int:
@@ -266,40 +237,12 @@ class CacheArray:
         count = 0
         tags = self._tags
         lines = self._lines
-        wts_col = self.wts_col
-        rts_col = self.rts_col
-        expiry_col = self.expiry_col
-        version_col = self.version_col
         for slot, tag in enumerate(tags):
             if tag != -1:
                 tags[slot] = -1
                 lines[slot].reset()
-                wts_col[slot] = 0
-                rts_col[slot] = 0
-                expiry_col[slot] = 0
-                version_col[slot] = 0
                 count += 1
         self._where.clear()
         # in place: controllers may hold a view of the free-way counts
         self._free[:] = [self.assoc] * self.num_sets
         return count
-
-    # -- consistency -------------------------------------------------------------
-    def check_packed(self) -> list:
-        """Mismatches between the packed columns and the line records.
-
-        Returns ``[(slot, field, column_value, line_value), ...]`` —
-        empty when every dual-written column agrees with its
-        :class:`CacheLine` field (the invariant the tests assert after
-        exercising every controller mutation site).
-        """
-        mismatches = []
-        for slot, line in enumerate(self._lines):
-            for field, column in (("wts", self.wts_col),
-                                  ("rts", self.rts_col),
-                                  ("expiry", self.expiry_col),
-                                  ("version", self.version_col)):
-                expected = getattr(line, field)
-                if column[slot] != expected:
-                    mismatches.append((slot, field, column[slot], expected))
-        return mismatches

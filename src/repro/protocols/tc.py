@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappush
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Deque, Dict, Optional
 
 from repro.config import CombiningPolicy, Consistency
@@ -41,6 +42,9 @@ from repro.validate.versions import AtomicRecord, LoadRecord, StoreRecord
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.machine import Machine
     from repro.gpu.warp import Warp
+
+#: a line's lease end, for the C-level min() in TCL2Bank._retry_fill
+_expiry_of = attrgetter("expiry")
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +179,10 @@ class TCL1Controller(L1ControllerBase):
         if slot is not None:
             cache._tick += 1
             cache._lru[slot] = cache._tick
-            if now < cache.expiry_col[slot]:
+            line = cache._lines[slot]
+            if now < line.expiry:
                 counters["l1_hit"] += 1
-                self._record_load(warp, addr, cache.version_col[slot],
-                                  now, hit=True)
+                self._record_load(warp, addr, line.version, now, hit=True)
                 # Engine.post, inlined (one completion per L1 hit)
                 time = now + self._l1_latency
                 seq = engine._seq
@@ -268,14 +272,10 @@ class TCL1Controller(L1ControllerBase):
                                    {"addr": msg.addr,
                                     "expiry": msg.expiry})
         else:
-            cache = self.cache
-            line, _evicted = cache.allocate(msg.addr)
+            line, _evicted = self.cache.allocate(msg.addr)
             if line is not None:
                 line.version = msg.version
                 line.expiry = msg.expiry
-                slot = cache._where[msg.addr]
-                cache.version_col[slot] = msg.version
-                cache.expiry_col[slot] = msg.expiry
         engine = self.engine
         now = engine.now
         for waiter in self.mshr.drain(msg.addr):
@@ -380,7 +380,7 @@ class TCL2Bank(L2BankBase):
 
     __slots__ = ("strong", "_blocked", "_handlers", "_tc_lease",
                  "_lease_gate", "_lease_free", "_set_lines", "_free_ways",
-                 "_expiry", "_where_map", "_assoc", "_set_min")
+                 "_where_map", "_set_min")
 
     def __init__(self, bank_id: int, machine: "Machine") -> None:
         super().__init__(bank_id, machine)
@@ -405,13 +405,7 @@ class TCL2Bank(L2BankBase):
         self._set_lines = [lines[s * assoc:(s + 1) * assoc]
                            for s in range(cache.num_sets)]
         self._free_ways = cache._free
-        # the retry probe reads lease expiry straight from the cache's
-        # packed column (dual-written at _read's grant; allocate zeroes
-        # it on slot reuse), so a still-pinned set is rejected with one
-        # C-level min() instead of a way scan
-        self._expiry = cache.expiry_col
         self._where_map = cache._where
-        self._assoc = assoc
         # cached lower bound on each set's minimum lease expiry: while
         # it exceeds `now`, every way is provably still leased and the
         # retry probe is O(1).  Grants only raise slot expiries (the
@@ -447,7 +441,6 @@ class TCL2Bank(L2BankBase):
         grant = self.engine.now + self._tc_lease
         if grant > line.expiry:
             line.expiry = grant
-            self._expiry[self._where_map[msg.addr]] = grant
         self._reply(msg.sm, TCFill(msg.addr, msg.sm, line.version, grant))
 
     def _write(self, msg: TCWr) -> None:
@@ -486,7 +479,6 @@ class TCL2Bank(L2BankBase):
         gwct = expiry if expiry > now else now
         line.version = msg.version
         line.dirty = True
-        self.cache.version_col[self._where_map[msg.addr]] = msg.version
         self.machine.versions.record_wts(msg.addr, msg.version, now)
         self._reply(msg.sm, TCWrAck(msg.addr, msg.sm, gwct,
                                     version=msg.version))
@@ -534,7 +526,6 @@ class TCL2Bank(L2BankBase):
         old_version = line.version
         line.version = msg.version
         line.dirty = True
-        self.cache.version_col[self._where_map[msg.addr]] = msg.version
         self.machine.versions.record_wts(msg.addr, msg.version, now)
         self._reply(msg.sm, TCAtmAck(msg.addr, msg.sm, old_version, gwct,
                                      version=msg.version))
@@ -558,8 +549,8 @@ class TCL2Bank(L2BankBase):
             if self._set_min[set_index] > now:
                 pinned = True      # every lease provably still running
             else:
-                base = set_index * self._assoc
-                lease_min = min(self._expiry[base:base + self._assoc])
+                set_lines = self._set_lines[set_index]
+                lease_min = min(map(_expiry_of, set_lines))
                 if lease_min > now:
                     # every lease still running; remember the exact min
                     # so the remaining retries of this stall are O(1)
@@ -570,7 +561,7 @@ class TCL2Bank(L2BankBase):
                     # whether the expired line is also unblocked
                     blocked = self._blocked
                     pinned = True
-                    for line in self._set_lines[set_index]:
+                    for line in set_lines:
                         if line.expiry <= now \
                                 and line.addr not in blocked:
                             pinned = False
@@ -612,7 +603,6 @@ class TCL2Bank(L2BankBase):
             self._writeback(evicted)
         line.version = self._memory_version(addr)
         line.dirty = False
-        line.expiry = 0    # allocate already zeroed the expiry column
-        self.cache.version_col[self._where_map[addr]] = line.version
+        line.expiry = 0
         self._set_min[addr % self.cache.num_sets] = 0
         return line

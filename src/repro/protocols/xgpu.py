@@ -125,11 +125,6 @@ class XGpuGTSCL2Bank(XGpuL2Mixin, GTSCL2Bank):
         line.version = self._memory_version(addr)
         line.dirty = False
         line.epoch = self.domain.epoch
-        cache = self.cache
-        slot = cache._where[addr]
-        cache.wts_col[slot] = line.wts
-        cache.rts_col[slot] = line.rts
-        cache.version_col[slot] = line.version
         if self.audit is not None:
             self.audit.record(self.engine.now, "fill", self.track,
                               addr, line.wts, line.rts, 0,

@@ -1,5 +1,10 @@
 """Tests for the Temporal Coherence baseline (Section II-D)."""
 
+from collections import deque
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.config import Consistency, GPUConfig, Protocol
 from repro.gpu.gpu import GPU
 from repro.gpu.machine import Machine
@@ -169,6 +174,49 @@ def test_tc_strong_inclusion_stalls_replacement():
     machine.engine.run(until=machine.engine.now + 200)
     assert machine.stats.get("l2_evict_stall") > 0
     assert done == []  # still stalled behind the pinned set
+
+
+_L2_ASSOC = GPUConfig.tiny().l2_assoc
+
+
+@settings(max_examples=200, deadline=None)
+@given(expiries=st.lists(st.integers(min_value=0, max_value=64),
+                         min_size=_L2_ASSOC, max_size=_L2_ASSOC),
+       blocked_ways=st.sets(st.integers(min_value=0,
+                                        max_value=_L2_ASSOC - 1)),
+       now=st.integers(min_value=0, max_value=64),
+       exact_bound=st.booleans())
+def test_retry_probe_agrees_with_victim_search(expiries, blocked_ways, now,
+                                               exact_bound):
+    """``_retry_fill`` stalls exactly when the full install would.
+
+    One full L2 set with drawn lease ends and write-blocked ways; the
+    set's cached lower bound is seeded with 0 (the min() path) or the
+    true minimum (the O(1) path) — both valid bounds.
+    """
+    machine = make_machine()
+    bank = machine.l2_banks[0]
+    cache = bank.cache
+    set_index = 1 % cache.num_sets
+    ways = [set_index + way * cache.num_sets for way in range(cache.assoc)]
+    for addr, expiry in zip(ways, expiries):
+        line, _ = cache.allocate(addr)
+        line.expiry = expiry
+    for way in blocked_ways:
+        bank._blocked[ways[way]] = deque()
+    bank._set_min[set_index] = min(expiries) if exact_bound else 0
+    missing = set_index + cache.assoc * cache.num_sets
+
+    bank._lease_gate = now
+    expect_stall = cache._victim_slot(missing, bank._lease_free) == -1
+    machine.engine.at(now, bank._retry_fill, missing)
+    machine.engine.run(until=now)
+
+    assert machine.stats.get("l2_evict_stall") == int(expect_stall)
+    assert (cache.lookup(missing, touch=False) is None) == expect_stall
+    # whatever the probe left behind is still a lower bound
+    assert bank._set_min[set_index] <= min(
+        line.expiry for line in bank._set_lines[set_index])
 
 
 def test_tc_end_to_end_mixed_kernel_completes():
