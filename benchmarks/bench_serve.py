@@ -42,8 +42,9 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.serve import (JobStore, ResultStore, Scheduler,
-                         ServeClient, ServeServer, make_spec)
+from repro.harness.cache import RunCache
+from repro.serve import (JobStore, Scheduler, ServeClient, ServeServer,
+                         make_spec)
 
 BENCH_WORKLOAD = "HS"
 BENCH_SCALE = 0.1
@@ -60,7 +61,7 @@ class LiveServer:
                  queue_limit: int = 64) -> None:
         store = JobStore(str(root / "jobs.jsonl"))
         self.scheduler = Scheduler(
-            store, cache=ResultStore(str(root / "cache")), jobs=jobs,
+            store, cache=RunCache(str(root / "cache")), jobs=jobs,
             queue_limit=queue_limit, poll_interval=0.005)
         self.server = ServeServer(self.scheduler, port=0, quiet=True)
         self.loop = asyncio.new_event_loop()
@@ -138,7 +139,7 @@ def test_submit_latency_cached(benchmark, live_server):
 def test_submit_latency_coalesced(benchmark, live_server):
     """Eight racing clients, one simulation, eight identical answers."""
     next_seed = fresh_seeds(30_000)
-    executed_before = live_server.scheduler.pool.executed
+    executed_before = live_server.scheduler.executed
     bursts = []
 
     def burst():
@@ -164,7 +165,7 @@ def test_submit_latency_coalesced(benchmark, live_server):
     assert len({str(sorted(reply["stats"].items()))
                 for reply in replies}) == 1
     # one simulation per burst, never eight
-    executed = live_server.scheduler.pool.executed - executed_before
+    executed = live_server.scheduler.executed - executed_before
     assert executed == len(bursts)
 
 
@@ -292,7 +293,7 @@ def test_fleet_zipf_load(benchmark, zipf_fleet):
     simulations at <= one per distinct point."""
     CLIENTS, REQUESTS, SPECS = 16, 8, 16
     base = fresh_seeds(200_000)
-    executed_before = [zipf_fleet.live.scheduler.pool.executed]
+    executed_before = [zipf_fleet.live.scheduler.executed]
 
     def round_() -> list:
         # a fresh population each round so every round re-pays the
@@ -320,7 +321,7 @@ def test_fleet_zipf_load(benchmark, zipf_fleet):
 
     replies = benchmark.pedantic(round_, rounds=2, iterations=1)
     assert all(reply["ok"] for reply in replies)
-    executed = zipf_fleet.live.scheduler.pool.executed - \
+    executed = zipf_fleet.live.scheduler.executed - \
         executed_before[0]
     # dedup held: at most one simulation per distinct point per round
     assert executed <= SPECS * 2

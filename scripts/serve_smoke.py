@@ -3,8 +3,10 @@
 
 Boots ``repro serve`` as a real subprocess, submits the same tiny
 point twice (the second submit must be answered from the run cache),
-sends SIGTERM, and asserts a clean graceful drain: exit code 0, the
-drain banner in the log, and a journal whose every job is DONE.
+checks the metrics show one lease and one execution by an in-process
+fleet worker, sends SIGTERM, and asserts a clean graceful drain: exit
+code 0, the drain banner in the log, and a journal whose every job is
+DONE and was run by an in-process worker.
 
 Usage::
 
@@ -16,6 +18,7 @@ Exits non-zero with a diagnostic on any failure.
 from __future__ import annotations
 
 import json
+import re
 import signal
 import subprocess
 import sys
@@ -86,6 +89,18 @@ def main() -> None:
                 fail("cache hit returned a different key")
             print("second submit answered from cache, bit-identical")
 
+            # the one execution path: an in-process fleet worker
+            # leased the cold job and completed it through the
+            # scheduler's fleet ops
+            snapshot = client.metrics()["snapshot"]
+            client.close()
+            expected = {"executed": 1, "leases": 1, "cache_hits": 1,
+                        "timeouts": 0}
+            seen = {name: snapshot.get(name) for name in expected}
+            if seen != expected:
+                fail(f"metrics {seen}, expected {expected}", proc)
+            print(f"metrics: {seen}")
+
             proc.send_signal(signal.SIGTERM)
             try:
                 proc.wait(timeout=30)
@@ -99,11 +114,16 @@ def main() -> None:
 
             store = JobStore(str(state_dir / "jobs.jsonl"))
             counts = store.counts()
+            workers = [job.worker for job in store.jobs()]
             store.close()
             if counts["done"] != 1 or counts["pending"] or \
                     counts["leased"] or counts["failed"]:
                 fail(f"journal not clean after drain: {counts}")
-            print(f"clean drain, journal: {counts}")
+            if not all(re.fullmatch(r"local-\d+", worker)
+                       for worker in workers):
+                fail(f"job not run by an in-process worker: {workers}")
+            print(f"clean drain, journal: {counts}, "
+                  f"worker(s): {workers}")
             print("OK")
         finally:
             if proc.poll() is None:

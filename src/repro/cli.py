@@ -416,13 +416,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import os
 
-    from repro.serve import JobStore, ResultStore, Scheduler, \
-        ServeServer
+    from repro.harness.cache import RunCache
+    from repro.serve import JobStore, Scheduler, ServeServer
 
     state_dir = args.state_dir
     os.makedirs(state_dir, exist_ok=True)
     store = JobStore(os.path.join(state_dir, "jobs.jsonl"))
-    cache = None if args.no_cache else ResultStore(args.cache_dir)
+    cache = None if args.no_cache else RunCache(args.cache_dir)
     max_bytes = (args.cache_max_mb * 1024 * 1024
                  if args.cache_max_mb else None)
     scheduler = Scheduler(
@@ -780,9 +780,11 @@ def make_parser() -> argparse.ArgumentParser:
              "joins a remote fleet instead")
     _add_endpoint_args(p_serve)
     p_serve.add_argument("--jobs", type=int, default=1, metavar="N",
-                         help="in-process worker threads; 0 makes "
-                              "this a pure dispatcher for remote "
-                              "'serve worker' processes (default: 1)")
+                         help="in-process fleet workers, each "
+                              "running the 'serve worker' loop on a "
+                              "thread; 0 makes this a pure dispatcher "
+                              "for remote 'serve worker' processes "
+                              "(default: 1)")
     p_serve.add_argument("--queue-limit", type=int, default=64,
                          help="max queued+running jobs before submits "
                               "get a retry-after refusal (default: 64)")

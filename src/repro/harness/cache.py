@@ -240,7 +240,12 @@ class JsonFileCache:
 
 
 class RunCache(JsonFileCache):
-    """JSON-per-run store of :class:`RunStats` keyed by :func:`run_key`."""
+    """JSON-per-run store of :class:`RunStats` keyed by :func:`run_key`.
+
+    ``repro serve`` uses it as the fleet's shared result store, so a
+    point run by the batch harness is a store hit for the service, and
+    a served result is a cache hit for a later batch run.
+    """
 
     what = "run-cache"
     recovery = "re-simulating"

@@ -15,7 +15,7 @@ Conventions follow the exposition format spec:
   ``gauge`` metrics;
 * latency distributions render as ``summary`` metrics with
   ``quantile`` labels plus the ``_sum``/``_count`` pair, taken from
-  the worker pool's power-of-two histograms (so the quantiles are
+  the scheduler's power-of-two histograms (so the quantiles are
   bucket upper bounds — the same numbers ``latency_summary`` reports).
 
 Rendering is pure string assembly over plain dicts; nothing here
@@ -28,7 +28,7 @@ import re
 from typing import Dict, Optional
 
 #: quantiles exported for every summary, with the summary-dict key
-#: each is read from (the worker pool's ``latency_summary`` shape)
+#: each is read from (the scheduler's ``latency_summary`` shape)
 SUMMARY_QUANTILES = (
     ("0.5", "p50_ms"),
     ("0.95", "p95_ms"),

@@ -7,15 +7,12 @@ so many clients can share one simulation budget:
   leases (PENDING -> LEASED -> DONE/FAILED, expiry requeues);
 * :mod:`~repro.serve.scheduler` — single-flight dedup keyed by
   :func:`repro.harness.cache.run_key`, sharded over independent
-  locks, plus the fleet-facing lease/complete/fail/heartbeat entry
-  points;
-* :mod:`~repro.serve.results` — the content-addressed result store
-  every fleet member (and the batch harness) shares;
-* :mod:`~repro.serve.workers` — leased worker threads with per-job
-  timeout, jittered retry, and failure quarantine (``jobs=0`` makes
-  the process a pure dispatcher);
-* :mod:`~repro.serve.fleet` — the remote worker process: a lease
-  loop over the wire (``serve worker --connect``);
+  locks, plus the lease/complete/fail/heartbeat entry points every
+  worker uses, with jittered retry and failure quarantine;
+* :mod:`~repro.serve.fleet` — the one worker loop, with per-job
+  timeout and heartbeats: ``serve --jobs N`` runs N in-process
+  (``--jobs 0`` makes the process a pure dispatcher), ``serve worker
+  --connect`` runs one over the wire;
 * :mod:`~repro.serve.server` / :mod:`~repro.serve.client` — the
   newline-JSON TCP protocol (versioned, with backpressure and
   persistent client connections);
@@ -29,15 +26,14 @@ from __future__ import annotations
 
 from repro.serve.client import ServeClient, ServeError, \
     ServeUnavailable
-from repro.serve.fleet import FleetWorker, default_worker_name
+from repro.serve.fleet import FleetWorker, JobTimeout, \
+    default_worker_name, execute_spec
 from repro.serve.jobs import Job, JobStore
-from repro.serve.results import ResultStore
 from repro.serve.scheduler import Busy, Quarantined, Scheduler, \
     Submission
 from repro.serve.schema import PROTOCOL_VERSION, SpecError, \
     make_spec, result_envelope, spec_config, spec_key, validate_spec
 from repro.serve.server import ServeServer
-from repro.serve.workers import JobTimeout, WorkerPool, execute_spec
 
 __all__ = [
     "Busy",
@@ -47,7 +43,6 @@ __all__ = [
     "JobTimeout",
     "PROTOCOL_VERSION",
     "Quarantined",
-    "ResultStore",
     "Scheduler",
     "ServeClient",
     "ServeError",
@@ -55,7 +50,6 @@ __all__ = [
     "ServeUnavailable",
     "SpecError",
     "Submission",
-    "WorkerPool",
     "default_worker_name",
     "execute_spec",
     "make_spec",

@@ -1,26 +1,24 @@
-"""The remote worker: a lease loop over the wire.
+"""The fleet worker: the service's one lease loop.
 
-``gtsc-repro serve worker --connect HOST:PORT`` runs one of these.  A
-fleet worker owns no queue and no state directory — it dials the
-dispatcher, leases one job at a time through the protocol's fleet ops
-(``lease`` / ``heartbeat`` / ``complete`` / ``fail``), executes it
-with the *same* entry point the in-process pool uses
-(:func:`~repro.serve.workers.execute_spec`, i.e. the batch harness's
-worker function), and reports the outcome.  Because workers are
-separate **processes**, a fleet of N actually simulates N points
-concurrently — the in-process pool's threads serialize on the GIL, so
-this is where the service's throughput scaling comes from.
+``gtsc-repro serve worker --connect HOST:PORT`` runs one in its own
+process over a :class:`~repro.serve.client.ServeClient`; ``serve
+--jobs N`` runs N on threads, each over an in-memory
+:class:`~repro.serve.scheduler.LocalLink`.  Either way the worker
+leases one job at a time through the same four ops (``lease`` /
+``heartbeat`` / ``complete`` / ``fail``), executes it with
+:func:`execute_spec`, and reports the outcome.  Separate **processes**
+simulate N points concurrently; threads serialize on the GIL, so
+remote workers are where the service's throughput scaling comes from.
 
 Division of labour with the dispatcher:
 
 * the **dispatcher** owns policy: dedup, retry/backoff/quarantine
-  (a worker's ``fail`` report feeds the same
-  :meth:`~repro.serve.workers.WorkerPool.record_failure` the local
-  threads use), lease expiry, the shared result store, the DB;
+  (a worker's ``fail`` report feeds ``Scheduler.fail``), lease
+  expiry, the shared result store, the DB;
 * the **worker** owns only execution mechanics: the per-job timeout
-  (same disposable-thread technique as the pool's
-  ``_call_with_timeout``), heartbeats while the simulation runs, and
-  honest outcome reports.
+  (the simulation runs on a disposable thread, abandoned at the
+  deadline), heartbeats while the simulation runs, and honest
+  outcome reports.
 
 A worker is therefore entirely disposable.  Kill one mid-job and the
 lease expires on the dispatcher, the job requeues, and another worker
@@ -46,10 +44,27 @@ import threading
 import time
 from typing import Callable, Dict, Optional
 
+from repro.config import Consistency, Protocol
+from repro.harness.parallel import _simulate_point
 from repro.serve.client import (ServeClient, ServeError,
                                 ServeUnavailable)
-from repro.serve.workers import JobTimeout, execute_spec
 from repro.stats.collector import RunStats
+
+
+class JobTimeout(RuntimeError):
+    """An execution that exceeded the worker's per-job timeout."""
+
+
+def execute_spec(spec: Dict) -> RunStats:
+    """Simulate one validated spec through the batch harness's worker
+    entry, so a served job is bit-identical to the same point run by
+    ``ParallelRunner`` or ``ExperimentRunner``."""
+    point = (spec["workload"], Protocol(spec["protocol"]),
+             Consistency(spec["consistency"]),
+             tuple(sorted(spec["overrides"].items())))
+    payload = _simulate_point(spec["preset"], spec["scale"],
+                              spec["seed"], (), point)
+    return RunStats.from_dict(payload)
 
 
 def default_worker_name() -> str:
@@ -60,7 +75,8 @@ def default_worker_name() -> str:
 
 
 class FleetWorker:
-    """One remote lease loop against one dispatcher."""
+    """One lease loop against one dispatcher (``client`` is a
+    :class:`ServeClient`, or a ``LocalLink`` in-process)."""
 
     def __init__(self, client: ServeClient,
                  name: Optional[str] = None,
@@ -192,7 +208,11 @@ class FleetWorker:
         deadline = None if self.timeout is None else \
             time.monotonic() + self.timeout
         while True:
-            thread.join(self.heartbeat_interval)
+            wait = self.heartbeat_interval
+            if deadline is not None:
+                # wake at the deadline, not at the next heartbeat tick
+                wait = min(wait, max(0.0, deadline - time.monotonic()))
+            thread.join(wait)
             if not thread.is_alive():
                 break
             if deadline is not None and time.monotonic() >= deadline:

@@ -25,8 +25,8 @@ Live workers extend their deadline with :meth:`JobStore.heartbeat`;
 heartbeats are *not* journalled, because a lease never survives a
 dispatcher restart anyway (reopen requeues every LEASED job).  The
 ``not_before`` field delays retries (jittered backoff is computed by
-the worker pool; the store only enforces the resulting earliest start
-time).
+the scheduler's retry policy; the store only enforces the resulting
+earliest start time).
 
 Long-lived dispatchers accumulate an unbounded transition history;
 besides the explicit :meth:`JobStore.compact`, the store compacts
@@ -267,7 +267,7 @@ class JobStore:
 
         Expired leases are reclaimed first, so a job whose holder
         crashed mid-run is immediately up for grabs again.  Returns
-        ``None`` when nothing is ready (the pool then sleeps).
+        ``None`` when nothing is ready (the worker then waits).
         """
         with self._lock:
             now = self._clock()
@@ -333,7 +333,7 @@ class JobStore:
 
     def requeue(self, job_id: str, not_before: float = 0.0) -> Job:
         """LEASED -> PENDING for a retry, not leasable before
-        ``not_before`` (the worker pool passes its backoff here)."""
+        ``not_before`` (the scheduler passes its backoff here)."""
         with self._lock:
             job = self._jobs[job_id]
             if job.state != LEASED:

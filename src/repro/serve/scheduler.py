@@ -8,15 +8,15 @@ key exists anywhere in the fleet**.  A submission resolves through
 the first of:
 
 1. **store** — the key is already in the shared
-   :class:`~repro.serve.results.ResultStore` (from a previous service
+   :class:`~repro.harness.cache.RunCache` (from a previous service
    run, another fleet member, *or* any CLI/harness run that shared
    the directory): the result is returned immediately, no job;
 2. **quarantine** — the key recently failed terminally: the recorded
    error is raised immediately instead of re-burning workers;
 3. **coalesce** — a job for the key is already queued or running: the
    caller is attached to the existing job's future;
-4. **enqueue** — a new job is journalled and the pool is woken; this
-   is the only path that can be refused for backpressure
+4. **enqueue** — a new job is journalled and idle workers are woken;
+   this is the only path that can be refused for backpressure
    (:class:`Busy`), because attaching a waiter or reading the store
    costs nothing.
 
@@ -28,20 +28,15 @@ and those are exactly the ones that must.  The queue-occupancy limit
 moved into :meth:`JobStore.submit` so backpressure stays exact
 without a global lock around the check-then-enqueue.
 
-The execution side is symmetric about where workers live:
-
-* **local** — the in-process :class:`WorkerPool` threads lease
-  directly from the store (``jobs >= 1``);
-* **remote** — ``serve worker --connect`` processes lease **over the
-  wire** through :meth:`lease` / :meth:`complete` / :meth:`fail` /
-  :meth:`heartbeat`, which the server exposes as protocol ops.  A
-  remote lease first consults the result store, so a job whose key
-  was finished elsewhere (late result after an expired lease, a
-  batch run that shared the directory) is completed on the spot
-  instead of re-simulated; a ``complete`` whose lease has moved on
-  is deduplicated by run key rather than rejected — its result is
-  published and its waiters answered, it just isn't the completion
-  of record.
+Every execution is a :class:`~repro.serve.fleet.FleetWorker` calling
+:meth:`lease`, :meth:`heartbeat`, :meth:`complete` and :meth:`fail`:
+``serve worker --connect`` processes over the wire, the ``jobs``
+in-process workers through a :class:`LocalLink`.  :meth:`complete` is
+the only place a result is published (store, results DB, waiters);
+:meth:`fail` is the only place the retry policy runs — requeue with
+jittered exponential backoff until ``max_attempts`` lease grants are
+used up, then FAILED plus a ``quarantine_ttl`` quarantine of the key,
+so resubmitting a deterministic crash fails fast.
 
 Waiters hold :class:`concurrent.futures.Future` objects resolved from
 worker threads (or the server's executor for remote completions); the
@@ -51,17 +46,21 @@ blocking the event loop.
 
 from __future__ import annotations
 
+import random
 import threading
+import time
 import warnings
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.harness.cache import RunCache
 from repro.serve import schema
+from repro.serve.client import ServeError
+from repro.serve.fleet import FleetWorker, JobTimeout, execute_spec
 from repro.serve.jobs import Job, JobStore, LEASED
-from repro.serve.workers import WorkerPool
 from repro.stats.collector import RunStats
+from repro.stats.histogram import HistogramSet
 
 
 class Busy(Exception):
@@ -87,8 +86,52 @@ class Submission:
     future: "Future[RunStats]"
 
 
+class LocalLink:
+    """The :class:`ServeClient` ops a :class:`FleetWorker` uses, as
+    calls on the scheduler; ``lease`` long-polls on its wake event so
+    an idle in-process worker starts a new submit at once."""
+
+    host, port = "in-process", 0
+
+    def __init__(self, scheduler: "Scheduler") -> None:
+        self.scheduler = scheduler
+
+    def lease(self, worker: str, duration: float) -> Optional[Dict]:
+        scheduler = self.scheduler
+        job = scheduler.lease(worker, duration)
+        if job is None:
+            scheduler._wake.wait(scheduler.poll_interval)
+            scheduler._wake.clear()
+            return None
+        return job.to_dict()
+
+    def heartbeat(self, job_id: str, worker: str,
+                  duration: float) -> float:
+        try:
+            return self.scheduler.heartbeat(job_id, worker,
+                                            duration).deadline
+        except ValueError as error:
+            raise ServeError({"error": "lease-lost",
+                              "message": str(error)}) from error
+
+    def complete(self, job_id: str, worker: str, stats: RunStats,
+                 wall_time_s: Optional[float] = None) -> bool:
+        return self.scheduler.complete(job_id, worker, stats,
+                                       wall_time_s)
+
+    def fail(self, job_id: str, worker: str, message: str) -> bool:
+        return self.scheduler.fail(job_id, worker, message)
+
+    def close(self) -> None:
+        pass
+
+
 class Scheduler:
-    """Owns the store, the result cache, and the worker pool."""
+    """Owns the store, the result cache, the retry policy and the
+    ``jobs`` in-process workers (``execute``/``timeout`` configure
+    them; ``jobs=0`` leaves all executing to remote workers).
+    ``clock``/``rng`` are injectable for deterministic tests.
+    """
 
     def __init__(self, store: JobStore,
                  cache: Optional[RunCache] = None,
@@ -96,13 +139,28 @@ class Scheduler:
                  retry_after: float = 1.0,
                  cache_max_bytes: Optional[int] = None,
                  db=None, db_flush_interval: Optional[float] = None,
-                 shards: int = 16, **pool_options) -> None:
+                 shards: int = 16, *,
+                 execute: Callable[[Dict], RunStats] = execute_spec,
+                 timeout: Optional[float] = None,
+                 max_attempts: int = 3,
+                 backoff_base: float = 0.5,
+                 backoff_cap: float = 30.0,
+                 lease_duration: float = 300.0,
+                 quarantine_ttl: float = 60.0,
+                 poll_interval: float = 0.05,
+                 clock: Callable[[], float] = time.time,
+                 rng: Optional[random.Random] = None) -> None:
+        if jobs < 0:
+            raise ValueError("jobs must be >= 0")
+        if max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1")
         if queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
         if shards < 1:
             raise ValueError("shards must be >= 1")
         self.store = store
         self.cache = cache
+        self.jobs = jobs
         self.queue_limit = queue_limit
         self.retry_after = retry_after
         self.cache_max_bytes = cache_max_bytes
@@ -112,21 +170,39 @@ class Scheduler:
             from repro.db.store import ResultsDB
             db = ResultsDB(db, flush_interval=db_flush_interval)
         self.db = db
-        self.pool = WorkerPool(store, jobs=jobs,
-                               on_result=self._on_result,
-                               on_failure=self._on_failure,
-                               **pool_options)
+        self.execute = execute
+        self.timeout = timeout
+        self.max_attempts = max_attempts
+        self.backoff_base = backoff_base
+        self.backoff_cap = backoff_cap
+        self.lease_duration = lease_duration
+        self.quarantine_ttl = quarantine_ttl
+        self.poll_interval = poll_interval
+        self._clock = clock
+        self._rng = rng if rng is not None else random.Random()
+        self._wake = threading.Event()
+        self._workers: List[FleetWorker] = []
+        self._threads: List[threading.Thread] = []
         self.shards = shards
         self._shard_locks = [threading.Lock() for _ in range(shards)]
         self._futures: List[Dict[str, "Future[RunStats]"]] = \
             [{} for _ in range(shards)]
-        self._counter_lock = threading.Lock()
+        self._lock = threading.Lock()
+        #: key -> (expires_at, error) of terminally failed points
+        self._quarantine: Dict[str, Tuple[float, str]] = {}
+        #: per-job latency distributions (milliseconds): how long a
+        #: job waited in the queue (``job_queue_wait_ms``) and how
+        #: long its simulation ran (``job_simulate_ms``)
+        self.latency = HistogramSet()
         self.submits = 0
         self.cache_hits = 0
         self.coalesced = 0
         self.rejected = 0
-        self.remote_leases = 0
-        self.remote_results = 0
+        self.leases = 0
+        self.executed = 0
+        self.retried = 0
+        self.failed = 0
+        self.timeouts = 0
         self.deduped_results = 0
 
     def _shard_of(self, key: str) -> int:
@@ -135,16 +211,44 @@ class Scheduler:
         return int(key[:8], 16) % self.shards
 
     def _count(self, name: str) -> None:
-        with self._counter_lock:
+        with self._lock:
             setattr(self, name, getattr(self, name) + 1)
 
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Start the workers (pending journal entries resume here)."""
-        self.pool.start()
+        """Start the in-process workers (pending journal entries
+        resume here)."""
+        if self._workers:
+            raise RuntimeError("workers already started")
+        for index in range(self.jobs):
+            # no idle sleep of its own: LocalLink.lease already waits
+            # on the wake event, which a submit sets
+            worker = FleetWorker(
+                LocalLink(self), name=f"local-{index}",
+                execute=self.execute, timeout=self.timeout,
+                lease_duration=self.lease_duration,
+                poll_interval=0.0, quiet=True)
+            thread = threading.Thread(
+                target=worker.run, name=f"repro-serve-{index}",
+                daemon=True)
+            thread.start()
+            self._workers.append(worker)
+            self._threads.append(thread)
 
     def stop(self, wait: bool = True) -> None:
-        self.pool.stop(wait=wait)
+        """Stop leasing new jobs; optionally join the workers.
+
+        In-flight executions finish their current job first (that is
+        the graceful-drain half of SIGTERM handling); jobs still
+        PENDING stay journalled for the next process.
+        """
+        for worker in self._workers:
+            worker.stop()
+        self._wake.set()
+        if wait:
+            for thread in self._threads:
+                thread.join()
+        self._workers, self._threads = [], []
         if self.db is not None:
             try:
                 self.db.flush()
@@ -169,7 +273,7 @@ class Scheduler:
                     return Submission(key=key, job_id=None,
                                       cached=True, coalesced=False,
                                       future=future)
-            error = self.pool.quarantined(key)
+            error = self.quarantined(key)
             if error is not None:
                 raise Quarantined(error)
             pending = self._futures[index].get(key)
@@ -197,7 +301,7 @@ class Scheduler:
             submission = Submission(key=key, job_id=job.id,
                                     cached=False, coalesced=False,
                                     future=self._future_for(index, key))
-        self.pool.notify()
+        self._wake.set()
         return submission
 
     def _future_for(self, index: int,
@@ -208,11 +312,23 @@ class Scheduler:
             self._futures[index][key] = future
         return future
 
+    def quarantined(self, key: str) -> Optional[str]:
+        """The recorded error if ``key`` is quarantined, else None."""
+        with self._lock:
+            entry = self._quarantine.get(key)
+            if entry is None:
+                return None
+            expires, error = entry
+            if expires <= self._clock():
+                del self._quarantine[key]
+                return None
+            return error
+
     # ------------------------------------------------------------------
-    # the remote fleet (server ops lease/complete/fail/heartbeat)
+    # the fleet ops (LocalLink calls, or server ops over the wire)
     # ------------------------------------------------------------------
     def lease(self, worker: str, duration: float) -> Optional[Job]:
-        """Grant the next runnable job to a remote worker.
+        """Grant the next runnable job to ``worker``.
 
         Jobs whose key already has a result in the shared store are
         completed here instead of handed out — the fleet-wide dedup
@@ -231,12 +347,12 @@ class Scheduler:
                     self._count("deduped_results")
                     self._resolve(job.key, stats)
                     continue
-            self._count("remote_leases")
+            self._count("leases")
             return job
 
     def complete(self, job_id: str, worker: str, stats: RunStats,
                  wall_time_s: Optional[float] = None) -> bool:
-        """Record a remote worker's finished result.
+        """Record a worker's finished result and publish it.
 
         Returns ``True`` when this was the completion of record (the
         worker still held the lease).  A late result — the lease
@@ -255,30 +371,46 @@ class Scheduler:
         queue_wait = max(
             0.0, (job.updated_at or job.submitted_at)
             - job.submitted_at)
-        fresh = False
-        if job.state == LEASED and job.worker == worker:
+        fresh = job.state == LEASED and job.worker == worker
+        if fresh:
             try:
                 self.store.complete(job_id)
-                fresh = True
             except ValueError:
                 # lost a photo-finish with lease expiry; fall through
                 # to the dedup path
                 fresh = False
-        if fresh:
-            self._count("remote_results")
-            self.pool.note_executed(
-                queue_wait, wall_time_s if wall_time_s else 0.0)
-            job.wall_time_s = wall_time_s
-            self._on_result(job, stats)
-            return True
-        self._count("deduped_results")
+        if not fresh:
+            self._count("deduped_results")
+            if self.cache is not None:
+                self.cache.put_if_absent(job.key, stats)
+            self._resolve(job.key, stats)
+            return False
+        with self._lock:
+            self.executed += 1
+            self.latency.add("job_queue_wait_ms",
+                             int(round(queue_wait * 1000)))
+            self.latency.add("job_simulate_ms",
+                             int(round((wall_time_s or 0.0) * 1000)))
         if self.cache is not None:
-            self.cache.put_if_absent(job.key, stats)
+            self.cache.put(job.key, stats)
+            if self.cache_max_bytes is not None:
+                self.cache.prune(self.cache_max_bytes)
+        if self.db is not None:
+            try:
+                self.db.record(
+                    job.key, stats, spec=job.spec, source="serve",
+                    wall_time_s=wall_time_s,
+                    config=schema.spec_config(job.spec))
+            except Exception as error:
+                warnings.warn(
+                    f"results-db record failed for {job.key[:12]}…: "
+                    f"{type(error).__name__}: {error}",
+                    RuntimeWarning, stacklevel=2)
         self._resolve(job.key, stats)
-        return False
+        return True
 
     def fail(self, job_id: str, worker: str, message: str) -> bool:
-        """Apply the retry policy to a remote worker's failure report.
+        """Apply the retry policy to a worker's failure report.
 
         Returns ``False`` (and changes nothing) when the reporting
         worker no longer holds the lease — its failure is stale news
@@ -290,49 +422,51 @@ class Scheduler:
             raise KeyError(f"no job {job_id!r}")
         if job.state != LEASED or job.worker != worker:
             return False
-        self.pool.record_failure(job, message)
-        return True
-
-    def heartbeat(self, job_id: str, worker: str,
-                  duration: float) -> Job:
-        """Extend a remote worker's lease (see JobStore.heartbeat)."""
-        return self.store.heartbeat(job_id, worker, duration)
-
-    def _resolve(self, key: str, stats: RunStats) -> None:
-        """Answer any waiters for ``key`` outside the job lifecycle."""
-        index = self._shard_of(key)
-        with self._shard_locks[index]:
-            future = self._futures[index].pop(key, None)
-        if future is not None:
-            future.set_result(stats)
-
-    # ------------------------------------------------------------------
-    # worker-thread callbacks
-    # ------------------------------------------------------------------
-    def _on_result(self, job, stats: RunStats) -> None:
-        if self.cache is not None:
-            self.cache.put(job.key, stats)
-            if self.cache_max_bytes is not None:
-                self.cache.prune(self.cache_max_bytes)
-        if self.db is not None:
-            try:
-                self.db.record(
-                    job.key, stats, spec=job.spec, source="serve",
-                    wall_time_s=getattr(job, "wall_time_s", None),
-                    config=schema.spec_config(job.spec))
-            except Exception as error:
-                warnings.warn(
-                    f"results-db record failed for {job.key[:12]}…: "
-                    f"{type(error).__name__}: {error}",
-                    RuntimeWarning, stacklevel=2)
-        self._resolve(job.key, stats)
-
-    def _on_failure(self, job, message: str) -> None:
+        retry = job.attempts < self.max_attempts
+        try:
+            if retry:
+                self.store.requeue(job.id,
+                                   not_before=self._clock() +
+                                   self._backoff(job.attempts))
+            else:
+                self.store.fail(job.id, message)
+        except ValueError:
+            return False           # the lease expired under the report
+        if message.startswith(f"{JobTimeout.__name__}:"):
+            self._count("timeouts")
+        if retry:
+            self._count("retried")
+            self._wake.set()
+            return True
+        self._count("failed")
+        with self._lock:
+            self._quarantine[job.key] = (
+                self._clock() + self.quarantine_ttl, message)
         index = self._shard_of(job.key)
         with self._shard_locks[index]:
             future = self._futures[index].pop(job.key, None)
         if future is not None:
             future.set_exception(Quarantined(message))
+        return True
+
+    def _backoff(self, attempt: int) -> float:
+        """Exponential backoff with full jitter in [0.5x, 1.0x]."""
+        base = min(self.backoff_cap,
+                   self.backoff_base * (2 ** (attempt - 1)))
+        return base * (0.5 + self._rng.random() / 2)
+
+    def heartbeat(self, job_id: str, worker: str,
+                  duration: float) -> Job:
+        """Extend a worker's lease (see JobStore.heartbeat)."""
+        return self.store.heartbeat(job_id, worker, duration)
+
+    def _resolve(self, key: str, stats: RunStats) -> None:
+        """Answer any waiters for ``key``."""
+        index = self._shard_of(key)
+        with self._shard_locks[index]:
+            future = self._futures[index].pop(key, None)
+        if future is not None:
+            future.set_result(stats)
 
     # ------------------------------------------------------------------
     def inflight(self) -> int:
@@ -343,6 +477,23 @@ class Scheduler:
                 total += len(self._futures[index])
         return total
 
+    def latency_summary(self) -> Dict:
+        """Count/mean/p50/p95/p99/max (ms) per latency histogram."""
+        out: Dict[str, Dict] = {}
+        with self._lock:
+            for name in self.latency.names():
+                histogram = self.latency.get(name)
+                out[name] = {
+                    "count": histogram.count,
+                    "sum_ms": histogram.total,
+                    "mean_ms": round(histogram.mean, 3),
+                    "p50_ms": histogram.percentile(0.50),
+                    "p95_ms": histogram.percentile(0.95),
+                    "p99_ms": histogram.percentile(0.99),
+                    "max_ms": histogram.max_value,
+                }
+        return out
+
     def snapshot(self) -> Dict:
         """One flat dict of everything the metrics endpoint exports."""
         counts = self.store.counts()
@@ -351,12 +502,11 @@ class Scheduler:
             "cache_hits": self.cache_hits,
             "coalesced": self.coalesced,
             "rejected": self.rejected,
-            "executed": self.pool.executed,
-            "retried": self.pool.retried,
-            "failed": self.pool.failed,
-            "timeouts": self.pool.timeouts,
-            "remote_leases": self.remote_leases,
-            "remote_results": self.remote_results,
+            "leases": self.leases,
+            "executed": self.executed,
+            "retried": self.retried,
+            "failed": self.failed,
+            "timeouts": self.timeouts,
             "deduped_results": self.deduped_results,
         }
         for state, value in counts.items():

@@ -116,7 +116,7 @@ class ServeServer:
     # lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Bind the socket and start the workers."""
+        """Bind the socket and start the in-process workers."""
         self.scheduler.start()
         self._server = await asyncio.start_server(
             self._handle, self.host, self.port)
@@ -124,7 +124,7 @@ class ServeServer:
         self._started = time.monotonic()
         self._log(f"listening on {self.host}:{self.port} "
                   f"(queue limit {self.scheduler.queue_limit}, "
-                  f"{self.scheduler.pool.jobs} worker(s))")
+                  f"{self.scheduler.jobs} worker(s))")
 
     async def serve_forever(self, install_signals: bool = True) -> None:
         """Serve until a drain is requested (SIGTERM/SIGINT)."""
@@ -293,7 +293,7 @@ class ServeServer:
                 "uptime_s": round(time.monotonic() - self._started, 3),
                 "queue_depth": self.scheduler.store.active_count(),
                 "queue_limit": self.scheduler.queue_limit,
-                "workers": self.scheduler.pool.jobs,
+                "workers": self.scheduler.jobs,
                 "jobs": counts}
 
     def _metrics(self, request: Optional[Dict] = None) -> Dict:
@@ -310,7 +310,7 @@ class ServeServer:
                                f"(known: json, prometheus)")
         return {"v": schema.PROTOCOL_VERSION, "ok": True,
                 "snapshot": self.scheduler.snapshot(),
-                "latency": self.scheduler.pool.latency_summary(),
+                "latency": self.scheduler.latency_summary(),
                 "timeseries": self.metrics.to_dict()}
 
     def _prometheus_text(self) -> str:
@@ -326,17 +326,17 @@ class ServeServer:
         gauges["draining"] = int(self.draining)
         gauges["uptime_seconds"] = round(
             time.monotonic() - self._started, 3)
-        gauges["workers"] = self.scheduler.pool.jobs
+        gauges["workers"] = self.scheduler.jobs
         return render_prometheus(
             counters=counters, gauges=gauges,
-            summaries=self.scheduler.pool.latency_summary())
+            summaries=self.scheduler.latency_summary())
 
     def _jobs(self) -> Dict:
         jobs = [job.to_dict() for job in self.scheduler.store.jobs()]
         return {"v": schema.PROTOCOL_VERSION, "ok": True,
                 "jobs": jobs,
                 "counts": self.scheduler.store.counts(),
-                "latency": self.scheduler.pool.latency_summary()}
+                "latency": self.scheduler.latency_summary()}
 
     def _status(self, request: Dict) -> Dict:
         job = self.scheduler.store.get(str(request.get("job_id")))
@@ -360,7 +360,7 @@ class ServeServer:
             return None, None, self._error(
                 "bad-request", "worker must be a non-empty string")
         duration = request.get(
-            "duration", self.scheduler.pool.lease_duration)
+            "duration", self.scheduler.lease_duration)
         if not isinstance(duration, (int, float)) or duration <= 0:
             return None, None, self._error(
                 "bad-request", "duration must be a positive number")

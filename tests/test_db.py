@@ -305,6 +305,27 @@ def test_db_failure_never_breaks_the_run(tmp_path):
     assert stats.cycles > 0
 
 
+def test_db_failure_never_fails_a_served_job(tmp_path):
+    from repro.serve import JobStore, Scheduler, make_spec
+
+    db = ResultsDB(str(tmp_path / "dead.db"))
+    db._conn.close()  # simulate a dead database
+    store = JobStore(str(tmp_path / "jobs.jsonl"))
+    scheduler = Scheduler(store, jobs=1, db=db,
+                          execute=lambda spec: make_stats())
+    scheduler.start()
+    try:
+        with pytest.warns(RuntimeWarning, match="results-db record"):
+            submission = scheduler.submit(
+                make_spec("HS", preset="tiny", scale=0.1))
+            stats = submission.future.result(timeout=30)
+    finally:
+        scheduler.stop()
+    assert stats.cycles == 1234
+    assert store.get(submission.job_id).state == "done"
+    store.close()
+
+
 # ---------------------------------------------------------------------------
 # queries
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Prometheus text exposition + per-job latency telemetry.
 
-Covers the pure renderer (:mod:`repro.obs.prom`), the worker pool's
+Covers the pure renderer (:mod:`repro.obs.prom`), the scheduler's
 latency histograms, and the wire-level ``metrics``/``jobs`` replies
 that carry both.
 """
@@ -63,36 +63,29 @@ def test_split_snapshot_classifies_queue_state_as_gauges():
 
 
 # ---------------------------------------------------------------------------
-# worker-pool latency histograms
+# scheduler latency histograms
 # ---------------------------------------------------------------------------
 
 def test_pool_records_latency_per_job(tmp_path):
-    from repro.serve.workers import WorkerPool
-
     store = JobStore(str(tmp_path / "jobs.jsonl"))
-    done = []
-    pool = WorkerPool(store, jobs=1, execute=lambda s: fake_stats(),
-                      poll_interval=0.01,
-                      on_result=lambda job, stats: done.append(job))
-    store.submit({"n": 1}, "k1")
-    store.submit({"n": 2}, "k2")
-    pool.start()
+    scheduler = Scheduler(store, jobs=1, execute=lambda s: fake_stats(),
+                          poll_interval=0.01)
+    scheduler.start()
     try:
-        deadline = 100
-        import time
-        while len(done) < 2 and deadline:
-            time.sleep(0.05)
-            deadline -= 1
+        submissions = [scheduler.submit(make_spec(w, preset="tiny",
+                                                  scale=0.1))
+                       for w in ("HS", "KM")]
+        for submission in submissions:
+            submission.future.result(timeout=10)
     finally:
-        pool.stop()
-    summary = pool.latency_summary()
+        scheduler.stop()
+        store.close()
+    summary = scheduler.latency_summary()
     assert set(summary) == {"job_queue_wait_ms", "job_simulate_ms"}
     for entry in summary.values():
         assert entry["count"] == 2
         assert entry["p50_ms"] <= entry["p95_ms"] <= entry["p99_ms"]
         assert entry["max_ms"] >= 0
-    # the measured wall time rides the job object to on_result
-    assert all(job.wall_time_s >= 0 for job in done)
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,10 @@ import time
 
 import pytest
 
-from repro.serve import (FleetWorker, JobStore, ResultStore,
-                         Scheduler, ServeClient, ServeError,
-                         ServeServer, execute_spec, make_spec)
+from repro.harness.cache import RunCache
+from repro.serve import (FleetWorker, JobStore, Scheduler, ServeClient,
+                         ServeError, ServeServer, execute_spec,
+                         make_spec)
 from repro.stats.collector import RunStats
 
 TINY = make_spec("HS", preset="tiny", scale=0.1, seed=7)
@@ -41,7 +42,7 @@ def fleet_test(tmp_path, body, *, jobs=0, queue_limit=64,
     """
     async def main():
         store = JobStore(str(tmp_path / "jobs.jsonl"))
-        cache = ResultStore(str(tmp_path / "results"))
+        cache = RunCache(str(tmp_path / "results"))
         scheduler = Scheduler(store, cache=cache, jobs=jobs,
                               queue_limit=queue_limit,
                               poll_interval=0.01,
@@ -111,8 +112,7 @@ def test_lease_complete_roundtrip_resolves_the_submitter(tmp_path):
         assert result["stats"]["cycles"] == 42
         metrics = await call(client.metrics)
         snapshot = metrics["snapshot"]
-        assert snapshot["remote_leases"] == 1
-        assert snapshot["remote_results"] == 1
+        assert snapshot["leases"] == 1
         assert snapshot["executed"] == 1
         assert snapshot["jobs_done"] == 1
         # the remote wall time feeds the same latency histograms
@@ -259,9 +259,8 @@ def test_late_result_after_requeue_is_deduplicated(tmp_path):
                           fake_stats(1), 0.5) is True
         assert await call(client.complete, slow["id"], "slow",
                           fake_stats(1), 9.9) is False
-        assert server.scheduler.remote_results == 1
         assert server.scheduler.deduped_results == 1
-        assert server.scheduler.pool.executed == 1
+        assert server.scheduler.executed == 1
 
     fleet_test(tmp_path, body)
 
@@ -382,9 +381,56 @@ def test_fleet_worker_timeout_and_failure_reporting(tmp_path):
                 client.submit(dict(TINY))
         await call(submit)
         assert worker.failed == 1 and worker.executed == 0
+        assert server.scheduler.timeouts == 1
         worker.stop()
 
     fleet_test(tmp_path, body, max_attempts=1)
+
+
+class StubClient:
+    """Just enough of a ServeClient to drive one FleetWorker job."""
+
+    host, port = "stub", 0
+
+    def __init__(self, job):
+        self.jobs = [job]
+        self.reports = []
+
+    def lease(self, worker, duration=None):
+        return self.jobs.pop() if self.jobs else None
+
+    def heartbeat(self, job_id, worker, duration=None):
+        self.reports.append(("heartbeat", job_id))
+        return 0.0
+
+    def complete(self, job_id, worker, stats, wall_time_s=None):
+        self.reports.append(("complete", job_id))
+        return True
+
+    def fail(self, job_id, worker, message):
+        self.reports.append(("fail", message))
+        return True
+
+    def close(self):
+        pass
+
+
+def test_fleet_worker_timeout_fires_before_the_first_heartbeat():
+    """The per-job timeout is enforced at its deadline, not at the
+    next heartbeat tick (a third of the lease away)."""
+    def hang(spec):
+        time.sleep(3)
+        return fake_stats()              # pragma: no cover
+
+    client = StubClient({"id": "j000001", "key": "0" * 64,
+                         "spec": dict(TINY), "attempts": 1})
+    worker = FleetWorker(client, name="w1", execute=hang, timeout=0.2,
+                         lease_duration=300.0, max_jobs=1, quiet=True)
+    started = time.monotonic()
+    worker.run()
+    assert time.monotonic() - started < 2.0
+    [(kind, message)] = client.reports
+    assert kind == "fail" and message.startswith("JobTimeout:")
 
 
 def test_fleet_worker_drain_exit_and_max_jobs(tmp_path):

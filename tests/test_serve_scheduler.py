@@ -1,13 +1,14 @@
 """Single-flight scheduling, retry/backoff, quarantine, backpressure.
 
-These tests drive the scheduler + worker pool directly (no TCP), with
-fake ``execute`` callables where timing matters and the real
-simulator where bit-identity matters.
+These tests drive the scheduler and its in-process fleet workers
+directly (no TCP), with fake ``execute`` callables where timing matters
+and the real simulator where bit-identity matters.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 import threading
 import time
 
@@ -16,7 +17,6 @@ import pytest
 from repro.harness.cache import RunCache
 from repro.serve import (Busy, JobStore, Quarantined, Scheduler,
                          execute_spec, make_spec, spec_key)
-from repro.serve.workers import WorkerPool
 from repro.stats.collector import RunStats
 
 TINY = make_spec("HS", preset="tiny", scale=0.1, seed=7)
@@ -151,7 +151,7 @@ def test_flaky_execution_retries_then_succeeds(store):
         stats = submission.future.result(timeout=10)
         assert stats.cycles == 42
         assert len(attempts) == 3
-        assert scheduler.pool.retried == 2
+        assert scheduler.retried == 2
         job = store.get(submission.job_id)
         assert job.state == "done" and job.attempts == 3
     finally:
@@ -223,10 +223,62 @@ def test_per_job_timeout_counts_and_retries(store):
         submission = scheduler.submit(dict(TINY))
         stats = submission.future.result(timeout=10)
         assert stats.cycles == 42
-        assert scheduler.pool.timeouts == 1
-        assert scheduler.pool.retried == 1
+        assert scheduler.timeouts == 1
+        assert scheduler.retried == 1
     finally:
         scheduler.stop()
+
+
+def test_local_job_outliving_its_lease_runs_once(store, monkeypatch):
+    """An in-process worker heartbeats its lease like a remote one, so
+    a job that runs past ``lease_duration`` is not handed to the other
+    thread, and no worker thread dies on the way."""
+    crashes = []
+    monkeypatch.setattr(threading, "excepthook", crashes.append)
+    executions = []
+
+    def execute(spec):
+        executions.append(spec["workload"])
+        time.sleep(0.4)
+        return fake_stats()
+
+    scheduler = make_scheduler(store, execute=execute, jobs=2,
+                               lease_duration=0.1)
+    scheduler.start()
+    try:
+        scheduler.submit(dict(TINY)).future.result(timeout=10)
+        assert executions == ["HS"]
+        later = scheduler.submit(make_spec("KM", preset="tiny",
+                                           scale=0.1))
+        later.future.result(timeout=10)
+        assert executions == ["HS", "KM"]
+        assert crashes == []
+    finally:
+        scheduler.stop()
+
+
+def test_local_workers_count_every_execution_once(store):
+    """More in-process workers than cores, switching threads as often
+    as the interpreter allows: the counters and histograms the workers
+    share lose no update."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    scheduler = make_scheduler(store, execute=lambda spec: fake_stats(),
+                               jobs=4, queue_limit=128)
+    scheduler.start()
+    try:
+        submissions = [scheduler.submit(make_spec(
+            "HS", preset="tiny", scale=0.1, seed=seed))
+            for seed in range(100)]
+        for submission in submissions:
+            submission.future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        scheduler.stop()
+    assert scheduler.executed == scheduler.leases == 100
+    latency = scheduler.latency_summary()
+    assert latency["job_simulate_ms"]["count"] == 100
+    assert latency["job_queue_wait_ms"]["count"] == 100
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +331,7 @@ def test_served_result_is_bit_identical_to_direct_run(store, tmp_path):
         for thread in threads:
             thread.join()
         results = [s.future.result(timeout=60) for s in submissions]
-        assert scheduler.pool.executed == 1     # exactly one simulation
+        assert scheduler.executed == 1     # exactly one simulation
         direct = execute_spec(dict(TINY))
         for result in results:
             assert result.to_dict() == direct.to_dict()

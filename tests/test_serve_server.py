@@ -28,7 +28,7 @@ def fake_stats(cycles: int = 42) -> RunStats:
 
 def serve_test(tmp_path, body, *, execute=None, jobs=1,
                queue_limit=64, cache=True, drain_timeout=10.0,
-               **pool_options):
+               **scheduler_options):
     """Run ``await body(server, call)`` against a live server.
 
     ``call(fn, *args)`` runs a blocking client call off the loop.
@@ -37,7 +37,7 @@ def serve_test(tmp_path, body, *, execute=None, jobs=1,
         store = JobStore(str(tmp_path / "jobs.jsonl"))
         run_cache = (RunCache(str(tmp_path / "cache"))
                      if cache else None)
-        options = dict(pool_options)
+        options = dict(scheduler_options)
         options.setdefault("poll_interval", 0.01)
         if execute is not None:
             options["execute"] = execute
@@ -315,7 +315,7 @@ def test_eight_wire_clients_one_simulation_bit_identical(tmp_path):
         while any(thread.is_alive() for thread in threads):
             await asyncio.sleep(0.02)
         assert not errors
-        assert server.scheduler.pool.executed == 1
+        assert server.scheduler.executed == 1
         payloads = {json.dumps(r["stats"], sort_keys=True)
                     for r in replies}
         assert payloads == {json.dumps(direct, sort_keys=True)}
