@@ -121,6 +121,25 @@ RUN_COLUMNS = (
 )
 
 
+def _switch_to_wal(conn: sqlite3.Connection, timeout: float) -> None:
+    """Put ``conn``'s database in WAL mode, waiting out a writer.
+
+    While another connection holds a write lock on a rollback-journal
+    file, sqlite refuses the switch at once with ``database is locked``
+    instead of waiting out the busy timeout, so retry it until
+    ``timeout`` seconds have passed, then re-raise the last error.
+    """
+    deadline = time.monotonic() + timeout
+    while True:
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            return
+        except sqlite3.OperationalError as error:
+            if "locked" not in str(error) or time.monotonic() >= deadline:
+                raise
+        time.sleep(0.01)
+
+
 class ResultsDB:
     """One sqlite results database (safe across threads and processes).
 
@@ -145,7 +164,11 @@ class ResultsDB:
         self._lock = threading.Lock()
         self._conn = sqlite3.connect(path, timeout=timeout,
                                      check_same_thread=False)
-        self._conn.execute("PRAGMA journal_mode=WAL")
+        try:
+            _switch_to_wal(self._conn, timeout)
+        except sqlite3.OperationalError:
+            self._conn.close()
+            raise
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.executescript(
             _SCHEMA.format(version=SCHEMA_VERSION))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
 from repro.config import GPUConfig
 from repro.energy.model import EnergyModel, EnergyParams
@@ -50,7 +50,7 @@ class GPU:
         self._warp_uid_base = 0
 
     # -- kernel execution -------------------------------------------------------
-    def run(self, kernel: Kernel,
+    def run(self, kernel: Union[Kernel, CompiledKernel],
             max_events: Optional[int] = None) -> RunStats:
         """Execute ``kernel`` to completion and return its statistics."""
         self._execute(kernel, max_events)
@@ -86,14 +86,11 @@ class GPU:
             ))
         return results
 
-    def _execute(self, kernel: Kernel,
+    def _execute(self, kernel: Union[Kernel, CompiledKernel],
                  max_events: Optional[int]) -> None:
-        # compile once at launch: the SMs only ever execute packed
-        # traces (an already-compiled kernel is validated and reused)
-        if isinstance(kernel, CompiledKernel):
-            kernel.validate()
-        else:
-            kernel = compile_kernel(kernel)
+        # the SMs only ever execute packed traces: an authored kernel
+        # is compiled once here, a compiled one validated and reused
+        kernel = compile_kernel(kernel)
         if kernel.cta_size > self.config.max_warps_per_sm:
             raise ValueError(
                 f"kernel {kernel.name!r}: cta_size {kernel.cta_size} "
@@ -132,7 +129,7 @@ class GPU:
     def _on_warp_done(self) -> None:
         self._warps_remaining -= 1
 
-    def _raise_hang(self, kernel: Kernel) -> None:
+    def _raise_hang(self, kernel: CompiledKernel) -> None:
         stuck = []
         for sm in self.sms:
             for warp in sm.active:
@@ -202,7 +199,8 @@ def make_gpu(config: GPUConfig,
                energy_params=energy_params, obs=obs)
 
 
-def run_kernel(config: GPUConfig, kernel: Kernel,
+def run_kernel(config: GPUConfig,
+               kernel: Union[Kernel, CompiledKernel],
                record_accesses: bool = True,
                max_events: Optional[int] = None) -> RunStats:
     """Build a GPU for ``config``, run ``kernel``, return its stats."""

@@ -30,7 +30,7 @@ from repro.gpu.gpu import make_gpu
 from repro.harness.cache import RunCache, _canonical, run_key
 from repro.harness.progress import RateEstimator
 from repro.stats.collector import RunStats
-from repro.trace.compiled import CompiledKernel, compile_kernel
+from repro.trace.compiled import CompiledKernel
 from repro.workloads import build_workload
 
 # one simulation point: (workload, protocol, consistency, overrides)
@@ -115,8 +115,6 @@ class ExperimentRunner:
             kernel = build_workload(workload, scale=self.scale,
                                     seed=self.seed,
                                     cache_dir=self.trace_cache_dir)
-            if not isinstance(kernel, CompiledKernel):
-                kernel = compile_kernel(kernel)
             self._kernels[workload] = kernel
         return kernel
 

@@ -25,7 +25,7 @@ cross-GPU.  At ``n_gpus=1`` the expression reduces to the single-GPU
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
 from repro.config import GPUConfig, Protocol
 from repro.core.timestamps import TimestampDomain
@@ -102,7 +102,7 @@ class MultiGpuGPU:
         return self.machines[0]
 
     # -- kernel execution ---------------------------------------------------
-    def run(self, kernel: Kernel,
+    def run(self, kernel: Union[Kernel, CompiledKernel],
             max_events: Optional[int] = None) -> RunStats:
         """Execute ``kernel`` to completion and return its statistics."""
         self._execute(kernel, max_events)
@@ -132,12 +132,9 @@ class MultiGpuGPU:
             ))
         return results
 
-    def _execute(self, kernel: Kernel,
+    def _execute(self, kernel: Union[Kernel, CompiledKernel],
                  max_events: Optional[int]) -> None:
-        if isinstance(kernel, CompiledKernel):
-            kernel.validate()
-        else:
-            kernel = compile_kernel(kernel)
+        kernel = compile_kernel(kernel)
         if kernel.cta_size > self.config.max_warps_per_sm:
             raise ValueError(
                 f"kernel {kernel.name!r}: cta_size {kernel.cta_size} "
@@ -181,7 +178,7 @@ class MultiGpuGPU:
     def _on_warp_done(self) -> None:
         self._warps_remaining -= 1
 
-    def _raise_hang(self, kernel: Kernel) -> None:
+    def _raise_hang(self, kernel: CompiledKernel) -> None:
         from repro.gpu.gpu import SimulationHang
 
         stuck = []

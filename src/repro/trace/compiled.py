@@ -1,14 +1,21 @@
 """Compiled (packed) kernel traces — the simulator's execution format.
 
-The authoring API stays :class:`~repro.trace.instr.Instr` /
-:class:`~repro.trace.instr.Kernel` (readable, validated, picklable),
-but the simulator never executes those objects directly: at kernel
-launch every warp trace is compiled once into two parallel plain
-lists — an integer opcode per instruction and a pre-decoded operand
-(the coalesced address tuple of a memory instruction, or the cycle
-count of a compute instruction).  The SM hot path then dispatches on
-small-int comparisons with no dataclass field lookups, no string
-compares and no per-step allocation.
+The simulator executes every warp trace as two parallel plain lists —
+an integer opcode per instruction and a pre-decoded operand (the
+coalesced address tuple of a memory instruction, or the cycle count of
+a compute instruction).  The SM hot path then dispatches on small-int
+comparisons with no dataclass field lookups, no string compares and no
+per-step allocation.
+
+:class:`TraceBuilder` is the one place an instruction is packed.  The
+workload generators write their traces through it directly, so a
+generated kernel is a :class:`CompiledKernel` from the start: no
+per-instruction object is ever allocated and no compile pass walks the
+trace again.  Hand-written kernels (tests, litmus shapes, the JSON
+interchange of :mod:`repro.trace.serialize`) keep the readable
+:class:`~repro.trace.instr.Instr` / :class:`~repro.trace.instr.Kernel`
+records, and :func:`compile_kernel` packs them at launch through the
+same builder.
 
 Opcode numbering is part of the format: the three memory opcodes are
 contiguous (``OP_LOAD..OP_ATOMIC``) so "is this a memory access" is a
@@ -17,15 +24,14 @@ single range check.
 :class:`CompiledKernel` mirrors the :class:`Kernel` surface the GPU
 and harness rely on (``name``, ``cta_size``, ``num_warps``,
 ``total_instructions``, ``num_ctas``, ``validate``,
-``memory_footprint``) so the two are interchangeable at launch, and
-serializes through the same row format as
+``memory_footprint``) and serializes through the same row format as
 :mod:`repro.trace.serialize` — which is what the on-disk trace cache
 in :mod:`repro.workloads` stores.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import List, Sequence, Union
 
 from repro.trace.instr import (
     ATOMIC,
@@ -96,27 +102,87 @@ class CompiledTrace:
         return [self.instr_at(i) for i in range(self.length)]
 
 
+class TraceBuilder:
+    """Packs one warp's trace as it is written.
+
+    The methods mirror the authoring helpers of
+    :mod:`repro.trace.instr` and raise the same ``ValueError`` as
+    :class:`Instr` — a memory instruction needs an address, a compute
+    a positive cycle count — but append straight into the ``ops`` and
+    ``args`` lists that :meth:`build` hands to a :class:`CompiledTrace`.
+    The address tuple of ``load(*addrs)`` is stored as the operand
+    itself.
+    """
+
+    __slots__ = ("ops", "args")
+
+    def __init__(self) -> None:
+        self.ops: List[int] = []
+        self.args: List = []
+
+    def compute(self, cycles: int) -> None:
+        """``cycles`` of non-memory work."""
+        if cycles <= 0:
+            raise ValueError("compute needs a positive cycle count")
+        self.ops.append(OP_COMPUTE)
+        self.args.append(cycles)
+
+    def load(self, *addrs: int) -> None:
+        """A coalesced load of the given line addresses."""
+        if not addrs:
+            raise ValueError("load needs at least one address")
+        self.ops.append(OP_LOAD)
+        self.args.append(addrs)
+
+    def store(self, *addrs: int) -> None:
+        """A coalesced store to the given line addresses."""
+        if not addrs:
+            raise ValueError("store needs at least one address")
+        self.ops.append(OP_STORE)
+        self.args.append(addrs)
+
+    def atomic(self, *addrs: int) -> None:
+        """An atomic read-modify-write on the given lines."""
+        if not addrs:
+            raise ValueError("atomic needs at least one address")
+        self.ops.append(OP_ATOMIC)
+        self.args.append(addrs)
+
+    def fence(self) -> None:
+        """A memory fence."""
+        self.ops.append(OP_FENCE)
+        self.args.append(None)
+
+    def barrier(self) -> None:
+        """An intra-CTA barrier."""
+        self.ops.append(OP_BARRIER)
+        self.args.append(None)
+
+    def build(self) -> CompiledTrace:
+        """The packed trace written so far."""
+        return CompiledTrace(self.ops, self.args)
+
+
 def compile_trace(instrs: Sequence[Instr]) -> CompiledTrace:
     """Pack one warp trace of :class:`Instr` records."""
-    ops: List[int] = []
-    args: List = []
+    builder = TraceBuilder()
     for instr in instrs:
-        op = OP_CODE[instr.op]
-        ops.append(op)
-        if op == OP_COMPUTE:
-            args.append(instr.cycles)
-        elif op <= OP_ATOMIC:
-            args.append(tuple(instr.addrs))
+        # the builder's methods are named after the authoring opcodes
+        if instr.op == COMPUTE:
+            builder.compute(instr.cycles)
+        elif instr.is_memory:
+            getattr(builder, instr.op)(*instr.addrs)
         else:
-            args.append(None)
-    return CompiledTrace(ops, args)
+            getattr(builder, instr.op)()
+    return builder.build()
 
 
 class CompiledKernel:
     """A launchable kernel in packed form.
 
-    Interchangeable with :class:`Kernel` at ``GPU.run`` and across the
-    harness: identical warp placement, identical simulated outcome.
+    What the workload generators return and what the simulator
+    executes.  Interchangeable with :class:`Kernel` at ``GPU.run``:
+    identical warp placement, identical simulated outcome.
     """
 
     __slots__ = ("name", "cta_size", "traces")
@@ -227,9 +293,16 @@ class CompiledKernel:
         return kernel
 
 
-def compile_kernel(kernel: Kernel) -> CompiledKernel:
-    """Compile an authored kernel, validating it first."""
+def compile_kernel(kernel: Union[Kernel, CompiledKernel]) -> CompiledKernel:
+    """The launchable form of ``kernel``, validated.
+
+    An authored :class:`Kernel` is packed; a :class:`CompiledKernel`
+    (what every workload generator returns) is validated and returned
+    as it is.
+    """
     kernel.validate()
+    if isinstance(kernel, CompiledKernel):
+        return kernel
     return CompiledKernel(
         name=kernel.name,
         traces=[compile_trace(trace) for trace in kernel.warp_traces],

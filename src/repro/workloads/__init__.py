@@ -14,12 +14,14 @@ Use :func:`build_workload` to construct a kernel::
 ``scale`` shrinks or grows every dimension of the workload (warps,
 iterations, footprints); ``seed`` makes the trace deterministic.
 
-Passing ``cache_dir`` returns the kernel in *compiled* form
-(:class:`repro.trace.compiled.CompiledKernel`) backed by an on-disk
-trace cache: generating a large workload means running its Python
-generator and compiling every warp's trace, which for paper-scale
-inputs dwarfs a JSON read.  Entries are keyed by
-``(name, scale, seed, GENERATOR_VERSION)`` — bump
+The generators write each warp's packed trace through
+:class:`repro.trace.compiled.TraceBuilder`, so the kernel comes back
+as the :class:`repro.trace.compiled.CompiledKernel` the simulator
+executes — no per-instruction objects, no compile pass at launch.
+
+Passing ``cache_dir`` backs the build with an on-disk trace cache:
+running a paper-scale generator costs more than a JSON read.  Entries
+are keyed by ``(name, scale, seed, GENERATOR_VERSION)`` — bump
 :data:`GENERATOR_VERSION` whenever any generator's output changes.
 """
 
@@ -29,10 +31,9 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional
 
-from repro.trace.compiled import CompiledKernel, compile_kernel
-from repro.trace.instr import Kernel
+from repro.trace.compiled import CompiledKernel
 from repro.workloads import coherent, independent, multigpu
 
 #: Version stamp of the generator suite.  Participates in every trace
@@ -55,7 +56,7 @@ class WorkloadSpec:
     name: str
     requires_coherence: bool
     description: str
-    builder: Callable[[random.Random, float], Kernel]
+    builder: Callable[[random.Random, float], CompiledKernel]
     multigpu: bool = False
 
 
@@ -145,16 +146,13 @@ def _trace_cache(cache_dir: str):
 
 
 def build_workload(name: str, scale: float = 1.0, seed: int = 2018,
-                   cache_dir: Optional[str] = None,
-                   ) -> Union[Kernel, "CompiledKernel"]:
+                   cache_dir: Optional[str] = None) -> CompiledKernel:
     """Build benchmark ``name`` at the given scale, deterministically.
 
-    Without ``cache_dir`` this returns the authoring-level
-    :class:`Kernel`, exactly as before.  With ``cache_dir`` it returns
-    the :class:`CompiledKernel` the simulator executes, reading it from
-    the on-disk trace cache when the same ``(name, scale, seed,
-    GENERATOR_VERSION)`` has been built before and writing it there
-    otherwise.
+    Returns the validated :class:`CompiledKernel` the simulator
+    executes.  With ``cache_dir`` it is read from the on-disk trace
+    cache when the same ``(name, scale, seed, GENERATOR_VERSION)`` has
+    been built before, and written there otherwise.
     """
     try:
         spec = WORKLOADS[name]
@@ -163,15 +161,19 @@ def build_workload(name: str, scale: float = 1.0, seed: int = 2018,
         raise KeyError(f"unknown workload {name!r}; known: {known}") from None
     if scale <= 0:
         raise ValueError("scale must be positive")
-    if cache_dir is not None:
-        cache = _trace_cache(cache_dir)
-        key = trace_key(name, scale, seed)
-        compiled = cache.get(key)
-        if compiled is None:
-            kernel = spec.builder(random.Random(seed), scale)
-            compiled = compile_kernel(kernel)  # validates
-            cache.put(key, compiled)
-        return compiled
+    if cache_dir is None:
+        return _generate(spec, scale, seed)
+    cache = _trace_cache(cache_dir)
+    key = trace_key(name, scale, seed)
+    kernel = cache.get(key)
+    if kernel is None:
+        kernel = _generate(spec, scale, seed)
+        cache.put(key, kernel)
+    return kernel
+
+
+def _generate(spec: WorkloadSpec, scale: float,
+              seed: int) -> CompiledKernel:
     kernel = spec.builder(random.Random(seed), scale)
     kernel.validate()
     return kernel

@@ -16,18 +16,17 @@ performed before the kernel retires.
 from __future__ import annotations
 
 import random
-from typing import List
 
-from repro.trace.instr import Instr, Kernel, compute, fence, load, store
+from repro.trace.compiled import CompiledKernel, CompiledTrace, TraceBuilder
 from repro.workloads.patterns import AddressSpace, scaled
 
 
-def _finish(trace: List[Instr]) -> List[Instr]:
-    trace.append(fence())
-    return trace
+def _finish(trace: TraceBuilder) -> CompiledTrace:
+    trace.fence()
+    return trace.build()
 
 
-def barnes_hut(rng: random.Random, scale: float) -> Kernel:
+def barnes_hut(rng: random.Random, scale: float) -> CompiledKernel:
     """BH — Barnes-Hut n-body tree traversal.
 
     Warps repeatedly walk a shared octree.  The upper levels (a hot
@@ -45,29 +44,29 @@ def barnes_hut(rng: random.Random, scale: float) -> Kernel:
 
     traces = []
     for w in range(num_warps):
-        trace: List[Instr] = []
+        trace = TraceBuilder()
         for s in range(steps):
             # walk from the root: the hot upper levels, twice per walk
-            trace.append(load(top.line(0), top.line(1 + (s % 3))))
-            trace.append(load(top.line(4 + rng.randrange(4))))
-            trace.append(compute(3))
-            trace.append(load(top.line(8 + rng.randrange(8))))
+            trace.load(top.line(0), top.line(1 + (s % 3)))
+            trace.load(top.line(4 + rng.randrange(4)))
+            trace.compute(3)
+            trace.load(top.line(8 + rng.randrange(8)))
             for _ in range(3):
-                trace.append(load(tree.powerlaw_line(rng)))
-                trace.append(compute(4))
+                trace.load(tree.powerlaw_line(rng))
+                trace.compute(4)
             # body updates are batched: one private store per 4 walks
             if s % 4 == 3:
-                trace.append(store(bodies.line(w * 8 + rng.randrange(8))))
+                trace.store(bodies.line(w * 8 + rng.randrange(8)))
             # rare shared tree refresh
             if rng.random() < 0.06:
-                trace.append(store(tree.powerlaw_line(rng)))
-                trace.append(fence())
-            trace.append(compute(5))
+                trace.store(tree.powerlaw_line(rng))
+                trace.fence()
+            trace.compute(5)
         traces.append(_finish(trace))
-    return Kernel("BH", traces)
+    return CompiledKernel("BH", traces)
 
 
-def connected_components(rng: random.Random, scale: float) -> Kernel:
+def connected_components(rng: random.Random, scale: float) -> CompiledKernel:
     """CC — label-propagation connected components.
 
     Memory-intensive label exchange: every iteration re-reads a fixed
@@ -87,23 +86,23 @@ def connected_components(rng: random.Random, scale: float) -> Kernel:
     for w in range(num_warps):
         own = [labels.line(w * 4 + k) for k in range(4)]
         neighbours = [labels.random_line(rng) for _ in range(8)]
-        trace: List[Instr] = []
+        trace = TraceBuilder()
         for _ in range(iterations):
             for n in neighbours:
-                trace.append(load(n))
-            trace.append(load(labels.powerlaw_line(rng),
-                              labels.random_line(rng)))
-            trace.append(compute(1))
+                trace.load(n)
+            trace.load(labels.powerlaw_line(rng),
+                       labels.random_line(rng))
+            trace.compute(1)
             # propagate: rewrite this warp's labels
             for line in own:
                 if rng.random() < 0.7:
-                    trace.append(store(line))
-            trace.append(fence())
+                    trace.store(line)
+            trace.fence()
         traces.append(_finish(trace))
-    return Kernel("CC", traces)
+    return CompiledKernel("CC", traces)
 
 
-def dynamic_load_balancing(rng: random.Random, scale: float) -> Kernel:
+def dynamic_load_balancing(rng: random.Random, scale: float) -> CompiledKernel:
     """DLP — task queues with work stealing.
 
     A small set of queue-head lines is hammered with reads and writes
@@ -121,27 +120,27 @@ def dynamic_load_balancing(rng: random.Random, scale: float) -> Kernel:
 
     traces = []
     for w in range(num_warps):
-        trace: List[Instr] = []
+        trace = TraceBuilder()
         for r in range(rounds):
             head = heads.random_line(rng)
-            trace.append(load(head))             # inspect a queue head
-            trace.append(load(table.line(rng.randrange(8))))
-            trace.append(load(table.line(8 + rng.randrange(24))))
-            trace.append(compute(2))
+            trace.load(head)             # inspect a queue head
+            trace.load(table.line(rng.randrange(8)))
+            trace.load(table.line(8 + rng.randrange(24)))
+            trace.compute(2)
             if rng.random() < 0.4:
-                trace.append(store(head))        # pop / steal
-                trace.append(fence())
+                trace.store(head)        # pop / steal
+                trace.fence()
             # process the claimed task (private streaming)
             base = (w * rounds + r) * 2
-            trace.append(load(tasks.line(base), tasks.line(base + 1)))
-            trace.append(compute(10))
+            trace.load(tasks.line(base), tasks.line(base + 1))
+            trace.compute(10)
             if r % 3 == 2:
-                trace.append(store(tasks.line(base)))
+                trace.store(tasks.line(base))
         traces.append(_finish(trace))
-    return Kernel("DLP", traces)
+    return CompiledKernel("DLP", traces)
 
 
-def vpr(rng: random.Random, scale: float) -> Kernel:
+def vpr(rng: random.Random, scale: float) -> CompiledKernel:
     """VPR — simulated-annealing placement (Versatile Place & Route).
 
     Each warp proposes swaps mostly inside its own neighbourhood of
@@ -158,25 +157,25 @@ def vpr(rng: random.Random, scale: float) -> Kernel:
     traces = []
     for w in range(num_warps):
         base = (w * hood) % max(1, grid.lines - hood)
-        trace: List[Instr] = []
+        trace = TraceBuilder()
         for _ in range(moves):
             a = grid.line(base + rng.randrange(hood))
             b = grid.line(base + rng.randrange(hood))
-            trace.append(load(a, b))
-            trace.append(load(grid.line(base + rng.randrange(hood))))
+            trace.load(a, b)
+            trace.load(grid.line(base + rng.randrange(hood)))
             if rng.random() < 0.2:             # long-range probe
-                trace.append(load(grid.random_line(rng)))
-            trace.append(compute(8))
+                trace.load(grid.random_line(rng))
+            trace.compute(8)
             if rng.random() < 0.25:            # accept the swap
-                trace.append(store(a))
-                trace.append(store(b))
-                trace.append(fence())
-            trace.append(compute(4))
+                trace.store(a)
+                trace.store(b)
+                trace.fence()
+            trace.compute(4)
         traces.append(_finish(trace))
-    return Kernel("VPR", traces)
+    return CompiledKernel("VPR", traces)
 
 
-def stencil(rng: random.Random, scale: float) -> Kernel:
+def stencil(rng: random.Random, scale: float) -> CompiledKernel:
     """STN — iterative stencil with halo exchange.
 
     Each warp owns a tile; every iteration re-reads its interior,
@@ -197,29 +196,29 @@ def stencil(rng: random.Random, scale: float) -> Kernel:
         mine = w * tile_lines
         left = ((w - 1) % num_warps) * tile_lines
         right = ((w + 1) % num_warps) * tile_lines
-        trace: List[Instr] = []
+        trace = TraceBuilder()
         for it in range(iterations):
             # interior reads (reused every iteration, never written by
             # other warps)
-            trace.append(load(field.line(mine + 1), field.line(mine + 2)))
-            trace.append(load(field.line(mine + 3), field.line(mine + 4)))
-            trace.append(compute(4))
-            trace.append(load(field.line(mine + 1), field.line(mine + 3)))
+            trace.load(field.line(mine + 1), field.line(mine + 2))
+            trace.load(field.line(mine + 3), field.line(mine + 4))
+            trace.compute(4)
+            trace.load(field.line(mine + 1), field.line(mine + 3))
             # halo read: neighbours' boundary lines (fresh each round)
-            trace.append(load(field.line(left + tile_lines - 1)))
-            trace.append(load(field.line(right)))
-            trace.append(compute(6))
+            trace.load(field.line(left + tile_lines - 1))
+            trace.load(field.line(right))
+            trace.compute(6)
             # write own boundary (what the neighbours read)
-            trace.append(store(field.line(mine)))
-            trace.append(store(field.line(mine + tile_lines - 1)))
+            trace.store(field.line(mine))
+            trace.store(field.line(mine + tile_lines - 1))
             if it % 2 == 1:                    # interior update, batched
-                trace.append(store(field.line(mine + 2)))
-            trace.append(fence())
+                trace.store(field.line(mine + 2))
+            trace.fence()
         traces.append(_finish(trace))
-    return Kernel("STN", traces)
+    return CompiledKernel("STN", traces)
 
 
-def bfs(rng: random.Random, scale: float) -> Kernel:
+def bfs(rng: random.Random, scale: float) -> CompiledKernel:
     """BFS — frontier-based breadth-first search.
 
     Streams adjacency lists (read-once), probes a shared ``visited``
@@ -239,22 +238,22 @@ def bfs(rng: random.Random, scale: float) -> Kernel:
     traces = []
     for w in range(num_warps):
         writer = w % 2 == 0
-        trace: List[Instr] = []
+        trace = TraceBuilder()
         cursor = w * 17
         for _level in range(levels):
             for _ in range(edges_per_level):
                 # stream this warp's slice of the adjacency lists
-                trace.append(load(adjacency.line(cursor),
-                                  adjacency.line(cursor + 1)))
+                trace.load(adjacency.line(cursor),
+                           adjacency.line(cursor + 1))
                 cursor += 2
                 # probe the shared visited map (hot, power-law)
-                trace.append(load(visited.powerlaw_line(rng)))
-                trace.append(compute(2))
+                trace.load(visited.powerlaw_line(rng))
+                trace.compute(2)
                 if writer and rng.random() < 0.2:
                     # newly discovered vertices are cold (hubs were
                     # visited in the first levels), so the writes land
                     # on uniformly random lines, not the hot probes
-                    trace.append(store(visited.random_line(rng)))
-            trace.append(fence())                   # level barrier
+                    trace.store(visited.random_line(rng))
+            trace.fence()                   # level barrier
         traces.append(_finish(trace))
-    return Kernel("BFS", traces)
+    return CompiledKernel("BFS", traces)

@@ -14,13 +14,12 @@ behind compute — which is exactly the paper's observation.
 from __future__ import annotations
 
 import random
-from typing import List
 
-from repro.trace.instr import Instr, Kernel, compute, load, store
+from repro.trace.compiled import CompiledKernel, TraceBuilder
 from repro.workloads.patterns import AddressSpace, scaled
 
 
-def cutcp(rng: random.Random, scale: float) -> Kernel:
+def cutcp(rng: random.Random, scale: float) -> CompiledKernel:
     """CCP — cutoff Coulombic potential: compute-bound, tiny footprint.
 
     Long arithmetic bursts over a small read-only lattice slice per
@@ -35,17 +34,17 @@ def cutcp(rng: random.Random, scale: float) -> Kernel:
 
     traces = []
     for w in range(num_warps):
-        trace: List[Instr] = []
+        trace = TraceBuilder()
         for s in range(steps):
-            trace.append(load(lattice.line(w + s)))
-            trace.append(compute(40))
+            trace.load(lattice.line(w + s))
+            trace.compute(40)
             if s % 6 == 5:
-                trace.append(store(out.line(w * steps + s)))
-        traces.append(trace)
-    return Kernel("CCP", traces)
+                trace.store(out.line(w * steps + s))
+        traces.append(trace.build())
+    return CompiledKernel("CCP", traces)
 
 
-def gaussian(rng: random.Random, scale: float) -> Kernel:
+def gaussian(rng: random.Random, scale: float) -> CompiledKernel:
     """GE — Gaussian elimination.
 
     Every warp reads the shared pivot row (broadcast read-only reuse —
@@ -61,23 +60,23 @@ def gaussian(rng: random.Random, scale: float) -> Kernel:
 
     traces = []
     for w in range(num_warps):
-        trace: List[Instr] = []
+        trace = TraceBuilder()
         for s in range(steps):
             mine = w * steps + s
             # the pivot row is re-read for every column block
-            trace.append(load(pivot.line(s), pivot.line(s + 1)))
-            trace.append(load(rows.line(mine), rows.line(mine + 1)))
-            trace.append(compute(4))
-            trace.append(load(pivot.line(s)))
-            trace.append(load(rows.line(mine + 2)))
-            trace.append(compute(6))
+            trace.load(pivot.line(s), pivot.line(s + 1))
+            trace.load(rows.line(mine), rows.line(mine + 1))
+            trace.compute(4)
+            trace.load(pivot.line(s))
+            trace.load(rows.line(mine + 2))
+            trace.compute(6)
             # eliminated row goes to the output copy of the matrix
-            trace.append(store(out.line(mine)))
-        traces.append(trace)
-    return Kernel("GE", traces)
+            trace.store(out.line(mine))
+        traces.append(trace.build())
+    return CompiledKernel("GE", traces)
 
 
-def hotspot(rng: random.Random, scale: float) -> Kernel:
+def hotspot(rng: random.Random, scale: float) -> CompiledKernel:
     """HS — thermal simulation on private tiles.
 
     Pure tile-local stencil: each warp reads and rewrites only its own
@@ -95,20 +94,20 @@ def hotspot(rng: random.Random, scale: float) -> Kernel:
     traces = []
     for w in range(num_warps):
         base = w * tile_lines
-        trace: List[Instr] = []
+        trace = TraceBuilder()
         for it in range(iterations):
             # ping-pong grids: reads never touch the written copy, so
             # the input tile stays cacheable for the whole kernel
-            trace.append(load(temp_in.line(base), temp_in.line(base + 1)))
-            trace.append(load(temp_in.line(base + 2),
-                              temp_in.line(base + 3)))
-            trace.append(compute(24))
-            trace.append(store(temp_out.line(base + (it % tile_lines))))
-        traces.append(trace)
-    return Kernel("HS", traces)
+            trace.load(temp_in.line(base), temp_in.line(base + 1))
+            trace.load(temp_in.line(base + 2),
+                       temp_in.line(base + 3))
+            trace.compute(24)
+            trace.store(temp_out.line(base + (it % tile_lines)))
+        traces.append(trace.build())
+    return CompiledKernel("HS", traces)
 
 
-def kmeans(rng: random.Random, scale: float) -> Kernel:
+def kmeans(rng: random.Random, scale: float) -> CompiledKernel:
     """KM — k-means clustering.
 
     Streams a large point array (read-once, memory-intensive) while
@@ -126,19 +125,19 @@ def kmeans(rng: random.Random, scale: float) -> Kernel:
 
     traces = []
     for w in range(num_warps):
-        trace: List[Instr] = []
+        trace = TraceBuilder()
         cursor = w * chunk
         for s in range(chunk):
-            trace.append(load(points.line(cursor + s)))
-            trace.append(load(centroids.line(s % centroids.lines)))
-            trace.append(compute(8))
+            trace.load(points.line(cursor + s))
+            trace.load(centroids.line(s % centroids.lines))
+            trace.compute(8)
             if s % 9 == 8:
-                trace.append(store(sums.line(w * 4 + (s % 4))))
-        traces.append(trace)
-    return Kernel("KM", traces)
+                trace.store(sums.line(w * 4 + (s % 4)))
+        traces.append(trace.build())
+    return CompiledKernel("KM", traces)
 
 
-def backprop(rng: random.Random, scale: float) -> Kernel:
+def backprop(rng: random.Random, scale: float) -> CompiledKernel:
     """BP — neural-network back-propagation.
 
     Streaming reads of a shared (read-only within the kernel) weight
@@ -153,20 +152,20 @@ def backprop(rng: random.Random, scale: float) -> Kernel:
 
     traces = []
     for w in range(num_warps):
-        trace: List[Instr] = []
+        trace = TraceBuilder()
         for s in range(steps):
             # each weight-row block is reused for three consecutive
             # input elements before the stream moves on
             row = (s // 3) * 2 % weights.lines
-            trace.append(load(weights.line(row), weights.line(row + 1)))
-            trace.append(load(weights.line(row + 2)))
-            trace.append(compute(5))
-            trace.append(store(activations.line(w * steps + s)))
-        traces.append(trace)
-    return Kernel("BP", traces)
+            trace.load(weights.line(row), weights.line(row + 1))
+            trace.load(weights.line(row + 2))
+            trace.compute(5)
+            trace.store(activations.line(w * steps + s))
+        traces.append(trace.build())
+    return CompiledKernel("BP", traces)
 
 
-def sgm(rng: random.Random, scale: float) -> Kernel:
+def sgm(rng: random.Random, scale: float) -> CompiledKernel:
     """SGM — semi-global (stereo) matching.
 
     Sliding-window reads with heavy reuse between *consecutive* steps
@@ -181,13 +180,13 @@ def sgm(rng: random.Random, scale: float) -> Kernel:
 
     traces = []
     for w in range(num_warps):
-        trace: List[Instr] = []
+        trace = TraceBuilder()
         row = w * 11
         for s in range(steps):
             # window slides by one line per step: 3 reads, 2 reused
-            trace.append(load(image.line(row + s), image.line(row + s + 1)))
-            trace.append(load(image.line(row + s + 2)))
-            trace.append(compute(7))
-            trace.append(store(costs.line(w * steps + s)))
-        traces.append(trace)
-    return Kernel("SGM", traces)
+            trace.load(image.line(row + s), image.line(row + s + 1))
+            trace.load(image.line(row + s + 2))
+            trace.compute(7)
+            trace.store(costs.line(w * steps + s))
+        traces.append(trace.build())
+    return CompiledKernel("SGM", traces)

@@ -27,18 +27,17 @@ Three patterns, mirroring the multi-GPU literature's staples:
 from __future__ import annotations
 
 import random
-from typing import List
 
-from repro.trace.instr import Instr, Kernel, compute, fence, load, store
+from repro.trace.compiled import CompiledKernel, CompiledTrace, TraceBuilder
 from repro.workloads.patterns import AddressSpace, scaled
 
 
-def _finish(trace: List[Instr]) -> List[Instr]:
-    trace.append(fence())
-    return trace
+def _finish(trace: TraceBuilder) -> CompiledTrace:
+    trace.fence()
+    return trace.build()
 
 
-def producer_consumer(rng: random.Random, scale: float) -> Kernel:
+def producer_consumer(rng: random.Random, scale: float) -> CompiledKernel:
     """PCX — neighbour producer/consumer pipeline across GPUs."""
     space = AddressSpace()
     num_warps = scaled(32, scale, minimum=4)
@@ -50,25 +49,25 @@ def producer_consumer(rng: random.Random, scale: float) -> Kernel:
     traces = []
     for w in range(num_warps):
         neighbour = (w + 1) % num_warps      # next CTA = next GPU
-        trace: List[Instr] = []
+        trace = TraceBuilder()
         for _ in range(rounds):
             # produce this warp's chunk, then publish the flag
             for k in range(chunk):
-                trace.append(store(slots.line(w * chunk + k)))
-                trace.append(compute(rng.randrange(1, 5)))
-            trace.append(fence())
-            trace.append(store(flags.line(w)))
-            trace.append(fence())
+                trace.store(slots.line(w * chunk + k))
+                trace.compute(rng.randrange(1, 5))
+            trace.fence()
+            trace.store(flags.line(w))
+            trace.fence()
             # consume the neighbour's chunk (flag first, as a reader)
-            trace.append(load(flags.line(neighbour)))
+            trace.load(flags.line(neighbour))
             for k in range(chunk):
-                trace.append(load(slots.line(neighbour * chunk + k)))
-                trace.append(compute(2))
+                trace.load(slots.line(neighbour * chunk + k))
+                trace.compute(2)
         traces.append(_finish(trace))
-    return Kernel("PCX", traces)
+    return CompiledKernel("PCX", traces)
 
 
-def all_reduce(rng: random.Random, scale: float) -> Kernel:
+def all_reduce(rng: random.Random, scale: float) -> CompiledKernel:
     """ARX — recursive-doubling all-reduce exchange."""
     space = AddressSpace()
     num_warps = scaled(32, scale, minimum=4)
@@ -78,26 +77,26 @@ def all_reduce(rng: random.Random, scale: float) -> Kernel:
 
     traces = []
     for w in range(num_warps):
-        trace: List[Instr] = []
+        trace = TraceBuilder()
         for _ in range(repeats):
             # publish this warp's partial
-            trace.append(store(partials.line(w)))
-            trace.append(fence())
+            trace.store(partials.line(w))
+            trace.fence()
             # combine with partners at doubling distances
             for r in range(steps):
                 partner = (w + (1 << r)) % num_warps
-                trace.append(load(partials.line(partner)))
-                trace.append(compute(rng.randrange(2, 7)))
-                trace.append(store(partials.line(w)))
-                trace.append(fence())
+                trace.load(partials.line(partner))
+                trace.compute(rng.randrange(2, 7))
+                trace.store(partials.line(w))
+                trace.fence()
             # read the converged result from a far neighbour
-            trace.append(load(partials.line((w + num_warps // 2)
-                                            % num_warps)))
+            trace.load(partials.line((w + num_warps // 2)
+                                     % num_warps))
         traces.append(_finish(trace))
-    return Kernel("ARX", traces)
+    return CompiledKernel("ARX", traces)
 
 
-def numa_zipf(rng: random.Random, scale: float) -> Kernel:
+def numa_zipf(rng: random.Random, scale: float) -> CompiledKernel:
     """NZP — NUMA-skewed zipf reads over one shared region.
 
     The power-law head (the hottest lines) sits at the bottom of the
@@ -112,14 +111,14 @@ def numa_zipf(rng: random.Random, scale: float) -> Kernel:
 
     traces = []
     for w in range(num_warps):
-        trace: List[Instr] = []
+        trace = TraceBuilder()
         for s in range(steps):
-            trace.append(load(shared.powerlaw_line(rng)))
-            trace.append(load(shared.powerlaw_line(rng)))
-            trace.append(compute(rng.randrange(1, 4)))
+            trace.load(shared.powerlaw_line(rng))
+            trace.load(shared.powerlaw_line(rng))
+            trace.compute(rng.randrange(1, 4))
             # a structural write every 6th step (scale-stable mix)
             if s % 6 == 5:
-                trace.append(store(shared.powerlaw_line(rng)))
-                trace.append(fence())
+                trace.store(shared.powerlaw_line(rng))
+                trace.fence()
         traces.append(_finish(trace))
-    return Kernel("NZP", traces)
+    return CompiledKernel("NZP", traces)

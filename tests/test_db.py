@@ -15,6 +15,8 @@ import os
 import sqlite3
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -188,6 +190,55 @@ def test_concurrent_writers_last_write_wins_no_corruption(tmp_path):
         assert stats.counters["check"] == winner * 1000
         assert stats.cycles == winner
         assert db.get_run(key)["source"] == f"w{winner}"
+
+
+def _hold_write_lock(path, seconds, locked):
+    """Hold a rollback-journal write lock on ``path`` for ``seconds``."""
+    conn = sqlite3.connect(path, isolation_level=None)
+    try:
+        conn.execute("BEGIN IMMEDIATE")
+        locked.set()
+        time.sleep(seconds)
+        conn.execute("ROLLBACK")
+    finally:
+        conn.close()
+
+
+def _open_behind_writer(path, hold_s, timeout):
+    """Open ``ResultsDB(path, timeout)`` while another connection holds
+    a write lock for ``hold_s``; returns (db or error, seconds taken)."""
+    locked = threading.Event()
+    holder = threading.Thread(target=_hold_write_lock,
+                              args=(path, hold_s, locked))
+    holder.start()
+    try:
+        assert locked.wait(10)
+        start = time.monotonic()
+        try:
+            outcome = ResultsDB(path, timeout=timeout)
+        except sqlite3.OperationalError as error:
+            outcome = error
+        return outcome, time.monotonic() - start
+    finally:
+        holder.join(10)
+        assert not holder.is_alive()
+
+
+def test_wal_switch_waits_out_a_concurrent_writer(tmp_path):
+    db, _ = _open_behind_writer(str(tmp_path / "r.db"), hold_s=0.3,
+                                timeout=5)
+    assert isinstance(db, ResultsDB)
+    mode = db._conn.execute("PRAGMA journal_mode").fetchone()[0]
+    db.close()
+    assert mode == "wal"
+
+
+def test_wal_switch_gives_up_after_the_timeout(tmp_path):
+    error, waited = _open_behind_writer(str(tmp_path / "r.db"),
+                                        hold_s=2.0, timeout=0.5)
+    assert isinstance(error, sqlite3.OperationalError)
+    assert "locked" in str(error)
+    assert waited >= 0.5
 
 
 # ---------------------------------------------------------------------------

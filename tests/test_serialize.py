@@ -52,7 +52,7 @@ def test_file_round_trip(tmp_path):
 
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_every_workload_round_trips(name):
-    kernel = build_workload(name, scale=0.15, seed=4)
+    kernel = build_workload(name, scale=0.15, seed=4).decompile()
     rebuilt = kernel_from_dict(kernel_to_dict(kernel))
     assert rebuilt.warp_traces == kernel.warp_traces
 
@@ -60,7 +60,7 @@ def test_every_workload_round_trips(name):
 def test_replayed_kernel_gives_identical_stats(tmp_path):
     path = tmp_path / "trace.json"
     kernel = build_workload("STN", scale=0.15, seed=2)
-    save_kernel(kernel, path)
+    save_kernel(kernel.decompile(), path)
     rebuilt = load_kernel(path)
     config = GPUConfig.tiny(protocol=Protocol.GTSC)
     _, original = run_gpu(config, kernel)

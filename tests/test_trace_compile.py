@@ -1,18 +1,22 @@
 """Compiled traces: format round-trips, simulated equivalence, cache.
 
-The compiled representation is pure packaging — every workload
-generator must produce a compiled kernel whose simulated
-``RunStats.to_dict()`` is byte-identical to running the
-authoring-level :class:`Kernel`, under every protocol.  The on-disk
-trace cache must hand back the same kernel without re-running the
+The workload generators write packed traces directly through
+:class:`TraceBuilder`.  That is pure packaging: every generated
+kernel must simulate to a ``RunStats.to_dict()`` byte-identical to
+its authoring-level :class:`Kernel` compiled at launch, under every
+protocol, and every generated trace must match the sha256 digest
+recorded in ``tests/golden/trace_digests.json``.  The on-disk trace
+cache must hand back the same kernel without re-running the
 generator.
 """
 
+import hashlib
 import json
 import os
 
 import pytest
 
+import repro.trace.instr as authoring
 import repro.workloads as workloads
 from repro.config import Consistency, GPUConfig, Protocol
 from repro.gpu.gpu import GPU
@@ -24,16 +28,23 @@ from repro.trace.compiled import (
     OP_LOAD,
     OP_STORE,
     CompiledKernel,
+    TraceBuilder,
     compile_kernel,
     compile_trace,
 )
 from repro.trace.instr import Instr, Kernel
-from repro.workloads import ALL_NAMES, build_workload, trace_key
+from repro.workloads import ALL_NAMES, WORKLOADS, build_workload, trace_key
 
 SCALE = 0.3
 SEED = 7
 PROTOCOLS = (Protocol.GTSC, Protocol.TC, Protocol.MESI,
              Protocol.DISABLED)
+
+DIGESTS_PATH = os.path.join(os.path.dirname(__file__), "golden",
+                            "trace_digests.json")
+
+with open(DIGESTS_PATH) as handle:
+    TRACE_GOLDEN = json.load(handle)
 
 
 def _run(kernel, protocol):
@@ -112,6 +123,27 @@ def test_from_dict_rejects_unknown_format_and_opcodes():
                                   "cta_size": 1, "warps": [[["jump"]]]})
 
 
+@pytest.mark.parametrize("op, args", [
+    ("load", ()), ("store", ()), ("atomic", ()),
+    ("compute", (0,)), ("compute", (-1,)),
+])
+def test_trace_builder_raises_what_instr_raises(op, args):
+    builder = TraceBuilder()
+    with pytest.raises(ValueError) as packed:
+        getattr(builder, op)(*args)
+    with pytest.raises(ValueError) as authored:
+        getattr(authoring, op)(*args)
+    assert str(packed.value) == str(authored.value)
+    assert builder.ops == [] and builder.args == []
+
+
+def test_compile_kernel_returns_a_compiled_kernel_validated():
+    compiled = compile_kernel(Kernel("k", [[Instr("fence")]]))
+    assert compile_kernel(compiled) is compiled
+    with pytest.raises(ValueError, match="no warps"):
+        compile_kernel(CompiledKernel("e", []))
+
+
 def test_compiled_validate_matches_kernel_validate():
     with pytest.raises(ValueError, match="barriers"):
         CompiledKernel("b", [
@@ -130,12 +162,53 @@ def test_compiled_validate_matches_kernel_validate():
                          ids=[p.value for p in PROTOCOLS])
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_compiled_path_is_byte_identical(name, protocol, tmp_path):
-    plain = build_workload(name, scale=SCALE, seed=SEED)
-    compiled = build_workload(name, scale=SCALE, seed=SEED,
-                              cache_dir=str(tmp_path))
-    assert isinstance(plain, Kernel)
-    assert isinstance(compiled, CompiledKernel)
-    assert _run(compiled, protocol) == _run(plain, protocol)
+    generated = build_workload(name, scale=SCALE, seed=SEED)
+    cached = build_workload(name, scale=SCALE, seed=SEED,
+                            cache_dir=str(tmp_path))
+    assert isinstance(generated, CompiledKernel)
+    assert isinstance(cached, CompiledKernel)
+    expected = _run(generated, protocol)
+    # the authoring-level kernel, compiled at launch
+    assert _run(generated.decompile(), protocol) == expected
+    assert _run(cached, protocol) == expected
+
+
+# ---------------------------------------------------------------------------
+# what the generators emit
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_every_workload_builds_a_compiled_kernel(name, tmp_path):
+    cache_dir = str(tmp_path / "traces")
+    # no cache, a cache miss, then a hit decoded from the file
+    for directory in (None, cache_dir, cache_dir):
+        kernel = build_workload(name, scale=0.15, seed=SEED,
+                                cache_dir=directory)
+        assert isinstance(kernel, CompiledKernel)
+    assert workloads._trace_caches[cache_dir].hits == 1
+
+
+def _trace_digest(kernel) -> str:
+    blob = json.dumps(compile_kernel(kernel).to_dict(), sort_keys=True)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("key", sorted(TRACE_GOLDEN["digests"]))
+def test_generated_trace_matches_recorded_digest(key):
+    """Byte-identical emitted traces are what keep existing trace-cache
+    entries valid under an unchanged ``GENERATOR_VERSION``."""
+    name, scale, seed = key.split("|")
+    kernel = build_workload(name, scale=float(scale), seed=int(seed))
+    assert _trace_digest(kernel) == TRACE_GOLDEN["digests"][key]
+
+
+def test_trace_digests_cover_every_workload_at_this_version():
+    """Guard the fixture: a generator whose output changes must bump
+    ``GENERATOR_VERSION`` and re-record every digest with it."""
+    assert TRACE_GOLDEN["generator_version"] == workloads.GENERATOR_VERSION
+    names = [key.split("|")[0] for key in TRACE_GOLDEN["digests"]]
+    assert sorted(set(names)) == sorted(WORKLOADS)
+    assert len(names) == 2 * len(WORKLOADS)
 
 
 # ---------------------------------------------------------------------------

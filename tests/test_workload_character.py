@@ -12,7 +12,7 @@ from repro.workloads import ALL_NAMES, build_workload
 
 
 def profile(name, scale=0.4):
-    kernel = build_workload(name, scale=scale, seed=2018)
+    kernel = build_workload(name, scale=scale, seed=2018).decompile()
     counts = {LOAD: 0, STORE: 0, FENCE: 0, COMPUTE: 0}
     compute_cycles = 0
     accesses = 0

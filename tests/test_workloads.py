@@ -34,13 +34,13 @@ def test_every_workload_builds_and_validates(name):
 
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_workloads_are_deterministic_per_seed(name):
-    a = build_workload(name, scale=0.25, seed=42)
-    b = build_workload(name, scale=0.25, seed=42)
+    a = build_workload(name, scale=0.25, seed=42).decompile()
+    b = build_workload(name, scale=0.25, seed=42).decompile()
     assert a.warp_traces == b.warp_traces
     # a different seed changes the randomised workloads (some
     # generators are fully structured and legitimately seed-free)
     seed_free = {"STN", "HS", "GE", "BP", "SGM", "CCP", "KM"}
-    c = build_workload(name, scale=0.25, seed=43)
+    c = build_workload(name, scale=0.25, seed=43).decompile()
     assert a.warp_traces != c.warp_traces or name in seed_free
 
 
@@ -81,13 +81,13 @@ def _has_cross_warp_rw_sharing(kernel):
 
 @pytest.mark.parametrize("name", COHERENT_NAMES)
 def test_coherent_group_really_shares_read_write_data(name):
-    kernel = build_workload(name, scale=0.25, seed=1)
+    kernel = build_workload(name, scale=0.25, seed=1).decompile()
     assert _has_cross_warp_rw_sharing(kernel)
 
 
 @pytest.mark.parametrize("name", COHERENT_NAMES)
 def test_coherent_group_uses_fences(name):
-    kernel = build_workload(name, scale=0.25, seed=1)
+    kernel = build_workload(name, scale=0.25, seed=1).decompile()
     ops = {i.op for t in kernel.warp_traces for i in t}
     assert FENCE in ops
 
