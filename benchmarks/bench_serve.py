@@ -4,8 +4,8 @@ Benchmarks the three ways a ``submit`` resolves, over the real TCP
 protocol against an in-process server:
 
 * **cold** — a never-seen point: queue + lease + one tiny simulation;
-* **cached** — the same point again: answered from the run cache
-  without touching the queue (this is the path a popular point takes
+* **cached** — the same point again: answered from the results
+  database without touching the queue (this is the path a popular point takes
   under heavy traffic, so it must stay far below cold);
 * **coalesced** — eight concurrent identical submissions of a fresh
   point: one simulation, eight answers (measures the full fan-in).
@@ -42,7 +42,6 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.harness.cache import RunCache
 from repro.serve import (JobStore, Scheduler, ServeClient, ServeServer,
                          make_spec)
 
@@ -61,7 +60,7 @@ class LiveServer:
                  queue_limit: int = 64) -> None:
         store = JobStore(str(root / "jobs.jsonl"))
         self.scheduler = Scheduler(
-            store, cache=RunCache(str(root / "cache")), jobs=jobs,
+            store, db=str(root / "repro.db"), jobs=jobs,
             queue_limit=queue_limit, poll_interval=0.005)
         self.server = ServeServer(self.scheduler, port=0, quiet=True)
         self.loop = asyncio.new_event_loop()
@@ -122,7 +121,7 @@ def test_submit_latency_cold(benchmark, live_server):
 
 
 def test_submit_latency_cached(benchmark, live_server):
-    """The hot path: answered from the run cache, no queue."""
+    """The hot path: answered from the results database, no queue."""
     client = ServeClient(port=live_server.port)
     spec = make_spec(BENCH_WORKLOAD, preset="tiny",
                      scale=BENCH_SCALE, seed=2018)

@@ -28,14 +28,9 @@ BENCH_PRESET = os.environ.get("REPRO_BENCH_PRESET", "small")
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.4"))
 BENCH_SEED = int(os.environ.get("REPRO_BENCH_SEED", "2018"))
 
-# opt-in accelerators: REPRO_BENCH_CACHE=1 persists runs under
-# results/.runcache (subsequent sessions skip identical simulations);
-# REPRO_BENCH_JOBS=N batches independent points over N processes.
-# both default off so timing benchmarks measure the simulator, not
-# the cache.
-BENCH_CACHE_DIR = (str(RESULTS_DIR / ".runcache")
-                   if os.environ.get("REPRO_BENCH_CACHE") == "1"
-                   else None)
+# opt-in accelerator: REPRO_BENCH_JOBS=N batches independent points
+# over N processes.  Off by default, and no results database is read,
+# so timing benchmarks measure the simulator.
 BENCH_JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
 
 
@@ -50,10 +45,9 @@ def runner() -> ExperimentRunner:
     if BENCH_JOBS > 1:
         from repro.harness.parallel import ParallelRunner
         return ParallelRunner(jobs=BENCH_JOBS, preset=BENCH_PRESET,
-                              scale=BENCH_SCALE, seed=BENCH_SEED,
-                              cache_dir=BENCH_CACHE_DIR)
+                              scale=BENCH_SCALE, seed=BENCH_SEED)
     return ExperimentRunner(preset=BENCH_PRESET, scale=BENCH_SCALE,
-                            seed=BENCH_SEED, cache_dir=BENCH_CACHE_DIR)
+                            seed=BENCH_SEED)
 
 
 @pytest.fixture(scope="session")

@@ -2,10 +2,11 @@
 """End-to-end smoke of the results database, suitable for CI.
 
 Runs a small sweep into a fresh database through the real CLI,
-verifies the rows are provenance-stamped and queryable, backfills
-the run cache the sweep left behind into a *second* fresh database
-(the rows must agree on cycles), and renders the HTML report — which
-CI uploads as an artifact.
+verifies the rows are provenance-stamped and queryable, runs the
+identical sweep again against the same database (the database must
+answer every point: no new row, every row re-stamped
+``runner-cache``), and renders the HTML report — which CI uploads as
+an artifact.
 
 Usage::
 
@@ -44,12 +45,13 @@ def cli(*argv: str) -> str:
 
 def main() -> int:
     OUT.mkdir(parents=True, exist_ok=True)
+    for stale in OUT.glob("repro.db*"):
+        stale.unlink()
     db = str(OUT / "repro.db")
-    cache = str(OUT / "runcache")
     report = str(OUT / "report.html")
 
     # 1. a small sweep records rows as it runs
-    cli("run", "fig12", *RUN_ARGS, "--db", db, "--cache-dir", cache)
+    cli("run", "fig12", *RUN_ARGS, "--db", db)
     summary = json.loads(cli("db", "query", "--db", db, "--summary"))
     if summary["runs"] < 5:
         fail(f"expected a sweep's worth of rows, got {summary}")
@@ -65,12 +67,16 @@ def main() -> int:
         fail(f"query returned no gtsc-rc rows:\n{listing}")
     print("filtered query: OK")
 
-    # 3. the cache the sweep warmed backfills a second, fresh database
-    db2 = str(OUT / "backfill.db")
-    out = cli("db", "ingest", "--db", db2, "--cache-dir", cache)
-    if f"{summary['runs']} run(s) total" not in out:
-        fail(f"backfill row count disagrees with the sweep:\n{out}")
-    print("backfill from the run cache: OK")
+    # 3. an identical second sweep simulates nothing: the database
+    #    answers every point and re-stamps its row as runner-cache
+    cli("run", "fig12", *RUN_ARGS, "--db", db)
+    again = json.loads(cli("db", "query", "--db", db, "--summary"))
+    if again["runs"] != summary["runs"]:
+        fail(f"the repeat sweep changed the row count: "
+             f"{summary['runs']} -> {again['runs']}")
+    if again["by_source"] != {"runner-cache": summary["runs"]}:
+        fail(f"the repeat sweep simulated: {again['by_source']}")
+    print("repeat sweep answered from the database: OK")
 
     # 4. the HTML report renders from queries alone
     cli("db", "report", "--db", db, "--output", report,

@@ -4,7 +4,7 @@
 Runs the ``multigpu`` experiment (a 2-GPU mini-matrix: G-TSC / TC /
 MESI at 1 and 2 GPUs) through the real CLI into a fresh results
 database, verifies every row carries ``n_gpus`` provenance, checks a
-cluster point is bit-reproducible with the cache disabled, and
+cluster point is bit-reproducible with the database disabled, and
 renders the HTML report — which CI uploads as an artifact.
 
 Usage::
@@ -47,13 +47,12 @@ def cli(*argv: str) -> str:
 def main() -> int:
     OUT.mkdir(parents=True, exist_ok=True)
     db = str(OUT / "repro.db")
-    cache = str(OUT / "runcache")
     report = str(OUT / "report.html")
 
     # 1. the mini-matrix: one inter-GPU workload, three protocols,
     #    1 and 2 GPUs, recording rows as it runs
     table = cli("multigpu", "--gpus", "1", "2", "--workload", "PCX",
-                *RUN_ARGS, "--db", db, "--cache-dir", cache)
+                *RUN_ARGS, "--db", db)
     if "interlink_KB" not in table:
         fail(f"multigpu table is missing the interlink column:\n{table}")
     print("2-GPU mini-matrix: OK")
@@ -69,9 +68,9 @@ def main() -> int:
         fail(f"rows are missing n_gpus provenance: {counts}")
     print(f"n_gpus provenance ({counts}): OK")
 
-    # 3. a cluster point is bit-reproducible even with the cache off
+    # 3. a cluster point is bit-reproducible even with the db off
     runs = [json.loads(cli("simulate", "PCX", "--set", "n_gpus=2",
-                           *RUN_ARGS, "--no-cache", "--no-db", "--json"))
+                           *RUN_ARGS, "--no-db", "--json"))
             for _ in range(2)]
     if runs[0] != runs[1]:
         fail("2-GPU simulation is not bit-reproducible")

@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """End-to-end smoke of the experiment service, suitable for CI.
 
-Boots ``repro serve`` as a real subprocess, submits the same tiny
-point twice (the second submit must be answered from the run cache),
+Boots ``repro serve`` as a real subprocess with a fresh results
+database, submits the same tiny point twice (the second submit must
+be answered from the database),
 checks the metrics show one lease and one execution by an in-process
 fleet worker, sends SIGTERM, and asserts a clean graceful drain: exit
 code 0, the drain banner in the log, and a journal whose every job is
@@ -60,12 +61,11 @@ def submit(expect_cached: bool) -> dict:
 def main() -> None:
     with tempfile.TemporaryDirectory(prefix="serve-smoke-") as tmp:
         state_dir = Path(tmp) / "state"
-        cache_dir = Path(tmp) / "cache"
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "serve",
              "--port", str(PORT),
              "--state-dir", str(state_dir),
-             "--cache-dir", str(cache_dir)],
+             "--db", str(Path(tmp) / "repro.db")],
             cwd=REPO, stderr=subprocess.PIPE, text=True)
         try:
             # wait for the listener
@@ -87,7 +87,7 @@ def main() -> None:
                 fail("cache hit returned different stats")
             if second["key"] != first["key"]:
                 fail("cache hit returned a different key")
-            print("second submit answered from cache, bit-identical")
+            print("second submit answered from the db, bit-identical")
 
             # the one execution path: an in-process fleet worker
             # leased the cold job and completed it through the

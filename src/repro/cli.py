@@ -15,7 +15,6 @@ Subcommands::
     gtsc-repro submit BFS --port 8642     # run one point via the service
     gtsc-repro jobs --port 8642           # inspect the service queue
     gtsc-repro jobs --metrics-text        # Prometheus text exposition
-    gtsc-repro db ingest                  # backfill DB from run cache
     gtsc-repro db query --workload BFS    # list provenance-stamped runs
     gtsc-repro db report -o report.html   # HTML report from queries
 
@@ -41,17 +40,18 @@ from repro.workloads import ALL_NAMES, MULTIGPU_NAMES, \
 EXPERIMENT_FNS = {e.experiment_id: e.fn for e in EXPECTATIONS}
 
 
-DEFAULT_CACHE_DIR = "results/.runcache"
 DEFAULT_DB_PATH = "results/repro.db"
 
 
 def _add_db_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--db", default=DEFAULT_DB_PATH, metavar="PATH",
-                        help="sqlite results database recording every "
-                             "finished run with provenance "
+                        help="sqlite results database: records every "
+                             "finished run with provenance and answers "
+                             "repeat runs without simulating "
                              f"(default: {DEFAULT_DB_PATH})")
     parser.add_argument("--no-db", action="store_true",
-                        help="disable results-database recording")
+                        help="neither read nor record results in a "
+                             "database")
 
 
 def _add_runner_args(parser: argparse.ArgumentParser) -> None:
@@ -65,12 +65,6 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="simulate independent points over N worker "
                              "processes (default: 1, in-process)")
-    parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
-                        metavar="DIR",
-                        help="directory for the on-disk run cache "
-                             f"(default: {DEFAULT_CACHE_DIR})")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the on-disk run cache")
     _add_db_args(parser)
     parser.add_argument("--progress", action="store_true",
                         help="print live heartbeat lines to stderr "
@@ -80,7 +74,6 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
 def _make_runner(args: argparse.Namespace) -> ExperimentRunner:
     if args.jobs < 1:
         raise SystemExit("--jobs must be >= 1")
-    cache_dir = None if args.no_cache else args.cache_dir
     db = None if getattr(args, "no_db", False) \
         else getattr(args, "db", None)
     progress = getattr(args, "progress", False)
@@ -88,11 +81,9 @@ def _make_runner(args: argparse.Namespace) -> ExperimentRunner:
         from repro.harness.parallel import ParallelRunner
         return ParallelRunner(jobs=args.jobs, preset=args.preset,
                               scale=args.scale, seed=args.seed,
-                              cache_dir=cache_dir, progress=progress,
-                              db=db)
+                              progress=progress, db=db)
     return ExperimentRunner(preset=args.preset, scale=args.scale,
-                            seed=args.seed, cache_dir=cache_dir,
-                            progress=progress, db=db)
+                            seed=args.seed, progress=progress, db=db)
 
 
 def cmd_list(_args: argparse.Namespace) -> int:
@@ -318,10 +309,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
               f"{totals.get('engine_bucket_direct', 0) / scheduled:>11.1%}")
         print(f"  {'stale-cancel ratio':28s} "
               f"{totals.get('engine_cancelled', 0) / scheduled:>11.1%}")
-    if runner.disk_cache is not None:
-        cache = runner.disk_cache.stats()
-        print(f"disk cache: {cache['hits']} hit(s), "
-              f"{cache['misses']} miss(es)")
     return 0
 
 
@@ -416,22 +403,16 @@ def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import os
 
-    from repro.harness.cache import RunCache
     from repro.serve import JobStore, Scheduler, ServeServer
 
     state_dir = args.state_dir
     os.makedirs(state_dir, exist_ok=True)
     store = JobStore(os.path.join(state_dir, "jobs.jsonl"))
-    cache = None if args.no_cache else RunCache(args.cache_dir)
-    max_bytes = (args.cache_max_mb * 1024 * 1024
-                 if args.cache_max_mb else None)
     scheduler = Scheduler(
-        store, cache=cache, jobs=args.jobs,
+        store, jobs=args.jobs,
         queue_limit=args.queue_limit,
         retry_after=args.retry_after,
-        cache_max_bytes=max_bytes,
         db=None if args.no_db else args.db,
-        db_flush_interval=args.db_flush or None,
         shards=args.shards,
         timeout=args.job_timeout,
         max_attempts=args.max_attempts,
@@ -557,24 +538,9 @@ def _open_db(args: argparse.Namespace):
 
     if not os.path.exists(args.db):
         raise SystemExit(
-            f"no results database at {args.db} — record runs with "
-            f"--db or backfill with 'gtsc-repro db ingest'")
+            f"no results database at {args.db} — 'run', 'report', "
+            f"'sweep', 'profile' and 'serve' write it (see their --db)")
     return ResultsDB(args.db)
-
-
-def cmd_db_ingest(args: argparse.Namespace) -> int:
-    from repro.db.ingest import ingest_runcache
-    from repro.db.store import ResultsDB
-
-    db = ResultsDB(args.db)
-    outcome = ingest_runcache(db, args.cache_dir, source=args.source,
-                              skip_existing=not args.refresh)
-    print(f"ingested {outcome['ingested']}, "
-          f"skipped {outcome['skipped']} already present, "
-          f"{outcome['corrupt']} corrupt "
-          f"({args.cache_dir} -> {args.db}, "
-          f"{db.count()} run(s) total)")
-    return 0
 
 
 def cmd_db_query(args: argparse.Namespace) -> int:
@@ -792,17 +758,6 @@ def make_parser() -> argparse.ArgumentParser:
                          metavar="DIR",
                          help="directory for the job journal "
                               f"(default: {DEFAULT_STATE_DIR})")
-    p_serve.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
-                         metavar="DIR",
-                         help="run-cache directory, shared with the "
-                              "batch harness "
-                              f"(default: {DEFAULT_CACHE_DIR})")
-    p_serve.add_argument("--no-cache", action="store_true",
-                         help="disable the on-disk run cache")
-    p_serve.add_argument("--cache-max-mb", type=int, default=None,
-                         metavar="MB",
-                         help="LRU-prune the run cache above this "
-                              "size (default: unbounded)")
     p_serve.add_argument("--job-timeout", type=float, default=None,
                          metavar="S",
                          help="per-job execution timeout in seconds "
@@ -815,11 +770,6 @@ def make_parser() -> argparse.ArgumentParser:
                          help="seconds a worker may hold a job before "
                               "it is requeued (default: 300)")
     _add_db_args(p_serve)
-    p_serve.add_argument("--db-flush", type=float, default=0.5,
-                         metavar="S",
-                         help="batch results-db writes into one "
-                              "transaction per interval; 0 writes "
-                              "each job immediately (default: 0.5)")
     p_serve.add_argument("--shards", type=int, default=16,
                          metavar="N",
                          help="dedup lock shards (default: 16)")
@@ -913,25 +863,6 @@ def make_parser() -> argparse.ArgumentParser:
         "db", help="query the provenance-stamped results database")
     db_sub = p_db.add_subparsers(dest="db_command", required=True)
 
-    p_ingest = db_sub.add_parser(
-        "ingest", help="backfill the database from a run-cache "
-                       "directory")
-    p_ingest.add_argument("--db", default=DEFAULT_DB_PATH,
-                          metavar="PATH",
-                          help=f"database path "
-                               f"(default: {DEFAULT_DB_PATH})")
-    p_ingest.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
-                          metavar="DIR",
-                          help="run-cache directory to read "
-                               f"(default: {DEFAULT_CACHE_DIR})")
-    p_ingest.add_argument("--source", default="ingest",
-                          help="source tag stamped on backfilled rows "
-                               "(default: ingest)")
-    p_ingest.add_argument("--refresh", action="store_true",
-                          help="re-record keys already in the database "
-                               "(default: skip them)")
-    p_ingest.set_defaults(fn=cmd_db_ingest)
-
     p_query = db_sub.add_parser(
         "query", help="list recorded runs, newest first")
     p_query.add_argument("--db", default=DEFAULT_DB_PATH,
@@ -951,7 +882,7 @@ def make_parser() -> argparse.ArgumentParser:
                          help="filter by run status (e.g. done)")
     p_query.add_argument("--source",
                          help="filter by producer (runner, "
-                              "runner-pool, serve, ingest, ...)")
+                              "runner-pool, runner-cache, serve)")
     p_query.add_argument("--limit", type=int, default=50,
                          help="max rows to list (default: 50)")
     p_query.add_argument("--summary", action="store_true",

@@ -111,8 +111,8 @@ def render_report(db: ResultsDB, title: str = "G-TSC results",
             pass  # nothing numeric to chart (e.g. raw-cycles mix)
     else:
         out.append("<p>No matrix points recorded yet — run a sweep "
-                   "with <code>--db</code> or backfill with "
-                   "<code>gtsc-repro db ingest</code>.</p>")
+                   "(<code>gtsc-repro run fig12</code>) into this "
+                   "database with <code>--db</code>.</p>")
 
     # -- 3. per-point key metrics ---------------------------------------
     out.append("<h2>Per-point key metrics</h2>")

@@ -2,8 +2,11 @@
 
 One row per simulation run, keyed by the harness
 :func:`~repro.harness.cache.run_key` digest — the same identity the
-on-disk run cache, the serve scheduler's single-flight dedup, and the
-result envelope already agree on.  Three tables:
+runner's memo, the serve scheduler's single-flight dedup, and the
+result envelope already agree on.  It is the one persistent store of
+results: a runner or a serve scheduler that finds a row for a point's
+key reads the :class:`RunStats` back instead of simulating it.  Three
+tables:
 
 * ``runs`` — one row per run: the validated spec (JSON), the
   workload/protocol/consistency/preset/scale/seed it denormalises,
@@ -19,18 +22,11 @@ Writes are **idempotent upserts**: recording the same run key twice
 replaces the row and its child rows in one transaction, so re-running
 a sweep converges instead of duplicating, and concurrent writers
 (worker processes, serve workers on other hosts sharing a filesystem)
-resolve by last-write-wins.  The database opens in WAL mode with a
-busy timeout, which is sqlite's supported concurrent-writer
-configuration: writers queue briefly instead of failing.
-
-High-rate producers (the serve dispatcher absorbing a fleet's
-results) can opt into **batched writes**: with ``flush_interval``
-set, :meth:`record` only buffers, and a whole interval's worth of
-runs lands as *one* transaction — one fsync per flush instead of one
-per job.  The trade is bounded: a crash loses at most the unflushed
-interval, which for the service means re-simulating what the run
-journal still remembers anyway.  Reads flush first, so a handle
-always sees its own writes; :meth:`close` flushes too.
+resolve by last-write-wins.  Each :meth:`record` is its own
+transaction, so a result is durable once the call returns.  The
+database opens in WAL mode with a busy timeout, which is sqlite's
+supported concurrent-writer configuration: writers queue briefly
+instead of failing.
 
 The round trip is exact: ``db.get_stats(key) ==`` the original
 ``RunStats`` for any run — counters stay integers (sqlite NUMERIC
@@ -47,6 +43,7 @@ import os
 import sqlite3
 import threading
 import time
+import warnings
 from typing import Dict, List, Optional
 
 import repro
@@ -149,14 +146,7 @@ class ResultsDB:
     :meth:`record`, which is transactional and idempotent per run key.
     """
 
-    def __init__(self, path: str, timeout: float = 30.0,
-                 flush_interval: Optional[float] = None,
-                 flush_max: int = 256,
-                 clock=time.monotonic) -> None:
-        if flush_interval is not None and flush_interval < 0:
-            raise ValueError("flush_interval must be >= 0")
-        if flush_max < 1:
-            raise ValueError("flush_max must be >= 1")
+    def __init__(self, path: str, timeout: float = 30.0) -> None:
         self.path = path
         directory = os.path.dirname(path)
         if directory:
@@ -185,27 +175,12 @@ class ResultsDB:
                 "ALTER TABLE runs ADD COLUMN n_gpus "
                 "INTEGER NOT NULL DEFAULT 1")
         self._conn.commit()
-        #: None = write-through (one transaction per record);
-        #: a number = buffer and land one transaction per interval
-        self.flush_interval = flush_interval
-        self.flush_max = flush_max
-        self._clock = clock
-        self._last_flush = clock()
-        # key -> row bundle; a dict so re-recording a key inside one
-        # unflushed interval keeps last-write-wins (two inserts of
-        # the same key in one batch would collide on child-table PKs)
-        self._pending: Dict[str, tuple] = {}
-        #: rows written / replaced through this handle
-        self.recorded = 0
-        #: batch transactions committed (write-through never bumps it)
-        self.flushes = 0
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
         with self._lock:
-            self._flush_locked()
             self._conn.close()
 
     def __enter__(self) -> "ResultsDB":
@@ -218,8 +193,7 @@ class ResultsDB:
     # writing
     # ------------------------------------------------------------------
     def record(self, run_key: str, stats: RunStats, *,
-               spec: Optional[Dict] = None,
-               point: Optional[Dict] = None, source: str = "",
+               spec: Optional[Dict] = None, source: str = "",
                status: str = "done",
                wall_time_s: Optional[float] = None,
                config=None, config_hash: str = "",
@@ -229,12 +203,11 @@ class ResultsDB:
         """Upsert one finished run and its flattened statistics.
 
         ``spec`` is the canonical request spec when the producer knows
-        it (runners and serve workers do); ``point`` fills the
-        denormalised workload/protocol/... columns when only partial
-        identity is recoverable (RunCache backfill) without claiming a
-        full spec.  ``config`` derives ``config_hash`` when one is not
-        given.  Provenance defaults (commit, host, package version)
-        are stamped here so no producer can forget them.
+        it (runners and serve workers do); it fills the denormalised
+        workload/protocol/... columns.  ``config`` derives
+        ``config_hash`` when one is not given.  Provenance defaults
+        (commit, host, package version) are stamped here so no
+        producer can forget them.
         """
         if config is not None and not config_hash:
             config_hash = provenance.config_hash(config)
@@ -242,16 +215,15 @@ class ResultsDB:
             git_commit = provenance.git_commit()
         if host is None:
             host = provenance.host()
+        info = spec or {}
         if n_gpus is None:
             # derive from the config when the producer has one, else
             # from the spec's overrides; single-GPU rows stay 1
             if config is not None:
                 n_gpus = getattr(config, "n_gpus", 1)
             else:
-                overrides = (spec or {}).get("overrides") or {}
+                overrides = info.get("overrides") or {}
                 n_gpus = int(overrides.get("n_gpus", 1))
-        spec = dict(spec) if spec is not None else None
-        info = spec if spec is not None else (point or {})
         now = time.time()
         meta = ""
         ts = stats.timeseries
@@ -302,63 +274,26 @@ class ResultsDB:
             for name, value in row.items():
                 if name != "cycle":
                     ts_rows.append((run_key, index, cycle, name, value))
-        with self._lock:
-            if self.flush_interval is None:
-                with self._conn:
-                    self._write_one(run_key, run_row, stat_rows,
-                                    ts_rows)
-                self.recorded += 1
-                return
-            self._pending[run_key] = (run_row, stat_rows, ts_rows)
-            now = self._clock()
-            if len(self._pending) >= self.flush_max or \
-                    now - self._last_flush >= self.flush_interval:
-                self._flush_locked()
-
-    def flush(self) -> int:
-        """Land any buffered runs as one transaction; returns how
-        many were written (always 0 in write-through mode)."""
-        with self._lock:
-            return self._flush_locked()
-
-    def _flush_locked(self) -> int:
-        """Write the pending batch (caller holds the lock)."""
-        if not self._pending:
-            return 0
-        self._last_flush = self._clock()
-        with self._conn:
-            for run_key, (run_row, stat_rows, ts_rows) \
-                    in self._pending.items():
-                self._write_one(run_key, run_row, stat_rows, ts_rows)
-        written = len(self._pending)
-        self.recorded += written
-        self.flushes += 1
-        self._pending.clear()
-        return written
-
-    def _write_one(self, run_key: str, run_row: tuple,
-                   stat_rows: List[tuple],
-                   ts_rows: List[tuple]) -> None:
-        """Upsert one run's rows (caller owns the transaction)."""
-        self._conn.execute(
-            f"INSERT INTO runs ({', '.join(RUN_COLUMNS)}) "
-            f"VALUES ({', '.join('?' * len(RUN_COLUMNS))}) "
-            "ON CONFLICT(run_key) DO UPDATE SET "
-            + ", ".join(f"{c} = excluded.{c}"
-                        for c in RUN_COLUMNS
-                        if c not in ("run_key", "created_at")),
-            run_row)
-        self._conn.execute(
-            "DELETE FROM stats WHERE run_key = ?", (run_key,))
-        self._conn.execute(
-            "DELETE FROM timeseries WHERE run_key = ?", (run_key,))
-        self._conn.executemany(
-            "INSERT INTO stats (run_key, kind, name, value, payload)"
-            " VALUES (?, ?, ?, ?, ?)", stat_rows)
-        self._conn.executemany(
-            "INSERT INTO timeseries "
-            "(run_key, sample, cycle, name, value)"
-            " VALUES (?, ?, ?, ?, ?)", ts_rows)
+        with self._lock, self._conn:
+            self._conn.execute(
+                f"INSERT INTO runs ({', '.join(RUN_COLUMNS)}) "
+                f"VALUES ({', '.join('?' * len(RUN_COLUMNS))}) "
+                "ON CONFLICT(run_key) DO UPDATE SET "
+                + ", ".join(f"{c} = excluded.{c}"
+                            for c in RUN_COLUMNS
+                            if c not in ("run_key", "created_at")),
+                run_row)
+            self._conn.execute(
+                "DELETE FROM stats WHERE run_key = ?", (run_key,))
+            self._conn.execute(
+                "DELETE FROM timeseries WHERE run_key = ?", (run_key,))
+            self._conn.executemany(
+                "INSERT INTO stats (run_key, kind, name, value, payload)"
+                " VALUES (?, ?, ?, ?, ?)", stat_rows)
+            self._conn.executemany(
+                "INSERT INTO timeseries "
+                "(run_key, sample, cycle, name, value)"
+                " VALUES (?, ?, ?, ?, ?)", ts_rows)
 
     # ------------------------------------------------------------------
     # reading
@@ -366,7 +301,6 @@ class ResultsDB:
     def get_run(self, run_key: str) -> Optional[Dict]:
         """The ``runs`` row for one key as a dict, or None."""
         with self._lock:
-            self._flush_locked()
             cur = self._conn.execute(
                 "SELECT * FROM runs WHERE run_key = ?", (run_key,))
             row = cur.fetchone()
@@ -380,7 +314,6 @@ class ResultsDB:
         if run is None:
             return None
         with self._lock:
-            self._flush_locked()
             stat_rows = self._conn.execute(
                 "SELECT kind, name, value, payload FROM stats "
                 "WHERE run_key = ?", (run_key,)).fetchall()
@@ -417,6 +350,22 @@ class ResultsDB:
             timeseries=timeseries,
         )
 
+    def lookup(self, run_key: str) -> Optional[RunStats]:
+        """:meth:`get_stats` for a producer about to simulate the point.
+
+        A read that raises (closed, locked or damaged database) warns
+        and returns None, like a miss: a store read never fails the
+        run that asked, which simulates the point instead.
+        """
+        try:
+            return self.get_stats(run_key)
+        except Exception as error:
+            warnings.warn(
+                f"results-db read failed for {run_key[:12]}…: "
+                f"{type(error).__name__}: {error}",
+                RuntimeWarning, stacklevel=2)
+            return None
+
     def runs(self, workload: Optional[str] = None,
              protocol: Optional[str] = None,
              consistency: Optional[str] = None,
@@ -450,14 +399,12 @@ class ResultsDB:
         if limit is not None:
             sql += f" LIMIT {int(limit)}"
         with self._lock:
-            self._flush_locked()
             rows = self._conn.execute(sql, params).fetchall()
         return [dict(zip(RUN_COLUMNS, row)) for row in rows]
 
     def counter(self, run_key: str, name: str) -> Optional[int]:
         """One counter of one run (None when absent)."""
         with self._lock:
-            self._flush_locked()
             row = self._conn.execute(
                 "SELECT value FROM stats WHERE run_key = ? "
                 "AND kind = 'counter' AND name = ?",
@@ -466,14 +413,12 @@ class ResultsDB:
 
     def count(self) -> int:
         with self._lock:
-            self._flush_locked()
             return self._conn.execute(
                 "SELECT COUNT(*) FROM runs").fetchone()[0]
 
     def summary(self) -> Dict:
         """Fleet-level aggregates for reports and the CLI."""
         with self._lock:
-            self._flush_locked()
             runs, = self._conn.execute(
                 "SELECT COUNT(*) FROM runs").fetchone()
             distinct = self._conn.execute(

@@ -62,16 +62,13 @@ class SimulationJobError(RuntimeError):
 
 
 def _simulate_point(preset: str, scale: float, seed: int,
-                    config_overrides: Tuple, point: Point,
-                    trace_cache_dir: Optional[str] = None) -> Dict:
+                    config_overrides: Tuple, point: Point) -> Dict:
     """Worker entry: simulate one point, return a picklable payload.
 
     Top-level (not a closure/method) so it pickles under both the
     ``fork`` and ``spawn`` start methods.  Reconstructs the config the
     same way :meth:`ExperimentRunner.base_config` does, so parent and
-    worker agree on every parameter.  ``trace_cache_dir`` lets workers
-    share the parent's on-disk compiled-trace cache instead of each
-    re-generating the workload.
+    worker agree on every parameter.
 
     Any failure is re-raised as :class:`SimulationJobError` carrying
     the point's identity, chained to the original exception.
@@ -85,8 +82,7 @@ def _simulate_point(preset: str, scale: float, seed: int,
         merged.update(overrides)
         config = factory(protocol=protocol, consistency=consistency,
                          **merged)
-        kernel = build_workload(workload, scale=scale, seed=seed,
-                                cache_dir=trace_cache_dir)
+        kernel = build_workload(workload, scale=scale, seed=seed)
         stats = make_gpu(config, record_accesses=False).run(kernel)
         return stats.to_dict()
     except SimulationJobError:
@@ -111,15 +107,14 @@ class ParallelRunner(ExperimentRunner):
 
     Single points still run in-process; only :meth:`prefetch` (called
     by ``matrix``, ``sweep`` and the figure functions with their full
-    point sets) fans out.  Cached points — in-memory or on-disk — are
-    filtered before any worker is spawned, so a warm cache costs no
-    processes at all, and a batch simulates each run_key at most once
-    however many spellings of it the batch holds.
+    point sets) fans out.  Points the memo or the results database
+    already holds are filtered before any worker is spawned, so a warm
+    database costs no processes at all, and a batch simulates each
+    run_key at most once however many spellings of it the batch holds.
     """
 
     def __init__(self, jobs: Optional[int] = None, preset: str = "small",
                  scale: float = 0.5, seed: int = 2018,
-                 cache_dir: Optional[str] = None,
                  progress: bool = False, db=None,
                  **config_overrides) -> None:
         cores = os.cpu_count() or 1
@@ -139,17 +134,17 @@ class ParallelRunner(ExperimentRunner):
                 RuntimeWarning, stacklevel=2)
             jobs = cores
         super().__init__(preset=preset, scale=scale, seed=seed,
-                         cache_dir=cache_dir, progress=progress,
-                         db=db, **config_overrides)
+                         progress=progress, db=db, **config_overrides)
         self.jobs = jobs
 
     # ------------------------------------------------------------------
     def _missing(self, points: Iterable[Point]) -> list:
-        """The points of a batch no cache can satisfy, one per run_key.
+        """The points of a batch that must be simulated, one per run_key.
 
         A point is skipped when its run_key is already resolved in
-        memory or queued earlier in the batch: ``run`` later finds
-        the result under that run_key, whatever the spelling.
+        memory, stored in the results database, or queued earlier in
+        the batch: ``run`` later finds the result under that run_key,
+        whatever the spelling.
         """
         missing = []
         queued = set()
@@ -162,13 +157,13 @@ class ParallelRunner(ExperimentRunner):
             digest = self._disk_key(workload, config)
             if digest in self._cache or digest in queued:
                 continue
-            if self.disk_cache is not None:
-                stats = self.disk_cache.get(digest)
-                if stats is not None:
-                    self._cache[point] = self._cache[digest] = stats
-                    self._record_run(digest, stats, point, config,
-                                     source="runner-cache")
-                    continue
+            stats = (self.results_db.lookup(digest)
+                     if self.results_db is not None else None)
+            if stats is not None:
+                self._cache[point] = self._cache[digest] = stats
+                self._record_run(digest, stats, point, config,
+                                 source="runner-cache")
+                continue
             queued.add(digest)
             missing.append(point)
         return missing
@@ -199,8 +194,7 @@ class ParallelRunner(ExperimentRunner):
         with ProcessPoolExecutor(max_workers=self.jobs) as pool:
             futures = [
                 pool.submit(_simulate_point, self.preset, self.scale,
-                            self.seed, overrides_key, point,
-                            self.trace_cache_dir)
+                            self.seed, overrides_key, point)
                 for point in missing
             ]
             # iterate in submission order: results land deterministically
@@ -213,8 +207,6 @@ class ParallelRunner(ExperimentRunner):
                                           **dict(overrides))
                 digest = self._disk_key(workload, config)
                 self._cache[point] = self._cache[digest] = stats
-                if self.disk_cache is not None:
-                    self.disk_cache.put(digest, stats)
                 # per-point wall time stays in the worker process; the
                 # row still records which pool run produced it
                 self._record_run(digest, stats, point, config,

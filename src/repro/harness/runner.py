@@ -8,18 +8,16 @@ them instead of re-simulating.  The memo is keyed on the run_key (see
 :class:`~repro.config.GPUConfig` — ``visibility=DELAY`` and no override
 at all, say — share one simulation.
 
-Two optional accelerators sit on top of the in-memory memo:
-
-* a persistent on-disk cache (``cache_dir=...``) that survives across
-  processes — see :mod:`repro.harness.cache`;
-* a process-pool batch path (:class:`repro.harness.parallel.ParallelRunner`)
-  that overrides :meth:`prefetch` to simulate independent points
-  concurrently.
+Behind the in-memory memo sits the results database (``db=...``, see
+:mod:`repro.db.store`): every point the runner resolves is recorded
+there, and a point whose run_key already has a row is read back instead
+of simulated, across processes and sessions.  A process-pool batch path
+(:class:`repro.harness.parallel.ParallelRunner`) overrides
+:meth:`prefetch` to simulate independent points concurrently.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 import time
 import warnings
@@ -27,7 +25,7 @@ from typing import Dict, Iterable, Optional, Tuple, Union
 
 from repro.config import Consistency, GPUConfig, Protocol
 from repro.gpu.gpu import make_gpu
-from repro.harness.cache import RunCache, _canonical, run_key
+from repro.harness.cache import _canonical, run_key
 from repro.harness.progress import RateEstimator
 from repro.stats.collector import RunStats
 from repro.trace.compiled import CompiledKernel
@@ -48,8 +46,7 @@ class ExperimentRunner:
     """Runs (workload x configuration) points with memoisation."""
 
     def __init__(self, preset: str = "small", scale: float = 0.5,
-                 seed: int = 2018, cache_dir: Optional[str] = None,
-                 progress: bool = False, db=None,
+                 seed: int = 2018, progress: bool = False, db=None,
                  **config_overrides) -> None:
         if preset not in ("small", "paper", "tiny"):
             raise ValueError(f"unknown preset {preset!r}")
@@ -60,21 +57,18 @@ class ExperimentRunner:
         # finished runs under both the Point that asked (its spelling)
         # and the run_key it resolved to; clear() forgets both
         self._cache: Dict[Union[Point, str], RunStats] = {}
-        self.disk_cache = RunCache(cache_dir) if cache_dir else None
         # results database: a ResultsDB handle or a path to open one.
-        # Every point this runner resolves (fresh simulation or disk
-        # cache) is upserted with full spec + provenance.
+        # It answers points the memo has not seen, and every point this
+        # runner resolves is upserted with full spec + provenance.
         if isinstance(db, str):
             from repro.db.store import ResultsDB
             db = ResultsDB(db)
         self.results_db = db
-        # compiled workload traces: generated (or read from the trace
-        # cache under <cache_dir>/traces) once, shared by every config
-        # that runs the same workload at this runner's scale and seed
-        self.trace_cache_dir = (os.path.join(cache_dir, "traces")
-                                if cache_dir else None)
+        # compiled workload traces: generated once, shared by every
+        # config that runs the same workload at this runner's scale
+        # and seed
         self._kernels: Dict[str, CompiledKernel] = {}
-        #: actual simulations performed (cache hits don't count)
+        #: actual simulations performed (memo and db hits don't count)
         self.simulations_run = 0
         #: engine hot-loop counters summed over fresh simulations
         #: (engine_* names; cached points contribute nothing)
@@ -113,8 +107,7 @@ class ExperimentRunner:
         kernel = self._kernels.get(workload)
         if kernel is None:
             kernel = build_workload(workload, scale=self.scale,
-                                    seed=self.seed,
-                                    cache_dir=self.trace_cache_dir)
+                                    seed=self.seed)
             self._kernels[workload] = kernel
         return kernel
 
@@ -136,8 +129,8 @@ class ExperimentRunner:
         simulation.  A point already asked for in this spelling is
         returned at once.  Otherwise the config and its run_key are
         resolved, and the first of these supplies the result: a run
-        this process finished under that run_key, the disk cache, the
-        engine.
+        this process finished under that run_key, the results
+        database, the engine.
         """
         key = point_of(workload, protocol, consistency, **overrides)
         cached = self._cache.get(key)
@@ -148,15 +141,13 @@ class ExperimentRunner:
         wall_time = None
         source = "runner-cache"
         stats = self._cache.get(digest)
-        if stats is None and self.disk_cache is not None:
-            stats = self.disk_cache.get(digest)
+        if stats is None and self.results_db is not None:
+            stats = self.results_db.lookup(digest)
         if stats is None:
             started = time.perf_counter()
             stats = self._simulate(workload, config)
             wall_time = time.perf_counter() - started
             source = "runner"
-            if self.disk_cache is not None:
-                self.disk_cache.put(digest, stats)
         self._cache[key] = self._cache[digest] = stats
         self._record_run(digest, stats, key, config,
                          wall_time_s=wall_time, source=source)

@@ -87,15 +87,14 @@ def render_prometheus(counters: Optional[Dict] = None,
 
 
 #: snapshot keys that are point-in-time state, not cumulative counts
-_GAUGE_KEYS = ("jobs_pending", "jobs_leased", "cache_entries",
-               "cache_bytes")
+_GAUGE_KEYS = ("jobs_pending", "jobs_leased")
 
 
 def split_snapshot(snapshot: Dict) -> Dict[str, Dict]:
     """Partition a scheduler snapshot into counter and gauge dicts.
 
-    Queue-state counts and cache footprint are gauges (they go down);
-    everything else in the snapshot only ever increases.
+    Queue-state counts are gauges (they go down); everything else in
+    the snapshot only ever increases.
     """
     counters: Dict = {}
     gauges: Dict = {}

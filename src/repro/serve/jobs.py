@@ -8,8 +8,8 @@ line, which replay tolerates and discards).  Reopening the journal
 replays it into the identical queue: jobs that were PENDING are still
 pending, jobs that were LEASED by a worker that no longer exists are
 requeued, finished jobs stay finished.  Nothing is lost and nothing
-runs twice *as a queue entry* (the result cache makes re-execution of
-a completed key free anyway).
+runs twice *as a queue entry* (the results database makes
+re-execution of a completed key free anyway).
 
 State machine::
 
@@ -323,7 +323,7 @@ class JobStore:
             return job
 
     def complete(self, job_id: str) -> Job:
-        """LEASED -> DONE (the result itself lives in the run cache)."""
+        """LEASED -> DONE (the result itself lives in the results DB)."""
         return self._finish({"op": "done", "id": job_id})
 
     def fail(self, job_id: str, error: str) -> Job:

@@ -1,16 +1,16 @@
 """Single-flight scheduling: N identical submissions, one simulation.
 
-Simulations are pure functions of their spec (that is what makes the
-run cache sound), so the scheduler treats the
+Simulations are pure functions of their spec (that is what makes a
+stored result sound to reuse), so the scheduler treats the
 :func:`~repro.serve.schema.spec_key` digest as the unit of work and
 enforces one invariant: **at any moment, at most one execution per
 key exists anywhere in the fleet**.  A submission resolves through
 the first of:
 
-1. **store** — the key is already in the shared
-   :class:`~repro.harness.cache.RunCache` (from a previous service
-   run, another fleet member, *or* any CLI/harness run that shared
-   the directory): the result is returned immediately, no job;
+1. **store** — the key already has a row in the results database
+   (:class:`~repro.db.store.ResultsDB`; from a previous service run,
+   another fleet member, *or* any CLI/harness run that shared the
+   database): the result is returned immediately, no job;
 2. **quarantine** — the key recently failed terminally: the recorded
    error is raised immediately instead of re-burning workers;
 3. **coalesce** — a job for the key is already queued or running: the
@@ -32,11 +32,15 @@ Every execution is a :class:`~repro.serve.fleet.FleetWorker` calling
 :meth:`lease`, :meth:`heartbeat`, :meth:`complete` and :meth:`fail`:
 ``serve worker --connect`` processes over the wire, the ``jobs``
 in-process workers through a :class:`LocalLink`.  :meth:`complete` is
-the only place a result is published (store, results DB, waiters);
+the only place a result is published (results DB, then waiters);
 :meth:`fail` is the only place the retry policy runs — requeue with
 jittered exponential backoff until ``max_attempts`` lease grants are
 used up, then FAILED plus a ``quarantine_ttl`` quarantine of the key,
 so resubmitting a deterministic crash fails fast.
+
+Store trouble never fails a job: a read that raises warns and counts
+as a miss, and a write that raises warns and the result still reaches
+its waiters.
 
 Waiters hold :class:`concurrent.futures.Future` objects resolved from
 worker threads (or the server's executor for remote completions); the
@@ -54,7 +58,6 @@ from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.harness.cache import RunCache
 from repro.serve import schema
 from repro.serve.client import ServeError
 from repro.serve.fleet import FleetWorker, JobTimeout, execute_spec
@@ -80,7 +83,7 @@ class Submission:
     """How one submit was satisfied, plus the future of its result."""
 
     key: str
-    job_id: Optional[str]        # None when served straight from cache
+    job_id: Optional[str]        # None when served straight from the db
     cached: bool
     coalesced: bool
     future: "Future[RunStats]"
@@ -127,19 +130,18 @@ class LocalLink:
 
 
 class Scheduler:
-    """Owns the store, the result cache, the retry policy and the
-    ``jobs`` in-process workers (``execute``/``timeout`` configure
-    them; ``jobs=0`` leaves all executing to remote workers).
-    ``clock``/``rng`` are injectable for deterministic tests.
+    """Owns the job journal, the results database (``db``: a
+    :class:`~repro.db.store.ResultsDB` or a path to open one; None
+    stores nothing), the retry policy and the ``jobs`` in-process
+    workers (``execute``/``timeout`` configure them; ``jobs=0`` leaves
+    all executing to remote workers).  ``clock``/``rng`` are
+    injectable for deterministic tests.
     """
 
     def __init__(self, store: JobStore,
-                 cache: Optional[RunCache] = None,
                  jobs: int = 1, queue_limit: int = 64,
                  retry_after: float = 1.0,
-                 cache_max_bytes: Optional[int] = None,
-                 db=None, db_flush_interval: Optional[float] = None,
-                 shards: int = 16, *,
+                 db=None, shards: int = 16, *,
                  execute: Callable[[Dict], RunStats] = execute_spec,
                  timeout: Optional[float] = None,
                  max_attempts: int = 3,
@@ -159,16 +161,15 @@ class Scheduler:
         if shards < 1:
             raise ValueError("shards must be >= 1")
         self.store = store
-        self.cache = cache
         self.jobs = jobs
         self.queue_limit = queue_limit
         self.retry_after = retry_after
-        self.cache_max_bytes = cache_max_bytes
-        # results database: every job a worker completes lands as a
-        # provenance-stamped row (a path opens a ResultsDB here)
+        # results database: answers submits whose key has a row, and
+        # every job a worker completes lands as a provenance-stamped
+        # row (a path opens a ResultsDB here)
         if isinstance(db, str):
             from repro.db.store import ResultsDB
-            db = ResultsDB(db, flush_interval=db_flush_interval)
+            db = ResultsDB(db)
         self.db = db
         self.execute = execute
         self.timeout = timeout
@@ -249,13 +250,6 @@ class Scheduler:
             for thread in self._threads:
                 thread.join()
         self._workers, self._threads = [], []
-        if self.db is not None:
-            try:
-                self.db.flush()
-            except Exception as error:     # pragma: no cover
-                warnings.warn(f"results-db flush failed: "
-                              f"{type(error).__name__}: {error}",
-                              RuntimeWarning, stacklevel=2)
 
     # ------------------------------------------------------------------
     def submit(self, spec: Dict) -> Submission:
@@ -264,22 +258,21 @@ class Scheduler:
         index = self._shard_of(key)
         self._count("submits")
         with self._shard_locks[index]:
-            if self.cache is not None:
-                stats = self.cache.get(key)
-                if stats is not None:
-                    self._count("cache_hits")
-                    future: "Future[RunStats]" = Future()
-                    future.set_result(stats)
-                    return Submission(key=key, job_id=None,
-                                      cached=True, coalesced=False,
-                                      future=future)
+            stats = self.db.lookup(key) if self.db is not None else None
+            if stats is not None:
+                self._count("cache_hits")
+                future: "Future[RunStats]" = Future()
+                future.set_result(stats)
+                return Submission(key=key, job_id=None,
+                                  cached=True, coalesced=False,
+                                  future=future)
             error = self.quarantined(key)
             if error is not None:
                 raise Quarantined(error)
             pending = self._futures[index].get(key)
             if pending is not None:
-                # the job may have just left the queue (DONE) while
-                # its result is still being published to the cache;
+                # the job may have just been stored and journalled
+                # DONE while its waiters are still being answered;
                 # the live future bridges that window
                 self._count("coalesced")
                 active = self.store.active_for(key)
@@ -330,38 +323,42 @@ class Scheduler:
     def lease(self, worker: str, duration: float) -> Optional[Job]:
         """Grant the next runnable job to ``worker``.
 
-        Jobs whose key already has a result in the shared store are
+        Jobs whose key already has a row in the results database are
         completed here instead of handed out — the fleet-wide dedup
-        that makes an expired-then-finished-elsewhere job free, and
-        lets a warm batch cache drain a queue without burning a
-        single worker-second.
+        that makes an expired-then-finished-elsewhere job free, lets a
+        database warmed by batch runs drain a queue without burning a
+        single worker-second, and finishes a job whose result was
+        stored just before a crash kept it from being journalled DONE.
         """
         while True:
             job = self.store.lease(worker, duration)
             if job is None:
                 return None
-            if self.cache is not None and self.cache.contains(job.key):
-                stats = self.cache.get(job.key)
-                if stats is not None:
-                    self.store.complete(job.id)
-                    self._count("deduped_results")
-                    self._resolve(job.key, stats)
-                    continue
+            stats = (self.db.lookup(job.key) if self.db is not None
+                     else None)
+            if stats is not None:
+                self.store.complete(job.id)
+                self._count("deduped_results")
+                self._resolve(job.key, stats)
+                continue
             self._count("leases")
             return job
 
     def complete(self, job_id: str, worker: str, stats: RunStats,
                  wall_time_s: Optional[float] = None) -> bool:
-        """Record a worker's finished result and publish it.
+        """Store a worker's finished result and publish it.
 
-        Returns ``True`` when this was the completion of record (the
-        worker still held the lease).  A late result — the lease
-        expired, the job was requeued, possibly re-leased or already
-        finished by someone else — is **not** an error: determinism
-        makes it byte-equal to the winning result, so it is published
-        to the store and any waiters are answered, and ``False``
-        reports that it was redundant.  Raises :class:`KeyError` for
-        a job id the journal has never seen.
+        The row is written before the job is journalled DONE, so a
+        DONE job always has its result stored; a crash between the two
+        leaves a stored row that lease-time dedup completes after the
+        restart.  Returns ``True`` when this was the completion of
+        record (the worker still held the lease).  A late result — the
+        lease expired, the job was requeued, possibly re-leased or
+        already finished by someone else — is **not** an error:
+        determinism makes it byte-equal to the winning result, so it
+        is stored (the last write wins) and any waiters are answered,
+        and ``False`` reports that it was redundant.  Raises
+        :class:`KeyError` for a job id the journal has never seen.
         """
         job = self.store.get(job_id)
         if job is None:
@@ -371,30 +368,6 @@ class Scheduler:
         queue_wait = max(
             0.0, (job.updated_at or job.submitted_at)
             - job.submitted_at)
-        fresh = job.state == LEASED and job.worker == worker
-        if fresh:
-            try:
-                self.store.complete(job_id)
-            except ValueError:
-                # lost a photo-finish with lease expiry; fall through
-                # to the dedup path
-                fresh = False
-        if not fresh:
-            self._count("deduped_results")
-            if self.cache is not None:
-                self.cache.put_if_absent(job.key, stats)
-            self._resolve(job.key, stats)
-            return False
-        with self._lock:
-            self.executed += 1
-            self.latency.add("job_queue_wait_ms",
-                             int(round(queue_wait * 1000)))
-            self.latency.add("job_simulate_ms",
-                             int(round((wall_time_s or 0.0) * 1000)))
-        if self.cache is not None:
-            self.cache.put(job.key, stats)
-            if self.cache_max_bytes is not None:
-                self.cache.prune(self.cache_max_bytes)
         if self.db is not None:
             try:
                 self.db.record(
@@ -406,6 +379,24 @@ class Scheduler:
                     f"results-db record failed for {job.key[:12]}…: "
                     f"{type(error).__name__}: {error}",
                     RuntimeWarning, stacklevel=2)
+        fresh = job.state == LEASED and job.worker == worker
+        if fresh:
+            try:
+                self.store.complete(job_id)
+            except ValueError:
+                # lost a photo-finish with lease expiry; fall through
+                # to the dedup path
+                fresh = False
+        if not fresh:
+            self._count("deduped_results")
+            self._resolve(job.key, stats)
+            return False
+        with self._lock:
+            self.executed += 1
+            self.latency.add("job_queue_wait_ms",
+                             int(round(queue_wait * 1000)))
+            self.latency.add("job_simulate_ms",
+                             int(round((wall_time_s or 0.0) * 1000)))
         self._resolve(job.key, stats)
         return True
 
@@ -511,7 +502,4 @@ class Scheduler:
         }
         for state, value in counts.items():
             out[f"jobs_{state}"] = value
-        if self.cache is not None:
-            for name, value in self.cache.stats().items():
-                out[f"cache_{name}"] = value
         return out

@@ -9,7 +9,7 @@ envelope") have a single canonical JSON shape, used identically by
 
 so that anything consuming results — dashboards, sweep drivers, diff
 tools — never needs to know whether a result came from a local run,
-the service's cache, or a coalesced in-flight job.
+the results database, or a coalesced in-flight job.
 
 Every message carries ``"v": PROTOCOL_VERSION``; a server receiving a
 higher version than it speaks rejects the request instead of guessing.
@@ -116,13 +116,13 @@ def spec_config(spec: Dict) -> GPUConfig:
 
 
 def spec_key(spec: Dict) -> str:
-    """The single-flight / cache identity of a validated spec.
+    """The single-flight / store identity of a validated spec.
 
     This is exactly :func:`repro.harness.cache.run_key`, so the serve
-    subsystem's dedup key, its result cache, and the batch harness's
-    on-disk cache all agree: a point simulated by ``gtsc-repro run``
-    is a *cache hit* when later requested through the service, and
-    vice versa.
+    subsystem's dedup key and the results-database row key of both
+    the service and the batch harness agree: a point simulated by
+    ``gtsc-repro run`` is a *cache hit* when later requested through
+    the service sharing its database, and vice versa.
     """
     return run_key(spec_config(spec), spec["workload"], spec["scale"],
                    spec["seed"])

@@ -123,7 +123,7 @@ class RunStats:
         return baseline.cycles / self.cycles
 
     def to_dict(self) -> Dict:
-        """A JSON-ready dump for downstream tooling and the run cache.
+        """A JSON-ready dump for downstream tooling and the wire.
 
         Each histogram entry keeps the human-facing summary fields
         (count/mean/p99/max) and adds the raw buckets so that
@@ -149,8 +149,8 @@ class RunStats:
         """Rebuild a run summary dumped by :meth:`to_dict`.
 
         The round trip is exact: ``RunStats.from_dict(s.to_dict()) == s``
-        for any run, which is what lets the disk cache substitute a
-        stored result for a fresh simulation.
+        for any run, which is what lets a parallel worker's or a remote
+        serve worker's payload stand in for an in-process simulation.
         """
         return cls(
             config_desc=data["config"],

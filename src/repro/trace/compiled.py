@@ -25,8 +25,8 @@ single range check.
 and harness rely on (``name``, ``cta_size``, ``num_warps``,
 ``total_instructions``, ``num_ctas``, ``validate``,
 ``memory_footprint``) and serializes through the same row format as
-:mod:`repro.trace.serialize` — which is what the on-disk trace cache
-in :mod:`repro.workloads` stores.
+:mod:`repro.trace.serialize` — the form the pinned trace digests
+(``tests/golden/trace_digests.json``) are taken over.
 """
 
 from __future__ import annotations
@@ -242,7 +242,7 @@ class CompiledKernel:
             cta_size=self.cta_size,
         )
 
-    # -- serialization (the trace-cache format) -------------------------------
+    # -- serialization (the serialize-module row format) ----------------------
     def to_dict(self) -> dict:
         """The kernel as the serialize-module row format."""
         warps = []
@@ -265,7 +265,7 @@ class CompiledKernel:
         """Rebuild from :meth:`to_dict` output.
 
         Packs straight from the rows — no intermediate :class:`Instr`
-        objects — which is what makes a trace-cache hit cheap.
+        objects.
         """
         version = data.get("format", 1)
         if version != 1:

@@ -18,28 +18,16 @@ The generators write each warp's packed trace through
 :class:`repro.trace.compiled.TraceBuilder`, so the kernel comes back
 as the :class:`repro.trace.compiled.CompiledKernel` the simulator
 executes — no per-instruction objects, no compile pass at launch.
-
-Passing ``cache_dir`` backs the build with an on-disk trace cache:
-running a paper-scale generator costs more than a JSON read.  Entries
-are keyed by ``(name, scale, seed, GENERATOR_VERSION)`` — bump
-:data:`GENERATOR_VERSION` whenever any generator's output changes.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.trace.compiled import CompiledKernel
 from repro.workloads import coherent, independent, multigpu
-
-#: Version stamp of the generator suite.  Participates in every trace
-#: cache key, so bumping it invalidates all cached compiled traces —
-#: required whenever a generator's emitted instruction stream changes.
-GENERATOR_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -48,7 +36,7 @@ class WorkloadSpec:
 
     ``multigpu`` marks the inter-GPU sharing generators
     (:mod:`repro.workloads.multigpu`): they are full registry citizens
-    (buildable, cacheable, servable) but stay out of ``ALL_NAMES`` /
+    (buildable, storable, servable) but stay out of ``ALL_NAMES`` /
     ``COHERENT_NAMES`` so the paper's twelve-benchmark figures are
     byte-identical to the pre-multigpu harness.
     """
@@ -107,52 +95,12 @@ ALL_NAMES: List[str] = [s.name for s in _SPECS if not s.multigpu]
 MULTIGPU_NAMES: List[str] = [s.name for s in _SPECS if s.multigpu]
 
 
-def trace_key(name: str, scale: float, seed: int) -> str:
-    """The sha256 cache key of one generated workload trace."""
-    payload = {
-        "generator_version": GENERATOR_VERSION,
-        "name": name,
-        "scale": scale,
-        "seed": seed,
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-# per-directory trace caches, shared so hit/miss counters accumulate
-# across build_workload calls (and so tests can inspect them)
-_trace_caches: Dict[str, object] = {}
-
-
-def _trace_cache(cache_dir: str):
-    cache = _trace_caches.get(cache_dir)
-    if cache is None:
-        # imported lazily: repro.harness pulls in the runner (and thus
-        # this module) at package import, so a top-level import of the
-        # harness cache here would be circular
-        from repro.harness.cache import JsonFileCache
-
-        class TraceCache(JsonFileCache):
-            what = "trace-cache"
-
-            def _decode(self, data):
-                return CompiledKernel.from_dict(data)
-
-            def _encode(self, kernel):
-                return kernel.to_dict()
-
-        cache = _trace_caches[cache_dir] = TraceCache(cache_dir)
-    return cache
-
-
-def build_workload(name: str, scale: float = 1.0, seed: int = 2018,
-                   cache_dir: Optional[str] = None) -> CompiledKernel:
+def build_workload(name: str, scale: float = 1.0,
+                   seed: int = 2018) -> CompiledKernel:
     """Build benchmark ``name`` at the given scale, deterministically.
 
     Returns the validated :class:`CompiledKernel` the simulator
-    executes.  With ``cache_dir`` it is read from the on-disk trace
-    cache when the same ``(name, scale, seed, GENERATOR_VERSION)`` has
-    been built before, and written there otherwise.
+    executes.
     """
     try:
         spec = WORKLOADS[name]
@@ -161,19 +109,6 @@ def build_workload(name: str, scale: float = 1.0, seed: int = 2018,
         raise KeyError(f"unknown workload {name!r}; known: {known}") from None
     if scale <= 0:
         raise ValueError("scale must be positive")
-    if cache_dir is None:
-        return _generate(spec, scale, seed)
-    cache = _trace_cache(cache_dir)
-    key = trace_key(name, scale, seed)
-    kernel = cache.get(key)
-    if kernel is None:
-        kernel = _generate(spec, scale, seed)
-        cache.put(key, kernel)
-    return kernel
-
-
-def _generate(spec: WorkloadSpec, scale: float,
-              seed: int) -> CompiledKernel:
     kernel = spec.builder(random.Random(seed), scale)
     kernel.validate()
     return kernel

@@ -77,7 +77,7 @@ def test_simulate_other_protocols(capsys):
 
 def test_run_single_experiment(capsys):
     code, out, _ = run_cli(capsys, "run", "fig14", "--preset", "tiny",
-                           "--scale", "0.1")
+                           "--scale", "0.1", "--no-db")
     assert code == 0
     assert "fig14" in out
     assert "lease=8" in out
@@ -117,7 +117,8 @@ def test_build_report_contains_every_experiment():
 def test_report_command_writes_file(tmp_path, capsys):
     target = tmp_path / "report.md"
     code, out, _ = run_cli(capsys, "report", "--output", str(target),
-                           "--preset", "tiny", "--scale", "0.1")
+                           "--preset", "tiny", "--scale", "0.1",
+                           "--db", str(tmp_path / "repro.db"))
     assert code == 0
     assert target.exists()
     assert "paper vs. measured" in target.read_text()
@@ -125,7 +126,8 @@ def test_report_command_writes_file(tmp_path, capsys):
 
 def test_report_to_stdout(capsys):
     code, out, _ = run_cli(capsys, "report", "--output", "-",
-                           "--preset", "tiny", "--scale", "0.1")
+                           "--preset", "tiny", "--scale", "0.1",
+                           "--no-db")
     assert code == 0
     assert "# EXPERIMENTS" in out
 
@@ -174,7 +176,7 @@ def test_simulate_set_override_changes_key(capsys):
 def test_sweep_command(capsys):
     code, out, _ = run_cli(capsys, "sweep", "lease", "8", "20",
                            "--workload", "HS", "--preset", "tiny",
-                           "--scale", "0.1")
+                           "--scale", "0.1", "--no-db")
     assert code == 0
     assert "lease=8" in out and "lease=20" in out
 
@@ -189,13 +191,14 @@ def test_sweep_rejects_non_integer_values(capsys):
 def test_sweep_rejects_unknown_metric(capsys):
     code, _out, err = run_cli(capsys, "sweep", "lease", "8",
                               "--workload", "HS", "--preset", "tiny",
-                              "--scale", "0.1", "--metric", "vibes")
+                              "--scale", "0.1", "--metric", "vibes",
+                              "--no-db")
     assert code == 2
 
 
 def test_profile_cprofile_prints_hotspots(capsys):
     code, out, _ = run_cli(capsys, "profile", "BFS", "--preset", "tiny",
-                           "--scale", "0.3", "--cprofile", "--no-cache")
+                           "--scale", "0.3", "--cprofile", "--no-db")
     assert code == 0
     assert "cProfile: BFS gtsc-rc" in out
     assert "cumulative" in out            # pstats sort header

@@ -63,11 +63,10 @@ def test_trace_rejects_unknown_workload():
 # ---------------------------------------------------------------------------
 
 def test_profile_prints_matrix_and_heartbeats(tmp_path, capsys):
-    cache = str(tmp_path / "cache")
     code, stdout, stderr = run_cli(capsys, "profile", "BFS",
                                    "--preset", "tiny",
                                    "--scale", "0.3",
-                                   "--cache-dir", cache)
+                                   "--db", str(tmp_path / "repro.db"))
     assert code == 0
     for label in ("BFS tc-sc", "BFS tc-rc", "BFS gtsc-sc",
                   "BFS gtsc-rc"):
@@ -80,18 +79,18 @@ def test_profile_prints_matrix_and_heartbeats(tmp_path, capsys):
 
 
 def test_profile_reports_cache_reuse(tmp_path, capsys):
-    cache = str(tmp_path / "cache")
+    db = str(tmp_path / "repro.db")
     run_cli(capsys, "profile", "BFS", "--preset", "tiny",
-            "--scale", "0.3", "--cache-dir", cache)
+            "--scale", "0.3", "--db", db)
     code, stdout, _ = run_cli(capsys, "profile", "BFS",
                               "--preset", "tiny", "--scale", "0.3",
-                              "--cache-dir", cache)
+                              "--db", db)
     assert code == 0
     assert "0 simulated" in stdout
     assert "4 from cache" in stdout
 
 
 def test_profile_rejects_unknown_workload(capsys):
-    code, _, err = run_cli(capsys, "profile", "XXX", "--no-cache")
+    code, _, err = run_cli(capsys, "profile", "XXX", "--no-db")
     assert code == 2
     assert "unknown workloads" in err

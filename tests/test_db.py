@@ -4,9 +4,9 @@ The database is only trustworthy if (a) the RunStats -> rows ->
 RunStats round trip is *exact* for arbitrary stats (ints stay ints,
 histograms keep their buckets, time-series reassemble), (b) many
 concurrent writers cannot corrupt it and the last write wins whole,
-(c) historical run-cache entries backfill faithfully, and (d) a row
-written by the batch runner and one written by a serve worker for the
-same run key are indistinguishable at the stats level.
+(c) a row written by the batch runner and one written by a serve
+worker for the same run key are indistinguishable at the stats level,
+and (d) a row either producer wrote answers the other's repeat run.
 """
 
 import json
@@ -23,7 +23,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import Consistency, Protocol, VisibilityPolicy
-from repro.db.ingest import ingest_runcache, parse_config_desc
 from repro.db.provenance import config_hash, git_commit
 from repro.db.query import comparison_rows, latest_by_point, \
     matrix_result, sweep_result
@@ -242,53 +241,6 @@ def test_wal_switch_gives_up_after_the_timeout(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# backfill from the run cache
-# ---------------------------------------------------------------------------
-
-def test_ingest_backfills_runcache_exactly(tmp_path):
-    cache_dir = str(tmp_path / "cache")
-    runner = ExperimentRunner(preset="tiny", scale=0.3, seed=7,
-                              cache_dir=cache_dir)
-    expected = runner.run("BFS", Protocol.GTSC, Consistency.RC)
-    runner.run("BFS", Protocol.TC, Consistency.SC)
-
-    db = ResultsDB(str(tmp_path / "r.db"))
-    outcome = ingest_runcache(db, cache_dir)
-    assert outcome == {"ingested": 2, "skipped": 0, "corrupt": 0}
-    assert db.count() == 2
-
-    gtsc = db.runs(protocol="gtsc", consistency="rc")
-    assert len(gtsc) == 1
-    assert db.get_stats(gtsc[0]["run_key"]) == expected
-    assert gtsc[0]["source"] == "ingest"
-
-    # second ingest is a no-op thanks to skip_existing
-    again = ingest_runcache(db, cache_dir)
-    assert again == {"ingested": 0, "skipped": 2, "corrupt": 0}
-
-
-def test_ingest_survives_corrupt_entries(tmp_path):
-    cache_dir = tmp_path / "cache"
-    runner = ExperimentRunner(preset="tiny", scale=0.3, seed=7,
-                              cache_dir=str(cache_dir))
-    runner.run("BFS", Protocol.GTSC, Consistency.RC)
-    victim = next(cache_dir.glob("*.json"))
-    victim.write_text("{ not json")
-    db = ResultsDB(str(tmp_path / "r.db"))
-    with pytest.warns(RuntimeWarning):
-        outcome = ingest_runcache(db, str(cache_dir))
-    assert outcome["corrupt"] == 1
-    assert db.count() == 0
-
-
-def test_parse_config_desc_recovers_protocol():
-    assert parse_config_desc("gtsc/rc 2SM x 2w, L1 0KB") == \
-        ("gtsc", "rc")
-    assert parse_config_desc("tc/sc 4SM") == ("tc", "sc")
-    assert parse_config_desc("nonsense") == ("", "")
-
-
-# ---------------------------------------------------------------------------
 # runner-written and serve-written rows agree (acceptance criterion)
 # ---------------------------------------------------------------------------
 
@@ -325,6 +277,39 @@ def test_runner_and_serve_write_identical_stats_rows(tmp_path):
     assert serve_row["wall_time_s"] is not None
     assert serve_row["config_hash"] == row["config_hash"]
     assert db_serve.get_stats(key) == db_runner.get_stats(key)
+
+
+def test_runner_and_scheduler_answer_from_one_store(tmp_path):
+    """A point served by the scheduler costs a runner sharing its
+    database no simulation, and a point the runner recorded is
+    answered from the database with no job."""
+    from repro.serve import JobStore, Scheduler, make_spec
+
+    path = str(tmp_path / "repro.db")
+    store = JobStore(str(tmp_path / "jobs.jsonl"))
+    scheduler = Scheduler(store, jobs=1, db=path)
+    scheduler.start()
+    try:
+        served = scheduler.submit(make_spec(
+            "HS", preset="tiny", scale=0.1, seed=7)).future.result(
+                timeout=120)
+    finally:
+        scheduler.stop()
+
+    runner = ExperimentRunner(preset="tiny", scale=0.1, seed=7, db=path)
+    assert runner.run("HS", Protocol.GTSC, Consistency.RC) == served
+    assert runner.simulations_run == 0
+    recorded = runner.run("KM", Protocol.GTSC, Consistency.RC)
+    assert runner.simulations_run == 1
+
+    # no workers: only the database can answer
+    scheduler = Scheduler(store, jobs=0, db=path)
+    submission = scheduler.submit(
+        make_spec("KM", preset="tiny", scale=0.1, seed=7))
+    assert submission.cached and submission.job_id is None
+    assert submission.future.result(timeout=1) == recorded
+    assert store.counts()["pending"] == 0
+    store.close()
 
 
 def test_run_key_memo_hit_is_recorded_like_a_disk_cache_hit(tmp_path):
@@ -475,16 +460,6 @@ def test_cli_db_query_and_report_smoke(tmp_path):
     assert "no results database" in proc.stderr
 
 
-def test_cli_db_ingest_smoke(tmp_path):
-    runner = ExperimentRunner(preset="tiny", scale=0.3, seed=7,
-                              cache_dir=str(tmp_path / "cache"))
-    runner.run("BFS", Protocol.GTSC, Consistency.RC)
-    proc = _cli(tmp_path, "db", "ingest", "--db", "repro.db",
-                "--cache-dir", "cache")
-    assert proc.returncode == 0, proc.stderr
-    assert "ingested 1" in proc.stdout
-
-
 # ---------------------------------------------------------------------------
 # store plumbing
 # ---------------------------------------------------------------------------
@@ -505,73 +480,3 @@ def test_schema_version_is_stamped(tmp_path):
     assert conn.execute("PRAGMA user_version").fetchone()[0] == \
         SCHEMA_VERSION
     conn.close()
-
-
-# ---------------------------------------------------------------------------
-# batched writes (flush_interval)
-# ---------------------------------------------------------------------------
-
-class TickClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-
-def test_batched_record_lands_one_transaction_per_interval(tmp_path):
-    clock = TickClock()
-    db = ResultsDB(str(tmp_path / "r.db"), flush_interval=1.0,
-                   clock=clock)
-    db.record(KEY_A, make_stats(), source="serve")
-    clock.now = 0.5
-    db.record(KEY_B, make_stats(), source="serve")
-    assert db.flushes == 0 and db.recorded == 0      # still buffered
-    clock.now = 1.0
-    db.record("c" * 64, make_stats(), source="serve")
-    assert db.flushes == 1 and db.recorded == 3      # one transaction
-    db.close()
-
-
-def test_batched_reads_see_pending_writes(tmp_path):
-    db = ResultsDB(str(tmp_path / "r.db"), flush_interval=3600,
-                   clock=TickClock())
-    db.record(KEY_A, make_stats(counters={"l1_hit": 9}),
-              source="serve")
-    # every reader flushes first: a handle always reads its writes
-    assert db.count() == 1
-    assert db.get_stats(KEY_A).counters["l1_hit"] == 9
-    assert db.flushes == 1
-    db.close()
-
-
-def test_batched_rerecord_of_one_key_keeps_last_write(tmp_path):
-    """Two records of one key inside one unflushed interval must not
-    collide on child-table primary keys — last write wins, as it
-    would across flushes."""
-    db = ResultsDB(str(tmp_path / "r.db"), flush_interval=3600,
-                   clock=TickClock())
-    db.record(KEY_A, make_stats(counters={"l1_hit": 1}), source="a")
-    db.record(KEY_A, make_stats(counters={"l1_hit": 2}), source="b")
-    assert db.get_stats(KEY_A).counters["l1_hit"] == 2
-    assert db.get_run(KEY_A)["source"] == "b"
-    assert db.recorded == 1
-    db.close()
-
-
-def test_batched_close_flushes(tmp_path):
-    path = str(tmp_path / "r.db")
-    db = ResultsDB(path, flush_interval=3600, clock=TickClock())
-    db.record(KEY_A, make_stats(), source="serve")
-    db.close()
-    assert ResultsDB(path).count() == 1
-
-
-def test_batched_flush_max_caps_the_buffer(tmp_path):
-    db = ResultsDB(str(tmp_path / "r.db"), flush_interval=3600,
-                   flush_max=4, clock=TickClock())
-    for index in range(10):
-        db.record(f"{index:02d}" * 32, make_stats(), source="serve")
-    assert db.flushes == 2 and db.recorded == 8      # 2 full batches
-    assert db.flush() == 2                           # the remainder
-    db.close()

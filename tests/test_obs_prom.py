@@ -57,9 +57,9 @@ def test_render_sanitises_metric_names():
 
 def test_split_snapshot_classifies_queue_state_as_gauges():
     split = split_snapshot({"submits": 9, "jobs_pending": 2,
-                            "jobs_done": 5, "cache_bytes": 100})
+                            "jobs_done": 5, "jobs_leased": 1})
     assert split["counters"] == {"submits": 9, "jobs_done": 5}
-    assert split["gauges"] == {"jobs_pending": 2, "cache_bytes": 100}
+    assert split["gauges"] == {"jobs_pending": 2, "jobs_leased": 1}
 
 
 # ---------------------------------------------------------------------------

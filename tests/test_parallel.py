@@ -103,14 +103,14 @@ def test_pool_batch_dedupes_spellings_and_resolved_run_keys():
 
 
 def test_parallel_runner_shares_the_disk_cache(tmp_path):
-    cache_dir = str(tmp_path / "runcache")
-    warmup = make_sequential(cache_dir=cache_dir)
+    db = str(tmp_path / "repro.db")
+    warmup = make_sequential(db=db)
     expected = warmup.matrix("BFS")
     assert warmup.simulations_run == 4
 
-    warm = make_parallel(jobs=2, cache_dir=cache_dir)
+    warm = make_parallel(jobs=2, db=db)
     actual = warm.matrix("BFS")
-    assert warm.simulations_run == 0        # all four came from disk
+    assert warm.simulations_run == 0        # all four came from the db
     for bar in expected:
         assert actual[bar] == expected[bar]
 
@@ -186,14 +186,3 @@ def test_default_jobs_is_cpu_count_without_warning(recwarn):
     # defaulting to the machine must not trip the clamp warning
     assert not [w for w in recwarn.list
                 if issubclass(w.category, RuntimeWarning)]
-
-
-def test_workers_share_the_trace_cache_dir(tmp_path):
-    cache_dir = str(tmp_path / "runcache")
-    runner = make_parallel(jobs=1, cache_dir=cache_dir)
-    runner.run("BFS", Protocol.GTSC, Consistency.RC)
-    import os
-
-    traces = os.path.join(cache_dir, "traces")
-    assert runner.trace_cache_dir == traces
-    assert os.listdir(traces)             # compiled trace persisted

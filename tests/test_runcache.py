@@ -1,14 +1,14 @@
-"""Tests for run-result persistence and the on-disk run cache.
+"""Tests for run-result persistence and reuse through the results DB.
 
-A cached run is only usable if (a) the RunStats<->JSON round trip is
-exact, (b) the key covers every parameter that changes the result, and
-(c) damaged files degrade to re-simulation, never to wrong data.
+A stored run is only usable if (a) the RunStats round trip is exact,
+(b) the key covers every parameter that changes the result, and (c)
+damaged rows degrade to re-simulation, never to wrong data.
 """
 
 import dataclasses
 import enum
 import json
-import os
+import sqlite3
 
 import pytest
 
@@ -16,7 +16,7 @@ import repro
 from repro.config import (Consistency, GPUConfig, LeasePolicy,
                           Protocol, VisibilityPolicy)
 from repro.gpu.gpu import GPU
-from repro.harness.cache import RunCache, run_key
+from repro.harness.cache import run_key
 from repro.harness.runner import ExperimentRunner
 from repro.stats.collector import RunStats
 from repro.stats.histogram import Histogram
@@ -99,47 +99,46 @@ def test_key_changes_with_workload_scale_seed_and_version(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# cache behaviour
+# the results DB as the store
 # ---------------------------------------------------------------------------
 
+def tiny_runner(db: str) -> ExperimentRunner:
+    return ExperimentRunner(preset="tiny", scale=0.3, seed=7, db=db)
+
+
+def damage_histograms(db: str, payload: str) -> None:
+    """Overwrite every stored histogram payload of every run."""
+    with sqlite3.connect(db) as conn:
+        damaged = conn.execute(
+            "UPDATE stats SET payload = ? WHERE kind = 'histogram'",
+            (payload,)).rowcount
+    assert damaged
+
+
 def test_cache_hit_returns_identical_stats(tmp_path):
-    cache = RunCache(str(tmp_path))
-    stats = small_run()
-    cache.put("k1", stats)
-    restored = cache.get("k1")
-    assert restored == stats
-    report = cache.stats()
-    assert report["hits"] == 1 and report["misses"] == 0
-    assert report["entries"] == 1 and report["bytes"] > 0
-
-
-def test_corrupted_cache_file_is_a_miss(tmp_path):
-    cache = RunCache(str(tmp_path))
-    cache.put("k1", small_run())
-    with open(cache._path("k1"), "w") as handle:
-        handle.write("{not json at all")
-    assert cache.get("k1") is None
-    assert cache.misses == 1
+    db = str(tmp_path / "repro.db")
+    cold = tiny_runner(db).run("BFS", Protocol.GTSC, Consistency.RC)
+    runner = tiny_runner(db)
+    warm = runner.run("BFS", Protocol.GTSC, Consistency.RC)
+    assert warm == cold and warm is not cold   # read back from the db
+    assert runner.simulations_run == 0
+    [row] = runner.results_db.runs()
+    assert row["source"] == "runner-cache"
 
 
 def test_missing_directory_is_a_miss_not_an_error(tmp_path):
-    cache = RunCache(str(tmp_path / "never-created"))
-    assert cache.get("whatever") is None
+    runner = tiny_runner(str(tmp_path / "never-created" / "repro.db"))
+    runner.run("BFS", Protocol.GTSC, Consistency.RC)
+    assert runner.simulations_run == 1
 
-
-# ---------------------------------------------------------------------------
-# runner integration
-# ---------------------------------------------------------------------------
 
 def test_runner_reuses_disk_cache_across_instances(tmp_path):
-    cache_dir = str(tmp_path / "runcache")
-    first = ExperimentRunner(preset="tiny", scale=0.3, seed=7,
-                             cache_dir=cache_dir)
+    db = str(tmp_path / "repro.db")
+    first = tiny_runner(db)
     cold = first.run("BFS", Protocol.GTSC, Consistency.RC)
     assert first.simulations_run == 1
 
-    second = ExperimentRunner(preset="tiny", scale=0.3, seed=7,
-                              cache_dir=cache_dir)
+    second = tiny_runner(db)
     warm = second.run("BFS", Protocol.GTSC, Consistency.RC)
     assert second.simulations_run == 0      # zero simulations on hit
     assert warm == cold
@@ -147,46 +146,41 @@ def test_runner_reuses_disk_cache_across_instances(tmp_path):
 
 def test_warm_sweep_performs_zero_simulations(tmp_path):
     from repro.harness.sweeps import sweep
-    cache_dir = str(tmp_path / "runcache")
+    db = str(tmp_path / "repro.db")
 
     def run_sweep(runner):
         return sweep(runner, workloads=["BFS"], parameter="lease",
                      values=[8, 12], protocol=Protocol.GTSC,
                      consistency=Consistency.RC)
 
-    first = ExperimentRunner(preset="tiny", scale=0.3, seed=7,
-                             cache_dir=cache_dir)
+    first = tiny_runner(db)
     cold = run_sweep(first)
     assert first.simulations_run == 2
 
-    second = ExperimentRunner(preset="tiny", scale=0.3, seed=7,
-                              cache_dir=cache_dir)
+    second = tiny_runner(db)
     warm = run_sweep(second)
     assert second.simulations_run == 0
     assert warm.data == cold.data
 
 
 def test_corrupt_entry_causes_resimulation(tmp_path):
-    cache_dir = str(tmp_path / "runcache")
-    first = ExperimentRunner(preset="tiny", scale=0.3, seed=7,
-                             cache_dir=cache_dir)
+    db = str(tmp_path / "repro.db")
+    first = tiny_runner(db)
     cold = first.run("BFS", Protocol.GTSC, Consistency.RC)
-    # the dir also holds the traces/ subcache; corrupt the run entry
-    entries = [e for e in os.listdir(cache_dir) if e.endswith(".json")]
-    assert len(entries) == 1
-    with open(os.path.join(cache_dir, entries[0]), "w") as handle:
-        handle.write("garbage")
+    damage_histograms(db, "{not json at all")
 
-    second = ExperimentRunner(preset="tiny", scale=0.3, seed=7,
-                              cache_dir=cache_dir)
-    again = second.run("BFS", Protocol.GTSC, Consistency.RC)
-    assert second.simulations_run == 1      # quietly re-simulated
+    second = tiny_runner(db)
+    key = run_key(second.base_config(Protocol.GTSC, Consistency.RC),
+                  "BFS", 0.3, 7)
+    with pytest.warns(RuntimeWarning,
+                      match=rf"results-db read failed for {key[:12]}"):
+        again = second.run("BFS", Protocol.GTSC, Consistency.RC)
+    assert second.simulations_run == 1      # a miss: re-simulated
     assert again == cold
 
-    # ... and the fresh result repaired the cache entry
-    third = ExperimentRunner(preset="tiny", scale=0.3, seed=7,
-                             cache_dir=cache_dir)
-    third.run("BFS", Protocol.GTSC, Consistency.RC)
+    # ... and the fresh result repaired the row
+    third = tiny_runner(db)
+    assert third.run("BFS", Protocol.GTSC, Consistency.RC) == cold
     assert third.simulations_run == 0
 
 
@@ -220,30 +214,20 @@ def test_clearing_the_memo_forgets_every_spelling():
         assert runner.simulations_run == done
 
 
-def test_corrupt_entry_warns_with_the_offending_path(tmp_path):
-    cache = RunCache(str(tmp_path))
-    cache.put("k1", small_run())
-    path = cache._path("k1")
-    with open(path, "w") as handle:
-        handle.write("{not json at all")
-    with pytest.warns(RuntimeWarning,
-                      match=r"corrupt run-cache entry .*k1"):
-        assert cache.get("k1") is None
-
-
 def test_truncated_entry_warns_too(tmp_path):
-    cache = RunCache(str(tmp_path))
-    cache.put("k1", small_run())
-    with open(cache._path("k1"), "w") as handle:
-        handle.write('{"cycles": 5}')      # valid JSON, not a RunStats
-    with pytest.warns(RuntimeWarning, match="re-simulating"):
-        assert cache.get("k1") is None
-    report = cache.stats()
-    assert report["hits"] == 0 and report["misses"] == 1
+    db = str(tmp_path / "repro.db")
+    tiny_runner(db).run("BFS", Protocol.GTSC, Consistency.RC)
+    # valid JSON, not a histogram
+    damage_histograms(db, '{"cycles": 5}')
+    runner = tiny_runner(db)
+    with pytest.warns(RuntimeWarning, match="results-db read failed"):
+        runner.run("BFS", Protocol.GTSC, Consistency.RC)
+    assert runner.simulations_run == 1
 
 
 def test_ordinary_miss_does_not_warn(tmp_path, recwarn):
-    cache = RunCache(str(tmp_path))
-    assert cache.get("never-written") is None
+    runner = tiny_runner(str(tmp_path / "repro.db"))
+    runner.run("BFS", Protocol.GTSC, Consistency.RC)
+    assert runner.simulations_run == 1
     assert not [w for w in recwarn.list
                 if issubclass(w.category, RuntimeWarning)]

@@ -17,7 +17,6 @@ import time
 
 import pytest
 
-from repro.harness.cache import RunCache
 from repro.serve import (FleetWorker, JobStore, Scheduler, ServeClient,
                          ServeError, ServeServer, execute_spec,
                          make_spec)
@@ -42,8 +41,8 @@ def fleet_test(tmp_path, body, *, jobs=0, queue_limit=64,
     """
     async def main():
         store = JobStore(str(tmp_path / "jobs.jsonl"))
-        cache = RunCache(str(tmp_path / "results"))
-        scheduler = Scheduler(store, cache=cache, jobs=jobs,
+        scheduler = Scheduler(store, db=str(tmp_path / "repro.db"),
+                              jobs=jobs,
                               queue_limit=queue_limit,
                               poll_interval=0.01,
                               lease_duration=lease_duration,
@@ -223,7 +222,7 @@ def test_lease_refused_while_draining(tmp_path):
 
 def test_lease_skips_keys_already_in_the_shared_store(tmp_path):
     """A job whose key was finished elsewhere (another fleet member,
-    a batch run sharing the directory) is completed at lease time,
+    a batch run sharing the database) is completed at lease time,
     never handed to a worker."""
     async def body(server, call):
         client = ServeClient(port=server.port)
@@ -233,11 +232,15 @@ def test_lease_skips_keys_already_in_the_shared_store(tmp_path):
             lambda: server.scheduler.store.active_count() == 1)
         job = server.scheduler.store.jobs()[0]
         # a second fleet member publishes the result out-of-band
-        server.scheduler.cache.put(job.key, fake_stats(7))
+        server.scheduler.db.record(job.key, fake_stats(7))
         assert await call(client.lease, "w1") is None
         result = await pending
         assert result["stats"]["cycles"] == 7
         assert server.scheduler.deduped_results == 1
+        # a lease-time dedup answers no submit from the store
+        snapshot = server.scheduler.snapshot()
+        assert snapshot["cache_hits"] == 0
+        assert snapshot["deduped_results"] == 1
         assert (await call(client.status, job.id)
                 )["job"]["state"] == "done"
 
@@ -357,7 +360,7 @@ def test_dispatcher_restart_requeues_remote_leases(tmp_path):
         await wait_until(
             lambda: server.scheduler.store.counts()["done"] == 1)
         job = server.scheduler.store.jobs()[0]
-        stats = server.scheduler.cache.get(job.key)
+        stats = server.scheduler.db.get_stats(job.key)
         assert stats.to_dict() == direct
         worker.stop()
 

@@ -14,7 +14,6 @@ import time
 
 import pytest
 
-from repro.harness.cache import RunCache
 from repro.serve import (Busy, JobStore, Quarantined, Scheduler,
                          execute_spec, make_spec, spec_key)
 from repro.stats.collector import RunStats
@@ -35,10 +34,9 @@ def store(tmp_path):
 
 
 def make_scheduler(store, tmp_path=None, **kwargs):
-    cache = (RunCache(str(tmp_path / "cache"))
-             if tmp_path is not None else None)
+    db = str(tmp_path / "repro.db") if tmp_path is not None else None
     kwargs.setdefault("poll_interval", 0.01)
-    return Scheduler(store, cache=cache, **kwargs)
+    return Scheduler(store, db=db, **kwargs)
 
 
 def wait_for(predicate, timeout=10.0):
@@ -341,7 +339,7 @@ def test_served_result_is_bit_identical_to_direct_run(store, tmp_path):
 
 def test_pending_jobs_resume_after_restart(tmp_path):
     """A sweep interrupted by a crash resumes from the journal: no job
-    is lost, none runs twice, and results land in the shared cache."""
+    is lost, none runs twice, and results land in the shared db."""
     path = str(tmp_path / "jobs.jsonl")
     specs = [make_spec(w, preset="tiny", scale=0.1)
              for w in ("HS", "KM", "BP")]
@@ -368,9 +366,9 @@ def test_pending_jobs_resume_after_restart(tmp_path):
     try:
         wait_for(lambda: reopened.counts()["done"] == 3)
         assert sorted(executed) == ["BP", "HS", "KM"]
-        assert resumed.cache is not None
+        assert resumed.db is not None
         for spec in specs:
-            assert resumed.cache.get(spec_key(spec)) is not None
+            assert resumed.db.get_stats(spec_key(spec)) is not None
     finally:
         resumed.stop()
         reopened.close()

@@ -13,7 +13,6 @@ import threading
 
 import pytest
 
-from repro.harness.cache import RunCache
 from repro.serve import (JobStore, Scheduler, ServeClient, ServeError,
                          ServeServer, make_spec)
 from repro.stats.collector import RunStats
@@ -27,7 +26,7 @@ def fake_stats(cycles: int = 42) -> RunStats:
 
 
 def serve_test(tmp_path, body, *, execute=None, jobs=1,
-               queue_limit=64, cache=True, drain_timeout=10.0,
+               queue_limit=64, drain_timeout=10.0,
                **scheduler_options):
     """Run ``await body(server, call)`` against a live server.
 
@@ -35,13 +34,12 @@ def serve_test(tmp_path, body, *, execute=None, jobs=1,
     """
     async def main():
         store = JobStore(str(tmp_path / "jobs.jsonl"))
-        run_cache = (RunCache(str(tmp_path / "cache"))
-                     if cache else None)
         options = dict(scheduler_options)
         options.setdefault("poll_interval", 0.01)
         if execute is not None:
             options["execute"] = execute
-        scheduler = Scheduler(store, cache=run_cache, jobs=jobs,
+        scheduler = Scheduler(store, db=str(tmp_path / "repro.db"),
+                              jobs=jobs,
                               queue_limit=queue_limit, **options)
         server = ServeServer(scheduler, port=0, quiet=True,
                              drain_timeout=drain_timeout)

@@ -1,13 +1,11 @@
-"""Compiled traces: format round-trips, simulated equivalence, cache.
+"""Compiled traces: format round-trips, simulated equivalence, digests.
 
 The workload generators write packed traces directly through
 :class:`TraceBuilder`.  That is pure packaging: every generated
 kernel must simulate to a ``RunStats.to_dict()`` byte-identical to
 its authoring-level :class:`Kernel` compiled at launch, under every
 protocol, and every generated trace must match the sha256 digest
-recorded in ``tests/golden/trace_digests.json``.  The on-disk trace
-cache must hand back the same kernel without re-running the
-generator.
+recorded in ``tests/golden/trace_digests.json``.
 """
 
 import hashlib
@@ -17,7 +15,6 @@ import os
 import pytest
 
 import repro.trace.instr as authoring
-import repro.workloads as workloads
 from repro.config import Consistency, GPUConfig, Protocol
 from repro.gpu.gpu import GPU
 from repro.trace.compiled import (
@@ -33,7 +30,7 @@ from repro.trace.compiled import (
     compile_trace,
 )
 from repro.trace.instr import Instr, Kernel
-from repro.workloads import ALL_NAMES, WORKLOADS, build_workload, trace_key
+from repro.workloads import ALL_NAMES, WORKLOADS, build_workload
 
 SCALE = 0.3
 SEED = 7
@@ -161,16 +158,12 @@ def test_compiled_validate_matches_kernel_validate():
 @pytest.mark.parametrize("protocol", PROTOCOLS,
                          ids=[p.value for p in PROTOCOLS])
 @pytest.mark.parametrize("name", ALL_NAMES)
-def test_compiled_path_is_byte_identical(name, protocol, tmp_path):
+def test_compiled_path_is_byte_identical(name, protocol):
     generated = build_workload(name, scale=SCALE, seed=SEED)
-    cached = build_workload(name, scale=SCALE, seed=SEED,
-                            cache_dir=str(tmp_path))
     assert isinstance(generated, CompiledKernel)
-    assert isinstance(cached, CompiledKernel)
     expected = _run(generated, protocol)
     # the authoring-level kernel, compiled at launch
     assert _run(generated.decompile(), protocol) == expected
-    assert _run(cached, protocol) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -178,14 +171,9 @@ def test_compiled_path_is_byte_identical(name, protocol, tmp_path):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_every_workload_builds_a_compiled_kernel(name, tmp_path):
-    cache_dir = str(tmp_path / "traces")
-    # no cache, a cache miss, then a hit decoded from the file
-    for directory in (None, cache_dir, cache_dir):
-        kernel = build_workload(name, scale=0.15, seed=SEED,
-                                cache_dir=directory)
-        assert isinstance(kernel, CompiledKernel)
-    assert workloads._trace_caches[cache_dir].hits == 1
+def test_every_workload_builds_a_compiled_kernel(name):
+    kernel = build_workload(name, scale=0.15, seed=SEED)
+    assert isinstance(kernel, CompiledKernel)
 
 
 def _trace_digest(kernel) -> str:
@@ -195,79 +183,16 @@ def _trace_digest(kernel) -> str:
 
 @pytest.mark.parametrize("key", sorted(TRACE_GOLDEN["digests"]))
 def test_generated_trace_matches_recorded_digest(key):
-    """Byte-identical emitted traces are what keep existing trace-cache
-    entries valid under an unchanged ``GENERATOR_VERSION``."""
+    """Every generator emits byte-for-byte the trace recorded here, so
+    no change to a generator's output goes unnoticed."""
     name, scale, seed = key.split("|")
     kernel = build_workload(name, scale=float(scale), seed=int(seed))
     assert _trace_digest(kernel) == TRACE_GOLDEN["digests"][key]
 
 
 def test_trace_digests_cover_every_workload_at_this_version():
-    """Guard the fixture: a generator whose output changes must bump
-    ``GENERATOR_VERSION`` and re-record every digest with it."""
-    assert TRACE_GOLDEN["generator_version"] == workloads.GENERATOR_VERSION
+    """Guard the fixture: it pins two traces of every workload, and a
+    generator whose output changes must re-record its digests."""
     names = [key.split("|")[0] for key in TRACE_GOLDEN["digests"]]
     assert sorted(set(names)) == sorted(WORKLOADS)
     assert len(names) == 2 * len(WORKLOADS)
-
-
-# ---------------------------------------------------------------------------
-# the on-disk trace cache
-# ---------------------------------------------------------------------------
-
-def test_second_build_reads_from_disk(tmp_path):
-    cache_dir = str(tmp_path / "traces")
-    first = build_workload("BFS", scale=SCALE, seed=SEED,
-                           cache_dir=cache_dir)
-    cache = workloads._trace_caches[cache_dir]
-    assert cache.misses == 1 and cache.hits == 0
-    entry = os.path.join(cache_dir,
-                         trace_key("BFS", SCALE, SEED) + ".json")
-    assert os.path.exists(entry)
-
-    second = build_workload("BFS", scale=SCALE, seed=SEED,
-                            cache_dir=cache_dir)
-    assert cache.hits == 1
-    assert second is not first            # decoded from the file
-    assert second.to_dict() == first.to_dict()
-
-
-def test_cached_kernel_survives_a_fresh_cache_object(tmp_path):
-    """A second process sees the entry too (fresh TraceCache)."""
-    cache_dir = str(tmp_path / "traces")
-    first = build_workload("STN", scale=SCALE, seed=SEED,
-                           cache_dir=cache_dir)
-    workloads._trace_caches.pop(cache_dir)
-    second = build_workload("STN", scale=SCALE, seed=SEED,
-                            cache_dir=cache_dir)
-    assert workloads._trace_caches[cache_dir].hits == 1
-    assert second.to_dict() == first.to_dict()
-
-
-def test_trace_key_varies_on_every_parameter():
-    base = trace_key("BFS", 0.5, 2018)
-    assert trace_key("STN", 0.5, 2018) != base
-    assert trace_key("BFS", 0.4, 2018) != base
-    assert trace_key("BFS", 0.5, 2019) != base
-
-
-def test_trace_key_covers_generator_version(monkeypatch):
-    base = trace_key("BFS", 0.5, 2018)
-    monkeypatch.setattr(workloads, "GENERATOR_VERSION",
-                        workloads.GENERATOR_VERSION + 1)
-    assert trace_key("BFS", 0.5, 2018) != base
-
-
-def test_corrupt_trace_entry_regenerates(tmp_path):
-    cache_dir = str(tmp_path / "traces")
-    first = build_workload("KM", scale=SCALE, seed=SEED,
-                           cache_dir=cache_dir)
-    entry = os.path.join(cache_dir,
-                         trace_key("KM", SCALE, SEED) + ".json")
-    with open(entry, "w") as handle:
-        handle.write("garbage")
-    workloads._trace_caches.pop(cache_dir)
-    with pytest.warns(RuntimeWarning, match="trace-cache"):
-        again = build_workload("KM", scale=SCALE, seed=SEED,
-                               cache_dir=cache_dir)
-    assert again.to_dict() == first.to_dict()
