@@ -4,9 +4,12 @@ Covers the HALCONE-style machine at 2 and 4 GPUs: cross-GPU litmus
 outcomes under every protocol, G-TSC audit replay over the shared
 home directory, the home directory's capacity summarization, the
 ``n_gpus=1`` identity (the cluster path never perturbs single-GPU
-results), and bit-reproducibility of cluster runs.
+results), bit-reproducibility of cluster runs, and the cluster golden
+(``tests/golden/runstats_cluster_tiny.json``).
 """
 
+import json
+import os
 import random
 
 import pytest
@@ -142,6 +145,49 @@ def test_cluster_emits_only_registered_stat_names():
     kernel = build_workload("PCX", scale=0.15, seed=1)
     stats = make_gpu(config, record_accesses=False).run(kernel)
     assert names.unregistered(stats.counters) == set()
+
+
+# ---------------------------------------------------------------------------
+# cluster golden: pinned RunStats of 2- and 4-GPU runs
+# ---------------------------------------------------------------------------
+# ``runstats_cluster_tiny.json`` holds ``RunStats.to_dict()`` payloads
+# (tiny preset, scale 0.3, seed 2018) for every protocol under SC and
+# RC on PCX at 2 GPUs, and G-TSC/TC/MESI under RC on NZP at 4 GPUs.
+# Keys are ``workload|protocol|consistency|n_gpus``.  A change that
+# means to alter simulated cluster behaviour regenerates the fixture
+# from ``_simulate_cluster_key`` and says so.
+
+CLUSTER_GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
+                                   "runstats_cluster_tiny.json")
+
+with open(CLUSTER_GOLDEN_PATH) as handle:
+    CLUSTER_GOLDEN = json.load(handle)
+
+
+def _simulate_cluster_key(key: str) -> dict:
+    workload, protocol, consistency, n_gpus = key.split("|")
+    config = cluster_config(Protocol(protocol), Consistency(consistency),
+                            int(n_gpus))
+    kernel = build_workload(workload, scale=0.3, seed=2018)
+    return make_gpu(config, record_accesses=False).run(kernel).to_dict()
+
+
+@pytest.mark.parametrize("key", sorted(CLUSTER_GOLDEN))
+def test_cluster_runstats_match_the_golden(key):
+    expected = json.dumps(CLUSTER_GOLDEN[key], sort_keys=True)
+    actual = json.dumps(_simulate_cluster_key(key), sort_keys=True)
+    assert actual == expected, f"simulated cluster outcome changed for {key}"
+
+
+def test_cluster_golden_covers_every_protocol_at_two_gpus():
+    """Guard the fixture itself against accidental truncation."""
+    two_gpu = {tuple(key.split("|")[1:3]) for key in CLUSTER_GOLDEN
+               if key.endswith("|2")}
+    assert two_gpu == {(p.value, c.value) for p in Protocol
+                       for c in Consistency}
+    assert {key for key in CLUSTER_GOLDEN if key.endswith("|4")} == {
+        f"NZP|{p.value}|rc|4"
+        for p in (Protocol.GTSC, Protocol.TC, Protocol.MESI)}
 
 
 def test_cluster_runs_are_bit_reproducible():
