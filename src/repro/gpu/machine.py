@@ -1,10 +1,15 @@
-"""The machine: every shared hardware structure wired together.
+"""The machine: one GPU's shared hardware structures wired together.
 
-A :class:`Machine` owns the engine, the statistics, the NoC, the DRAM
-partitions, and — once :func:`repro.protocols.build_protocol` has run —
-the per-SM L1 controllers and per-bank L2 controllers.  It also routes
-messages: requests go to the home bank of their line address, replies
-to the requesting SM.
+A :class:`Machine` holds the NoC, the DRAM partitions, the memory
+image and — once :func:`repro.protocols.build_protocol` has run — the
+per-SM L1 controllers and per-bank L2 controllers, together with the
+engine, statistics, version store and access log it runs on.
+:class:`repro.gpu.gpu.GPU` builds one machine per GPU and injects one
+shared engine/statistics/log set into all of them; a lone machine
+built directly (as unit tests do) makes its own.  Routing is done by
+the controllers themselves (``L1ControllerBase._send`` and
+``L2BankBase._reply``): requests go to the home bank of their line
+address, replies to the requesting SM.
 """
 
 from __future__ import annotations
@@ -20,24 +25,21 @@ from repro.validate.versions import AccessLog, VersionStore
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.timestamps import TimestampDomain
-    from repro.obs import Observability
     from repro.protocols.base import L1ControllerBase, L2BankBase, Message
 
 
 class Machine:
-    """Shared hardware context for one simulation."""
+    """One GPU's hardware context within a simulation."""
 
     def __init__(self, config: GPUConfig,
                  record_accesses: bool = True,
-                 obs: Optional["Observability"] = None,
                  *,
                  engine=None, stats=None, versions=None, log=None,
                  gpu_id: int = 0, cluster=None) -> None:
         self.config = config
-        # engine/stats/versions/log may be injected so that N machines
-        # in a multi-GPU cluster share one event timeline and one
-        # statistics namespace (repro.multigpu); single-GPU callers
-        # never pass them and get private instances as before
+        # the GPU injects engine/stats/versions/log so that all of its
+        # machines share one event timeline and one statistics
+        # namespace; a machine built on its own gets private instances
         self.engine = engine if engine is not None else Engine()
         self.stats = stats if stats is not None else StatsCollector()
         self.versions = versions if versions is not None else VersionStore()
@@ -81,14 +83,12 @@ class Machine:
         # and every message send needs a src and dst pair
         self._sm_ports = [("sm", i) for i in range(config.num_sms)]
         self._bank_ports = [("l2", j) for j in range(config.num_l2_banks)]
-        # observability bundle (None by default: zero-cost).  Attached
-        # last so the hooks see the fully built NoC/DRAM models; the
-        # controllers read machine.obs at their own construction.
-        self.obs = obs
-        if obs is not None:
-            obs.attach(self)
+        # observability bundle: None (zero-cost) unless
+        # Observability.attach sets it; the controllers read it at
+        # their own construction
+        self.obs = None
 
-    # -- message routing -------------------------------------------------------
+    # -- message sizes -----------------------------------------------------------
     def _size_of(self, msg: "Message") -> int:
         cls = type(msg)
         size = self._msg_sizes.get(cls)
@@ -97,20 +97,3 @@ class Machine:
             if cls.uniform_size:
                 self._msg_sizes[cls] = size
         return size
-
-    def send_to_bank(self, sm_id: int, msg: "Message") -> None:
-        """Route a request from SM ``sm_id`` to the line's home bank."""
-        bank_id = msg.addr % self.config.num_l2_banks  # config.bank_of
-        size = self._msg_sizes.get(type(msg))
-        if size is None:
-            size = self._size_of(msg)
-        self.noc.send(self._sm_ports[sm_id], self._bank_ports[bank_id],
-                      size, msg.kind, self.l2_banks[bank_id].receive, msg)
-
-    def send_to_sm(self, bank_id: int, sm_id: int, msg: "Message") -> None:
-        """Route a response from bank ``bank_id`` back to an SM."""
-        size = self._msg_sizes.get(type(msg))
-        if size is None:
-            size = self._size_of(msg)
-        self.noc.send(self._bank_ports[bank_id], self._sm_ports[sm_id],
-                      size, msg.kind, self.l1s[sm_id].receive, msg)

@@ -2,12 +2,12 @@
 
 The single-GPU :class:`~repro.gpu.machine.Machine` encapsulates one
 full GPU — SMs, private L1s, a banked L2, the NoC, DRAM partitions.
-This package scales that machine out: a :class:`MultiGpuGPU`
-instantiates ``config.n_gpus`` machines on **one shared event
-engine**, connects their L2 layers through an inter-GPU
-:class:`~repro.multigpu.interlink.Interlink`, and gives the G-TSC
-protocol a shared per-address memory-timestamp home layer
-(:class:`~repro.multigpu.home.HomeDirectory`) so leases stay
+With ``config.n_gpus > 1``, :class:`repro.gpu.gpu.GPU` scales that
+machine out: it builds ``n_gpus`` machines on **one shared event
+engine**, connects their L2 layers through the inter-GPU
+:class:`~repro.multigpu.interlink.Interlink` of this package, and
+gives the G-TSC protocol a shared per-address memory-timestamp home
+layer (:class:`~repro.multigpu.home.HomeDirectory`) so leases stay
 monotone across GPU boundaries — the design HALCONE
 (arXiv 2007.04292) builds on top of Tardis-style logical leases.
 
@@ -17,14 +17,12 @@ L2 state is never replicated between GPUs and each protocol's bank
 state machine runs unchanged — cross-GPU support is a routing
 concern (``repro.protocols.xgpu``), not a new state machine.
 
-``n_gpus=1`` never touches this package: ``repro.gpu.gpu.make_gpu``
-returns the plain single-GPU path, bit-identical to before.
+A single-GPU run never imports this package.
 """
 
 from __future__ import annotations
 
 from repro.multigpu.home import HomeDirectory
 from repro.multigpu.interlink import Interlink
-from repro.multigpu.machine import MultiGpuGPU
 
-__all__ = ["HomeDirectory", "Interlink", "MultiGpuGPU"]
+__all__ = ["HomeDirectory", "Interlink"]

@@ -38,7 +38,7 @@ from repro.obs.schema import validate_chrome_trace
 from repro.obs.tracer import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.gpu.machine import Machine
+    from repro.gpu.gpu import GPU
 
 __all__ = [
     "AuditRecord",
@@ -79,65 +79,37 @@ class Observability:
                    audit=ProtocolAuditLog())
 
     # ------------------------------------------------------------------
-    # wiring (called by Machine.__init__)
+    # wiring (called by GPU.__init__)
     # ------------------------------------------------------------------
-    def attach(self, machine: "Machine") -> None:
-        """Hook this bundle into a machine being constructed.
+    def attach(self, gpu: "GPU") -> None:
+        """Hook this bundle into a GPU under construction.
 
-        Installs the engine dispatch hook, hands the tracer to the NoC
-        and DRAM models, and registers the default live gauges.  The
-        gauges close over ``machine`` because the L1/L2 controllers are
-        populated later by ``build_protocol``.
+        Hands the tracer to every machine's NoC and DRAM partitions
+        and to the interlink of a cluster, then binds the metrics
+        registry, registers the default live gauges and installs the
+        engine dispatch hook exactly once: every machine runs on the
+        GPU's one engine and statistics collector.  The MSHR gauges
+        sum over all machines and close over them because the L1/L2
+        controllers are populated later by ``build_protocol``, which
+        reads the bundle from ``machine.obs``.
         """
         tracer = self.tracer
         metrics = self.metrics
-        if tracer is not None:
-            machine.noc.trace = tracer
-            for dram in machine.drams:
-                dram.trace = tracer
-        if metrics is not None:
-            metrics.bind(machine.stats, tracer=tracer)
-            engine = machine.engine
-            metrics.add_gauge("engine_pending", engine.pending)
-            # hot-loop counters (see stats.names.ENGINE_COUNTERS):
-            # sampled as gauges because they are cumulative engine
-            # state, not RunStats counters
-            metrics.add_gauge("engine_heap_deferred",
-                              lambda: engine.heap_deferred)
-            metrics.add_gauge("engine_heap_migrated",
-                              lambda: engine.heap_migrated)
-            metrics.add_gauge("engine_stale_reclaimed",
-                              lambda: engine.stale_reclaimed)
-            metrics.add_gauge(
-                "l1_mshr_occupancy",
-                lambda: sum(len(l1.mshr) for l1 in machine.l1s))
-            metrics.add_gauge(
-                "l2_mshr_occupancy",
-                lambda: sum(len(b.mshr) for b in machine.l2_banks))
-        machine.engine.hook = self._engine_hook()
-
-    def attach_cluster(self, cluster) -> None:
-        """Hook this bundle into a multi-GPU cluster under construction.
-
-        Per-machine members (NoC/DRAM tracers) are installed on every
-        GPU plus the interlink, but the metrics registry and the engine
-        dispatch hook are installed exactly once — all machines share
-        one engine, and a per-machine ``attach`` would re-bind them N
-        times.  MSHR-occupancy gauges aggregate across the cluster.
-        """
-        tracer = self.tracer
-        metrics = self.metrics
-        machines = cluster.machines
+        machines = gpu.machines
+        engine = gpu.machine.engine
         if tracer is not None:
             for machine in machines:
                 machine.noc.trace = tracer
                 for dram in machine.drams:
                     dram.trace = tracer
-            cluster.interlink.trace = tracer
+            if gpu.interlink is not None:
+                gpu.interlink.trace = tracer
         if metrics is not None:
-            metrics.bind(machines[0].stats, tracer=tracer)
-            engine = machines[0].engine
+            metrics.bind(gpu.machine.stats, tracer=tracer)
             metrics.add_gauge("engine_pending", engine.pending)
+            # hot-loop counters (see stats.names.ENGINE_COUNTERS):
+            # sampled as gauges because they are cumulative engine
+            # state, not RunStats counters
             metrics.add_gauge("engine_heap_deferred",
                               lambda: engine.heap_deferred)
             metrics.add_gauge("engine_heap_migrated",
@@ -152,7 +124,7 @@ class Observability:
                 "l2_mshr_occupancy",
                 lambda: sum(len(b.mshr)
                             for m in machines for b in m.l2_banks))
-        machines[0].engine.hook = self._engine_hook()
+        engine.hook = self._engine_hook()
         for machine in machines:
             machine.obs = self
 

@@ -191,8 +191,9 @@ class L1ControllerBase:
     def _send(self, msg: Message) -> None:
         """Route a request to the home L2 bank of ``msg.addr``.
 
-        ``Machine.send_to_bank``, inlined: every request crosses this
-        method, and the extra frame showed up in profiles.
+        Every request crosses this method, so the routing is written
+        out here rather than behind a machine-level helper, whose
+        extra frame showed up in profiles.
         """
         machine = self.machine
         bank_id = msg.addr % self._num_banks
@@ -334,7 +335,7 @@ class L2BankBase:
 
     # -- response path -----------------------------------------------------------
     def _reply(self, sm_id: int, msg: Message) -> None:
-        # Machine.send_to_sm, inlined (see L1ControllerBase._send)
+        # route back to the requesting SM (see L1ControllerBase._send)
         machine = self.machine
         size = machine._msg_sizes.get(type(msg))
         if size is None:

@@ -18,88 +18,47 @@ from repro.protocols.tc import TCL1Controller, TCL2Bank
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.machine import Machine
 
+#: (L1, L2) controller classes of a lone GPU; MESI's are imported
+#: only when a config asks for them
+_CLASSES = {
+    Protocol.GTSC: (GTSCL1Controller, GTSCL2Bank),
+    Protocol.TC: (TCL1Controller, TCL2Bank),
+    Protocol.DISABLED: (DisabledL1Controller, PlainL2Bank),
+    Protocol.NONCOHERENT: (NonCoherentL1Controller, PlainL2Bank),
+}
+
 
 def build_protocol(machine: "Machine") -> None:
     """Populate ``machine.l1s`` and ``machine.l2_banks`` per the config.
 
-    A machine inside a multi-GPU cluster (``machine.cluster`` set by
-    :class:`repro.multigpu.machine.MultiGpuGPU`) gets the cross-GPU
-    controller variants from :mod:`repro.protocols.xgpu` — same state
+    A machine inside a multi-GPU cluster (``machine.cluster``, set by
+    :class:`repro.gpu.gpu.GPU` when ``n_gpus > 1``) takes the
+    cross-GPU variants of :mod:`repro.protocols.xgpu` — same state
     machines, interlink-aware routing — and, under G-TSC, the
-    cluster's shared timestamp domain instead of a private one.
-    Standalone machines take the exact pre-multigpu classes.
+    cluster's shared timestamp domain; a lone machine gets a fresh
+    domain.  MESI and the cluster variants are imported only when
+    needed, so a single-GPU run of any other protocol never loads
+    them.
     """
     config = machine.config
     cluster = machine.cluster
+    if cluster is not None:
+        from repro.protocols.xgpu import xgpu_classes
+        l1_cls, l2_cls = xgpu_classes(config.protocol)
+    elif config.protocol is Protocol.MESI:
+        from repro.protocols.mesi import MESIL1Controller, MESIL2Bank
+        l1_cls, l2_cls = MESIL1Controller, MESIL2Bank
+    else:
+        l1_cls, l2_cls = _CLASSES[config.protocol]
+    bank_args = ()
     if config.protocol is Protocol.GTSC:
         if cluster is not None:
-            from repro.protocols.xgpu import (
-                XGpuGTSCL1Controller,
-                XGpuGTSCL2Bank,
-            )
-            domain = cluster.timestamp_domain
-            machine.timestamp_domain = domain
-            machine.l2_banks = [XGpuGTSCL2Bank(b, machine, domain)
-                                for b in range(config.num_l2_banks)]
-            machine.l1s = [XGpuGTSCL1Controller(s, machine)
-                           for s in range(config.num_sms)]
-            return
-        domain = TimestampDomain(config.ts_max, config.lease,
-                                 machine.stats)
-        machine.timestamp_domain = domain
-        machine.l2_banks = [GTSCL2Bank(b, machine, domain)
-                            for b in range(config.num_l2_banks)]
-        machine.l1s = [GTSCL1Controller(s, machine)
-                       for s in range(config.num_sms)]
-    elif config.protocol is Protocol.TC:
-        if cluster is not None:
-            from repro.protocols.xgpu import (
-                XGpuTCL1Controller,
-                XGpuTCL2Bank,
-            )
-            l1_cls, l2_cls = XGpuTCL1Controller, XGpuTCL2Bank
+            machine.timestamp_domain = cluster.timestamp_domain
         else:
-            l1_cls, l2_cls = TCL1Controller, TCL2Bank
-        machine.l2_banks = [l2_cls(b, machine)
-                            for b in range(config.num_l2_banks)]
-        machine.l1s = [l1_cls(s, machine)
-                       for s in range(config.num_sms)]
-    elif config.protocol is Protocol.DISABLED:
-        if cluster is not None:
-            from repro.protocols.xgpu import (
-                XGpuDisabledL1Controller,
-                XGpuPlainL2Bank,
-            )
-            l1_cls, l2_cls = XGpuDisabledL1Controller, XGpuPlainL2Bank
-        else:
-            l1_cls, l2_cls = DisabledL1Controller, PlainL2Bank
-        machine.l2_banks = [l2_cls(b, machine)
-                            for b in range(config.num_l2_banks)]
-        machine.l1s = [l1_cls(s, machine)
-                       for s in range(config.num_sms)]
-    elif config.protocol is Protocol.NONCOHERENT:
-        if cluster is not None:
-            from repro.protocols.xgpu import (
-                XGpuNonCoherentL1Controller,
-                XGpuPlainL2Bank,
-            )
-            l1_cls, l2_cls = XGpuNonCoherentL1Controller, XGpuPlainL2Bank
-        else:
-            l1_cls, l2_cls = NonCoherentL1Controller, PlainL2Bank
-        machine.l2_banks = [l2_cls(b, machine)
-                            for b in range(config.num_l2_banks)]
-        machine.l1s = [l1_cls(s, machine)
-                       for s in range(config.num_sms)]
-    elif config.protocol is Protocol.MESI:
-        if cluster is not None:
-            from repro.protocols.xgpu import xgpu_mesi_classes
-            l1_cls, l2_cls = xgpu_mesi_classes()
-        else:
-            from repro.protocols.mesi import MESIL1Controller, MESIL2Bank
-            l1_cls, l2_cls = MESIL1Controller, MESIL2Bank
-        machine.l2_banks = [l2_cls(b, machine)
-                            for b in range(config.num_l2_banks)]
-        machine.l1s = [l1_cls(s, machine)
-                       for s in range(config.num_sms)]
-    else:  # pragma: no cover - enum is exhaustive
-        raise ValueError(f"unknown protocol: {config.protocol}")
+            machine.timestamp_domain = TimestampDomain(
+                config.ts_max, config.lease, machine.stats)
+        # G-TSC banks take the domain they stamp leases in
+        bank_args = (machine.timestamp_domain,)
+    machine.l2_banks = [l2_cls(b, machine, *bank_args)
+                        for b in range(config.num_l2_banks)]
+    machine.l1s = [l1_cls(s, machine) for s in range(config.num_sms)]

@@ -23,11 +23,16 @@ rewrite is an absolute assignment, so the L2's MSHR-full retry path
 
 All mixins declare empty ``__slots__``: the controller bases are
 slotted, and per-instance data (uid base, cluster ref) lives on the
-:class:`~repro.gpu.machine.Machine`.
+:class:`~repro.gpu.machine.Machine`.  ``machine.cluster`` is the
+:class:`~repro.gpu.gpu.GPU` that built the machine; it holds the
+interlink, the home directory, the shared timestamp domain and every
+GPU's machine.  :func:`repro.protocols.factory.build_protocol` takes
+the classes of a cluster machine from :func:`xgpu_classes`.
 """
 
 from __future__ import annotations
 
+from repro.config import Protocol
 from repro.core.l1 import GTSCL1Controller
 from repro.core.l2 import GTSCL2Bank
 from repro.core.messages import BusInv
@@ -173,18 +178,23 @@ class XGpuPlainL2Bank(XGpuL2Mixin, PlainL2Bank):
     __slots__ = ()
 
 
-_MESI_CLASSES = None
+_CLASSES = {
+    Protocol.GTSC: (XGpuGTSCL1Controller, XGpuGTSCL2Bank),
+    Protocol.TC: (XGpuTCL1Controller, XGpuTCL2Bank),
+    Protocol.DISABLED: (XGpuDisabledL1Controller, XGpuPlainL2Bank),
+    Protocol.NONCOHERENT: (XGpuNonCoherentL1Controller, XGpuPlainL2Bank),
+}
 
 
-def xgpu_mesi_classes():
-    """MESI cluster classes (lazy: mirrors the factory's lazy import).
+def xgpu_classes(protocol: Protocol) -> tuple:
+    """The cluster (L1, L2) controller classes of ``protocol``.
 
-    The full-map directory keys sharers/owner by ``msg.sm``, which
-    inside a cluster is the global uid — membership and recall
+    MESI's are built on first use, mirroring the factory's lazy MESI
+    import.  Its full-map directory keys sharers/owner by ``msg.sm``,
+    which inside a cluster is the global uid — membership and recall
     invalidations then route correctly through ``_reply``.
     """
-    global _MESI_CLASSES
-    if _MESI_CLASSES is None:
+    if protocol is Protocol.MESI and protocol not in _CLASSES:
         from repro.protocols.mesi import MESIL1Controller, MESIL2Bank
 
         class XGpuMESIL1Controller(XGpuL1Mixin, MESIL1Controller):
@@ -193,5 +203,5 @@ def xgpu_mesi_classes():
         class XGpuMESIL2Bank(XGpuL2Mixin, MESIL2Bank):
             __slots__ = ()
 
-        _MESI_CLASSES = (XGpuMESIL1Controller, XGpuMESIL2Bank)
-    return _MESI_CLASSES
+        _CLASSES[protocol] = (XGpuMESIL1Controller, XGpuMESIL2Bank)
+    return _CLASSES[protocol]

@@ -27,7 +27,7 @@ def small_config() -> GPUConfig:
 
 
 def run_gpu(config: GPUConfig, kernel: Kernel, max_events: int = 2_000_000):
-    """Run a kernel and return (GPU or MultiGpuGPU, RunStats)."""
+    """Run a kernel and return (GPU, RunStats)."""
     gpu = make_gpu(config)
     stats = gpu.run(kernel, max_events=max_events)
     return gpu, stats

@@ -1,6 +1,7 @@
 """Tests for the observability-facing CLI verbs: trace and profile."""
 
 import json
+import re
 
 import pytest
 
@@ -51,6 +52,25 @@ def test_trace_supports_other_protocols(tmp_path, capsys):
     # no G-TSC audit records under MESI, and no timestamp-log check
     assert "0 violations" in stdout
     assert "verified against timestamp order" not in stdout
+
+
+def test_trace_covers_a_cluster_point(tmp_path, capsys):
+    """A 2-GPU trace: the one ``Observability.attach`` hands the tracer
+    to the interlink and binds the audit log and the metrics."""
+    out = str(tmp_path / "pcx-2gpu.trace.json")
+    code, stdout, _ = run_cli(capsys, "trace", "PCX", "--set", "n_gpus=2",
+                              "--out", out)
+    assert code == 0
+    with open(out) as handle:
+        trace = json.load(handle)
+    assert validate_chrome_trace(trace) > 0
+    assert any(event["ph"] == "X" and event.get("cat") == "interlink"
+               for event in trace["traceEvents"])
+    replayed = re.search(r"audit: +(\d+) transition\(s\) replayed, "
+                         r"0 violations", stdout)
+    assert replayed and int(replayed.group(1)) > 0
+    samples = re.search(r"metrics: (\d+) sample", stdout)
+    assert samples and int(samples.group(1)) > 0
 
 
 def test_trace_rejects_unknown_workload():

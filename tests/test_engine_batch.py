@@ -78,7 +78,7 @@ def test_protocol_runs_are_horizon_invariant(protocol, monkeypatch):
     the old pure-heap engine — so RunStats equality here is the
     same-cycle FIFO property end to end.
     """
-    import repro.gpu.machine as machine_mod
+    import repro.gpu.gpu as gpu_mod
 
     def simulate():
         config = GPUConfig.tiny(protocol=protocol,
@@ -87,15 +87,15 @@ def test_protocol_runs_are_horizon_invariant(protocol, monkeypatch):
         return GPU(config, record_accesses=False).run(kernel).to_dict()
 
     reference = simulate()
-    # shrink the horizon at the name the machine constructs its
-    # engine through
+    # shrink the horizon at the name the GPU constructs its engine
+    # through
     built = []
 
     def small_engine():
         built.append(Engine(horizon=2))
         return built[-1]
 
-    monkeypatch.setattr(machine_mod, "Engine", small_engine)
+    monkeypatch.setattr(gpu_mod, "Engine", small_engine)
     assert json.dumps(simulate(), sort_keys=True) == \
         json.dumps(reference, sort_keys=True)
     assert len(built) == 1  # the run really used the small horizon

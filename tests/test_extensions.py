@@ -173,6 +173,22 @@ def test_sequence_values_persist_across_kernels():
     assert final_load.version == 1
 
 
+@pytest.mark.parametrize("n_gpus", [1, 2])
+def test_sequence_reports_the_latency_sums_of_run(n_gpus):
+    """A one-kernel sequence carries the NoC (and, on a cluster, the
+    interlink) latency sums that ``run`` reports for the same kernel."""
+    config = GPUConfig.tiny(protocol=Protocol.GTSC, n_gpus=n_gpus)
+    kernel = build_workload("PCX", scale=0.3, seed=1)
+    ran = GPU(config, record_accesses=False).run(kernel)
+    [sequenced] = GPU(config, record_accesses=False).run_sequence([kernel])
+    names = ["noc_latency_sum"]
+    if n_gpus > 1:
+        names.append("interlink_latency_sum")
+    for name in names:
+        assert ran.counter(name) > 0
+        assert sequenced.counters[name] == ran.counter(name), name
+
+
 def test_sequence_warp_uids_do_not_collide():
     config = GPUConfig.tiny(protocol=Protocol.GTSC)
     gpu = GPU(config)

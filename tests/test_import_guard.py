@@ -1,5 +1,6 @@
-"""Nothing in the simulator or its front ends tries to import numpy.
+"""What a fresh interpreter that runs the model imports.
 
+Nothing in the simulator or its front ends tries to import numpy.
 Every fresh interpreter that runs the model — each CLI command, each
 serve worker — would otherwise pay numpy's import time and resident
 memory.  The check runs in a fresh interpreter behind a ``sys.meta_path``
@@ -7,6 +8,11 @@ finder that records every attempt to import numpy and fails it as if
 numpy were absent.  Trapping the attempt (rather than inspecting
 ``sys.modules`` afterwards) catches an optional ``try: import numpy``
 too, whether or not numpy is installed.
+
+A single-GPU run imports no cluster module (``repro.multigpu``,
+``repro.protocols.xgpu``) and, unless it simulates MESI, not
+``repro.protocols.mesi`` either: ``GPU`` and ``build_protocol`` load
+them only when a config asks for them.
 """
 
 import os
@@ -57,3 +63,31 @@ def test_no_module_attempts_to_import_numpy():
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip().endswith("numpy import attempts: []"), \
         result.stdout
+
+
+SINGLE_GPU_SCRIPT = r"""
+import sys
+
+import repro.cli
+from repro.config import Consistency, Protocol
+from repro.harness.runner import ExperimentRunner
+
+runner = ExperimentRunner(preset="tiny", scale=0.2, seed=2018)
+stats = runner.run("BFS", Protocol.GTSC, Consistency.RC)
+assert stats.cycles > 0
+loaded = sorted(name for name in sys.modules
+                if name.split(".")[:2] == ["repro", "multigpu"]
+                or name in ("repro.protocols.xgpu", "repro.protocols.mesi"))
+print("cluster and MESI modules:", loaded)
+"""
+
+
+def test_single_gpu_run_imports_no_cluster_or_mesi_module():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC
+    result = subprocess.run([sys.executable, "-c", SINGLE_GPU_SCRIPT],
+                            env=env, capture_output=True, text=True,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip().endswith(
+        "cluster and MESI modules: []"), result.stdout

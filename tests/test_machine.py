@@ -39,7 +39,7 @@ def test_requests_route_to_home_bank():
     machine = make_machine(num_l2_banks=1)
     recorder = Recorder()
     machine.l2_banks[0] = recorder
-    machine.send_to_bank(0, Probe(addr=5, sm=0))
+    machine.l1s[0]._send(Probe(addr=5, sm=0))
     machine.engine.run()
     assert len(recorder.received) == 1
     assert recorder.received[0].addr == 5
@@ -52,7 +52,7 @@ def test_bank_interleaving_splits_traffic():
     recorders = [Recorder(), Recorder()]
     machine.l2_banks = recorders
     for addr in range(8):
-        machine.send_to_bank(0, Probe(addr=addr, sm=0))
+        machine.l1s[0]._send(Probe(addr=addr, sm=0))
     machine.engine.run()
     assert len(recorders[0].received) == 4
     assert len(recorders[1].received) == 4
@@ -63,7 +63,7 @@ def test_responses_route_to_requesting_sm():
     machine = make_machine()
     recorder = Recorder()
     machine.l1s[1] = recorder
-    machine.send_to_sm(0, 1, Probe(addr=7, sm=1))
+    machine.l2_banks[0]._reply(1, Probe(addr=7, sm=1))
     machine.engine.run()
     assert len(recorder.received) == 1
 

@@ -16,7 +16,7 @@ import pytest
 
 from repro.config import Consistency, GPUConfig, Protocol
 from repro.gpu.gpu import GPU, make_gpu
-from repro.multigpu import HomeDirectory, MultiGpuGPU
+from repro.multigpu import HomeDirectory
 from repro.stats import names
 from repro.workloads import MULTIGPU_NAMES, build_workload
 from repro.workloads.litmus import (
@@ -199,15 +199,45 @@ def test_cluster_runs_are_bit_reproducible():
     assert a.counters == b.counters
 
 
+def test_run_sequence_resets_every_gpu_and_the_home_directory():
+    """The kernel boundary (Section V-D) on a cluster: every GPU's L1s
+    adopt the shared domain's new epoch and the home directory clears
+    with it."""
+    config = cluster_config(Protocol.GTSC, Consistency.RC, 2)
+    kernels = [build_workload(name, scale=0.3, seed=1)
+               for name in ("PCX", "NZP")]
+    # without a boundary the kernel leaves folded timestamps behind
+    ran = make_gpu(config, record_accesses=False)
+    ran.run(kernels[0])
+    assert ran.home.entries
+    gpu = make_gpu(config, record_accesses=False)
+    gpu.run_sequence(kernels)
+    domain = gpu.timestamp_domain
+    assert domain.epoch >= len(kernels)
+    for machine in gpu.machines:
+        assert machine.timestamp_domain is domain
+        assert [l1.epoch for l1 in machine.l1s] == \
+            [domain.epoch] * config.num_sms
+    assert gpu.home.floor == 1
+    assert gpu.home.entries == {}
+
+
 # ---------------------------------------------------------------------------
 # n_gpus = 1: the cluster path must not exist
 # ---------------------------------------------------------------------------
 
 def test_single_gpu_config_builds_the_plain_machine():
+    from repro.core.l1 import GTSCL1Controller
+    from repro.core.l2 import GTSCL2Bank
+
     config = GPUConfig.tiny(protocol=Protocol.GTSC)
-    assert isinstance(make_gpu(config), GPU)
-    with pytest.raises(ValueError):
-        MultiGpuGPU(config)
+    gpu = make_gpu(config)
+    assert isinstance(gpu, GPU)
+    assert gpu.machines == [gpu.machine]
+    assert gpu.interlink is None and gpu.home is None
+    assert gpu.machine.cluster is None
+    assert {type(l1) for l1 in gpu.machine.l1s} == {GTSCL1Controller}
+    assert {type(bank) for bank in gpu.machine.l2_banks} == {GTSCL2Bank}
 
 
 def test_explicit_n_gpus_1_is_stat_identical_to_the_default():
