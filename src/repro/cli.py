@@ -54,6 +54,25 @@ def _add_db_args(parser: argparse.ArgumentParser) -> None:
                              "database")
 
 
+def _results_db(args: argparse.Namespace):
+    """The results database ``--db`` names, opened (``None`` under
+    ``--no-db``); a file sqlite cannot use ends the command with one
+    line instead of a traceback."""
+    if getattr(args, "no_db", False) or getattr(args, "db", None) is None:
+        return None
+    import sqlite3
+
+    from repro.db.store import ResultsDB
+
+    try:
+        return ResultsDB(args.db)
+    except sqlite3.DatabaseError as error:
+        raise SystemExit(
+            f"cannot use {args.db} as a results database ({error}) — "
+            f"point --db at another file, or pass --no-db to run "
+            f"without one") from None
+
+
 def _add_runner_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--preset", default="small",
                         choices=["tiny", "small", "paper"],
@@ -74,8 +93,7 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
 def _make_runner(args: argparse.Namespace) -> ExperimentRunner:
     if args.jobs < 1:
         raise SystemExit("--jobs must be >= 1")
-    db = None if getattr(args, "no_db", False) \
-        else getattr(args, "db", None)
+    db = _results_db(args)
     progress = getattr(args, "progress", False)
     if args.jobs > 1:
         from repro.harness.parallel import ParallelRunner
@@ -412,7 +430,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         store, jobs=args.jobs,
         queue_limit=args.queue_limit,
         retry_after=args.retry_after,
-        db=None if args.no_db else args.db,
+        db=_results_db(args),
         shards=args.shards,
         timeout=args.job_timeout,
         max_attempts=args.max_attempts,
@@ -534,13 +552,11 @@ def _open_db(args: argparse.Namespace):
     """Open an existing results database for a read-side verb."""
     import os
 
-    from repro.db.store import ResultsDB
-
     if not os.path.exists(args.db):
         raise SystemExit(
             f"no results database at {args.db} — 'run', 'report', "
             f"'sweep', 'profile' and 'serve' write it (see their --db)")
-    return ResultsDB(args.db)
+    return _results_db(args)
 
 
 def cmd_db_query(args: argparse.Namespace) -> int:

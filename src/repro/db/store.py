@@ -155,10 +155,14 @@ class ResultsDB:
         self._conn = sqlite3.connect(path, timeout=timeout,
                                      check_same_thread=False)
         try:
-            _switch_to_wal(self._conn, timeout)
-        except sqlite3.OperationalError:
+            self._set_up(timeout)
+        except sqlite3.DatabaseError:
+            # a locked file, or one that is not an sqlite database
             self._conn.close()
             raise
+
+    def _set_up(self, timeout: float) -> None:
+        _switch_to_wal(self._conn, timeout)
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.executescript(
             _SCHEMA.format(version=SCHEMA_VERSION))

@@ -460,6 +460,47 @@ def test_cli_db_query_and_report_smoke(tmp_path):
     assert "no results database" in proc.stderr
 
 
+def _junk_file(tmp_path):
+    junk = tmp_path / "junk.db"
+    junk.write_text("not an sqlite database\n" * 64)
+    return junk
+
+
+def test_junk_file_is_refused_and_its_connection_closed(tmp_path,
+                                                        monkeypatch):
+    opened = []
+    connect = sqlite3.connect
+
+    def recording_connect(*args, **kwargs):
+        opened.append(connect(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(sqlite3, "connect", recording_connect)
+    with pytest.raises(sqlite3.DatabaseError, match="not a database"):
+        ResultsDB(str(_junk_file(tmp_path)))
+    with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+        opened[0].execute("SELECT 1")
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "table2", "--preset", "tiny"],
+    ["db", "query"],
+    ["serve", "--port", "0"],
+], ids=["run", "db-query", "serve"])
+def test_cli_exits_with_one_line_on_a_junk_database(tmp_path, argv):
+    from repro.cli import main
+
+    junk = _junk_file(tmp_path)
+    if argv[0] == "serve":
+        argv = argv + ["--state-dir", str(tmp_path / "state")]
+    # a sqlite3 error escaping main() fails the test as an error
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--db", str(junk)])
+    message = str(exit_info.value.code)
+    assert str(junk) in message and "--no-db" in message
+    assert "\n" not in message
+
+
 # ---------------------------------------------------------------------------
 # store plumbing
 # ---------------------------------------------------------------------------
