@@ -14,7 +14,7 @@ import pytest
 
 from repro.config import Consistency, GPUConfig, Protocol
 from repro.gpu.gpu import GPU
-from repro.trace.instr import Kernel, atomic, compute, fence, load
+from repro.trace import Kernel, atomic, compute, fence, load
 
 from conftest import BENCH_SCALE
 

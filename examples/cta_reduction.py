@@ -14,7 +14,7 @@ Run:  python examples/cta_reduction.py
 
 from repro import Consistency, GPUConfig, Protocol
 from repro.gpu.gpu import GPU
-from repro.trace.instr import Kernel, barrier, compute, fence, load, store
+from repro.trace import Kernel, barrier, compute, fence, load, store
 from repro.validate import check_gtsc_log
 from repro.workloads.patterns import AddressSpace
 

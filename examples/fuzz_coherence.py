@@ -19,7 +19,7 @@ import sys
 
 from repro import Consistency, GPUConfig, Protocol
 from repro.gpu.gpu import GPU
-from repro.trace.instr import Kernel, atomic, compute, fence, load, store
+from repro.trace import Kernel, atomic, compute, fence, load, store
 from repro.validate import (
     check_atomicity,
     check_gtsc_log,

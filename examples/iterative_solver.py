@@ -16,7 +16,7 @@ import sys
 
 from repro import Consistency, GPUConfig, Protocol
 from repro.gpu.gpu import GPU
-from repro.trace.instr import Kernel, compute, fence, load, store
+from repro.trace import Kernel, compute, fence, load, store
 from repro.workloads.patterns import AddressSpace
 
 

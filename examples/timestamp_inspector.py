@@ -12,7 +12,7 @@ Run:  python examples/timestamp_inspector.py
 
 from repro import Consistency, GPUConfig, Protocol
 from repro.gpu.gpu import GPU
-from repro.trace.instr import Kernel, fence, load, store
+from repro.trace import Kernel, fence, load, store
 
 X, Y = 0, 1
 

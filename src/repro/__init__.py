@@ -29,8 +29,7 @@ from repro.config import (
 )
 from repro.gpu.gpu import GPU, SimulationHang, run_kernel
 from repro.stats.collector import RunStats
-from repro.trace.instr import (
-    Instr,
+from repro.trace.compiled import (
     Kernel,
     atomic,
     compute,
@@ -46,7 +45,6 @@ __all__ = [
     "Consistency",
     "GPU",
     "GPUConfig",
-    "Instr",
     "Kernel",
     "Protocol",
     "RunStats",

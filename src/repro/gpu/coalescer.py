@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence
 
-from repro.trace.instr import Instr, load, store
+from repro.trace.compiled import Row, load, store
 
 
 @dataclass(frozen=True)
@@ -50,16 +50,16 @@ def coalesce(byte_addrs: Iterable[int], line_size: int) -> CoalescingResult:
     return CoalescingResult(line_addrs=lines, thread_count=len(addrs))
 
 
-def coalesced_load(byte_addrs: Sequence[int], line_size: int) -> Instr:
-    """A warp load instruction from per-thread byte addresses."""
+def coalesced_load(byte_addrs: Sequence[int], line_size: int) -> Row:
+    """A warp load row from per-thread byte addresses."""
     result = coalesce(byte_addrs, line_size)
     if not result.line_addrs:
         raise ValueError("load needs at least one thread address")
     return load(*result.line_addrs)
 
 
-def coalesced_store(byte_addrs: Sequence[int], line_size: int) -> Instr:
-    """A warp store instruction from per-thread byte addresses."""
+def coalesced_store(byte_addrs: Sequence[int], line_size: int) -> Row:
+    """A warp store row from per-thread byte addresses."""
     result = coalesce(byte_addrs, line_size)
     if not result.line_addrs:
         raise ValueError("store needs at least one thread address")

@@ -3,7 +3,7 @@ collect stats."""
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 from repro.config import GPUConfig, Protocol
 from repro.energy.model import EnergyModel, EnergyParams
@@ -13,8 +13,7 @@ from repro.gpu.warp import Warp
 from repro.protocols.factory import build_protocol
 from repro.sim.engine import Engine
 from repro.stats.collector import RunStats, StatsCollector
-from repro.trace.compiled import CompiledKernel, compile_kernel
-from repro.trace.instr import Kernel
+from repro.trace.compiled import Kernel, compile_kernel
 from repro.validate.versions import AccessLog, VersionStore
 
 
@@ -98,7 +97,7 @@ class GPU:
         self._warp_uid_base = 0
 
     # -- kernel execution -------------------------------------------------------
-    def run(self, kernel: Union[Kernel, CompiledKernel],
+    def run(self, kernel: Kernel,
             max_events: Optional[int] = None) -> RunStats:
         """Execute ``kernel`` to completion and return its statistics."""
         self._execute(kernel, max_events)
@@ -139,11 +138,9 @@ class GPU:
             ))
         return results
 
-    def _execute(self, kernel: Union[Kernel, CompiledKernel],
+    def _execute(self, kernel: Kernel,
                  max_events: Optional[int]) -> None:
-        # the SMs only ever execute packed traces: an authored kernel
-        # is compiled once here, a compiled one validated and reused
-        kernel = compile_kernel(kernel)
+        compile_kernel(kernel)
         if kernel.cta_size > self.config.max_warps_per_sm:
             raise ValueError(
                 f"kernel {kernel.name!r}: cta_size {kernel.cta_size} "
@@ -193,7 +190,7 @@ class GPU:
     def _on_warp_done(self) -> None:
         self._warps_remaining -= 1
 
-    def _raise_hang(self, kernel: CompiledKernel) -> None:
+    def _raise_hang(self, kernel: Kernel) -> None:
         stuck = []
         for sm in self.sms:
             unit = f"{sm.machine.unit_prefix}sm{sm.sm_id}"
@@ -259,7 +256,7 @@ make_gpu = GPU
 
 
 def run_kernel(config: GPUConfig,
-               kernel: Union[Kernel, CompiledKernel],
+               kernel: Kernel,
                record_accesses: bool = True,
                max_events: Optional[int] = None) -> RunStats:
     """Build a GPU for ``config``, run ``kernel``, return its stats."""

@@ -17,9 +17,9 @@ The consistency model lives here (Section II-B):
 
 Hot-path invariants (this is the single most-executed code in a run):
 
-* Warps execute *compiled* traces (:mod:`repro.trace.compiled`):
+* Warps execute packed traces (:mod:`repro.trace.compiled`):
   instruction dispatch is small-int comparison on ``warp.ops[pc]``,
-  never a dataclass field or string compare.
+  never a field lookup or string compare.
 * Memory issue allocates nothing per access — completions ride the
   warp's prebound ``load_cb``/``store_cb`` (see :meth:`Warp.bind`).
 * ``active`` is uid-ordered by construction (warps arrive in uid

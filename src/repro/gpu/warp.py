@@ -5,10 +5,10 @@ until data returns (the next instruction is presumed dependent — GPUs
 hide latency across warps, not within one).  Stores block only under
 SC; under RC they are tracked as outstanding and drained by fences.
 
-The trace is held in compiled form (see :mod:`repro.trace.compiled`):
-``ops``/``args`` are the packed per-instruction lists the SM hot path
-indexes directly.  A plain list of :class:`Instr` is accepted and
-compiled on the spot, so hand-built unit-test warps keep working.
+The trace is a packed :class:`~repro.trace.compiled.CompiledTrace`:
+``ops``/``args`` are the per-instruction lists the SM hot path indexes
+directly.  Unit tests build a warp's trace from rows with
+:func:`~repro.trace.compiled.pack_trace`.
 
 Two pieces of scheduler plumbing also live here because they are
 per-warp state:
@@ -27,21 +27,16 @@ per-warp state:
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import List, Optional
 
-from repro.trace.compiled import (
-    OP_FENCE,
-    CompiledTrace,
-    compile_trace,
-)
-from repro.trace.instr import Instr
+from repro.trace.compiled import OP_FENCE, CompiledTrace
 
 
 class Warp:
     """One warp's architectural and scheduling state."""
 
     __slots__ = (
-        "uid", "cta_id", "trace", "ops", "args", "length", "pc",
+        "uid", "cta_id", "ops", "args", "length", "pc",
         "ts", "epoch", "gwct",
         "outstanding_loads", "outstanding_stores",
         "pending_addrs", "pending_op", "retry_at",
@@ -50,15 +45,11 @@ class Warp:
         "sm", "load_cb", "store_cb", "slot",
     )
 
-    def __init__(self, uid: int,
-                 trace: Union[CompiledTrace, List[Instr]],
+    def __init__(self, uid: int, trace: CompiledTrace,
                  cta_id: int = -1) -> None:
         self.uid = uid
         # CTA membership; -1 means the warp is its own CTA
         self.cta_id = cta_id if cta_id >= 0 else uid
-        if not isinstance(trace, CompiledTrace):
-            trace = compile_trace(trace)
-        self.trace = trace
         self.ops = trace.ops
         self.args = trace.args
         self.length = trace.length
@@ -136,13 +127,6 @@ class Warp:
     @property
     def finished_trace(self) -> bool:
         return self.pc >= self.length
-
-    def next_instr(self) -> Optional[Instr]:
-        """The next instruction at authoring level (tests/debugging —
-        the SM reads ``ops``/``args`` directly)."""
-        if self.pc >= self.length:
-            return None
-        return self.trace.instr_at(self.pc)
 
     def at_fence(self) -> bool:
         return self.pc < self.length and self.ops[self.pc] == OP_FENCE

@@ -28,7 +28,7 @@ from repro.gpu.gpu import make_gpu
 from repro.harness.cache import _canonical, run_key
 from repro.harness.progress import RateEstimator
 from repro.stats.collector import RunStats
-from repro.trace.compiled import CompiledKernel
+from repro.trace.compiled import Kernel
 from repro.workloads import build_workload
 
 # one simulation point: (workload, protocol, consistency, overrides)
@@ -67,7 +67,7 @@ class ExperimentRunner:
         # compiled workload traces: generated once, shared by every
         # config that runs the same workload at this runner's scale
         # and seed
-        self._kernels: Dict[str, CompiledKernel] = {}
+        self._kernels: Dict[str, Kernel] = {}
         #: actual simulations performed (memo and db hits don't count)
         self.simulations_run = 0
         #: engine hot-loop counters summed over fresh simulations
@@ -102,7 +102,7 @@ class ExperimentRunner:
     def _disk_key(self, workload: str, config: GPUConfig) -> str:
         return run_key(config, workload, self.scale, self.seed)
 
-    def _kernel(self, workload: str) -> CompiledKernel:
+    def _kernel(self, workload: str) -> Kernel:
         """The compiled trace for ``workload``, built at most once."""
         kernel = self._kernels.get(workload)
         if kernel is None:

@@ -6,38 +6,36 @@ addresses* — the coalescing unit's work is assumed done, so one load
 or store instruction carries the 1-4 distinct line addresses a real
 warp's 32 threads typically coalesce into (Section II-A).
 
-Two formats carry a trace.  The simulator executes the packed
-:class:`CompiledTrace`, which the workload generators write directly
-through :class:`TraceBuilder`.  Hand-written kernels (tests, litmus
-shapes, the JSON interchange) use the readable :class:`Instr` /
-:class:`Kernel` records, compiled at launch by :func:`compile_kernel`.
+There is one trace format, the packed :class:`CompiledTrace`, and one
+kernel class, :class:`Kernel` (see :mod:`repro.trace.compiled`).  The
+workload generators write traces through :class:`TraceBuilder`;
+hand-written kernels list rows made by :func:`load`, :func:`store`,
+:func:`atomic`, :func:`compute`, :func:`fence` and :func:`barrier`.
 """
 
 from repro.trace.compiled import (
-    CompiledKernel,
+    OP_ATOMIC,
+    OP_BARRIER,
+    OP_COMPUTE,
+    OP_FENCE,
+    OP_LOAD,
+    OP_STORE,
     CompiledTrace,
-    TraceBuilder,
-    compile_kernel,
-    compile_trace,
-)
-from repro.trace.instr import (
-    ATOMIC,
-    COMPUTE,
-    FENCE,
-    LOAD,
-    STORE,
-    Instr,
     Kernel,
+    TraceBuilder,
     atomic,
+    barrier,
+    compile_kernel,
     compute,
     fence,
     load,
+    pack_trace,
     store,
 )
 
 __all__ = [
-    "ATOMIC", "COMPUTE", "FENCE", "LOAD", "STORE",
-    "CompiledKernel", "CompiledTrace", "Instr", "Kernel", "TraceBuilder",
-    "atomic", "compile_kernel", "compile_trace", "compute", "fence",
-    "load", "store",
+    "OP_ATOMIC", "OP_BARRIER", "OP_COMPUTE", "OP_FENCE", "OP_LOAD",
+    "OP_STORE", "CompiledTrace", "Kernel", "TraceBuilder", "atomic",
+    "barrier", "compile_kernel", "compute", "fence", "load",
+    "pack_trace", "store",
 ]

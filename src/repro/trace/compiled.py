@@ -1,48 +1,40 @@
-"""Compiled (packed) kernel traces — the simulator's execution format.
+"""Kernels and their packed warp traces — the simulator's one format.
 
 The simulator executes every warp trace as two parallel plain lists —
 an integer opcode per instruction and a pre-decoded operand (the
 coalesced address tuple of a memory instruction, or the cycle count of
 a compute instruction).  The SM hot path then dispatches on small-int
-comparisons with no dataclass field lookups, no string compares and no
-per-step allocation.
+comparisons with no field lookups, no string compares and no per-step
+allocation.
 
-:class:`TraceBuilder` is the one place an instruction is packed.  The
-workload generators write their traces through it directly, so a
-generated kernel is a :class:`CompiledKernel` from the start: no
-per-instruction object is ever allocated and no compile pass walks the
-trace again.  Hand-written kernels (tests, litmus shapes, the JSON
-interchange of :mod:`repro.trace.serialize`) keep the readable
-:class:`~repro.trace.instr.Instr` / :class:`~repro.trace.instr.Kernel`
-records, and :func:`compile_kernel` packs them at launch through the
-same builder.
+Two ways of writing a trace meet in that format:
+
+* the workload generators append straight into the packed lists
+  through :class:`TraceBuilder`, so no per-instruction object is ever
+  allocated;
+* hand-written kernels (tests, examples, the litmus shapes) spell each
+  instruction with the row functions :func:`load`, :func:`store`,
+  :func:`atomic`, :func:`compute`, :func:`fence` and :func:`barrier`.
+  Each returns its packed ``(opcode, operand)`` row, and the
+  :class:`Kernel` constructor packs a warp given as a list of rows
+  through :func:`pack_trace`.  Iterating a :class:`CompiledTrace`
+  yields the same rows back.
 
 Opcode numbering is part of the format: the three memory opcodes are
 contiguous (``OP_LOAD..OP_ATOMIC``) so "is this a memory access" is a
 single range check.
 
-:class:`CompiledKernel` mirrors the :class:`Kernel` surface the GPU
-and harness rely on (``name``, ``cta_size``, ``num_warps``,
-``total_instructions``, ``num_ctas``, ``validate``,
-``memory_footprint``) and serializes through the same row format as
-:mod:`repro.trace.serialize` — the form the pinned trace digests
-(``tests/golden/trace_digests.json``) are taken over.
+:meth:`Kernel.to_dict` / :meth:`Kernel.from_dict` are the JSON codec —
+the form the pinned trace digests (``tests/golden/trace_digests.json``)
+are taken over::
+
+    {"format": 1, "name": "BFS", "cta_size": 1,
+     "warps": [[["load", [3, 4]], ["compute", 5], ["fence"]], ...]}
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Union
-
-from repro.trace.instr import (
-    ATOMIC,
-    BARRIER,
-    COMPUTE,
-    FENCE,
-    LOAD,
-    STORE,
-    Instr,
-    Kernel,
-)
+from typing import Iterable, Iterator, List, Tuple
 
 # integer opcodes; OP_LOAD..OP_ATOMIC are contiguous on purpose
 OP_COMPUTE = 0
@@ -52,19 +44,117 @@ OP_ATOMIC = 3
 OP_FENCE = 4
 OP_BARRIER = 5
 
-#: authoring opcode string -> packed integer opcode
-OP_CODE = {
-    COMPUTE: OP_COMPUTE,
-    LOAD: OP_LOAD,
-    STORE: OP_STORE,
-    ATOMIC: OP_ATOMIC,
-    FENCE: OP_FENCE,
-    BARRIER: OP_BARRIER,
+#: packed integer opcode -> its name in JSON and in the row functions
+OP_NAME = {
+    OP_COMPUTE: "compute",
+    OP_LOAD: "load",
+    OP_STORE: "store",
+    OP_ATOMIC: "atomic",
+    OP_FENCE: "fence",
+    OP_BARRIER: "barrier",
 }
 
-#: packed integer opcode -> authoring opcode string
-OP_NAME = {code: name for name, code in OP_CODE.items()}
+FORMAT_VERSION = 1
 
+#: one packed instruction: ``(opcode, operand)``
+Row = Tuple[int, object]
+
+
+# ---------------------------------------------------------------------------
+# row functions: one packed instruction each
+# ---------------------------------------------------------------------------
+
+def compute(cycles: int) -> Row:
+    """``cycles`` of non-memory work (models ALU instructions)."""
+    if cycles <= 0:
+        raise ValueError("compute needs a positive cycle count")
+    return (OP_COMPUTE, cycles)
+
+
+def _memory(op: int, addrs: Tuple[int, ...]) -> Row:
+    if not addrs:
+        raise ValueError(f"{OP_NAME[op]} needs at least one address")
+    return (op, addrs)
+
+
+def load(*addrs: int) -> Row:
+    """A coalesced load of the given line addresses."""
+    return _memory(OP_LOAD, addrs)
+
+
+def store(*addrs: int) -> Row:
+    """A coalesced store to the given line addresses."""
+    return _memory(OP_STORE, addrs)
+
+
+def atomic(*addrs: int) -> Row:
+    """An atomic read-modify-write on the given lines.
+
+    GPU atomics execute at the shared L2 (the point of coherence), so
+    every protocol forwards them there; the warp blocks until the old
+    value returns, exactly like a load.
+    """
+    return _memory(OP_ATOMIC, addrs)
+
+
+def fence() -> Row:
+    """A memory fence (drains the warp's outstanding operations)."""
+    return (OP_FENCE, None)
+
+
+def barrier() -> Row:
+    """An intra-CTA barrier (CUDA ``__syncthreads``).
+
+    Every warp of the CTA must arrive before any proceeds.  In this
+    model a barrier also drains the arriving warp's outstanding memory
+    operations (``__syncthreads`` plus a block-level fence), which is
+    the ordering CTA-cooperative kernels rely on.
+    """
+    return (OP_BARRIER, None)
+
+
+#: JSON opcode name -> row function
+_ROW_FUNCTIONS = {fn.__name__: fn
+                  for fn in (compute, load, store, atomic, fence, barrier)}
+
+
+def _row_repr(op: int, arg) -> str:
+    """A row in the spelling of its row function."""
+    if op == OP_COMPUTE:
+        return f"compute({arg})"
+    if OP_LOAD <= op <= OP_ATOMIC:
+        return f"{OP_NAME[op]}({', '.join(map(str, arg))})"
+    return f"{OP_NAME[op]}()"
+
+
+def _row_from_obj(obj) -> Row:
+    """Parse one JSON row through its row function."""
+    if not isinstance(obj, list) or not obj:
+        raise ValueError(f"malformed instruction: {obj!r}")
+    name, operands = obj[0], obj[1:]
+    row_fn = _ROW_FUNCTIONS.get(name) if isinstance(name, str) else None
+    if row_fn is None:
+        raise ValueError(f"unknown opcode in trace: {name!r}")
+    if row_fn is fence or row_fn is barrier:
+        if operands:
+            raise ValueError(f"malformed instruction: {obj!r}")
+        return row_fn()
+    if len(operands) != 1:
+        raise ValueError(f"malformed instruction: {obj!r}")
+    operand = operands[0]
+    if row_fn is compute:
+        if not isinstance(operand, int):
+            raise ValueError(f"malformed instruction: {obj!r}")
+        return compute(operand)
+    if not isinstance(operand, list) \
+            or not all(isinstance(a, int) for a in operand):
+        raise ValueError(f"malformed instruction: {obj!r}")
+    return row_fn(*operand)
+
+
+# ---------------------------------------------------------------------------
+# packed traces
+# ---------------------------------------------------------------------------
 
 class CompiledTrace:
     """One warp's packed instruction stream.
@@ -72,9 +162,9 @@ class CompiledTrace:
     ``ops[i]`` is the integer opcode; ``args[i]`` is the pre-decoded
     operand: a tuple of line addresses for memory instructions, the
     cycle count for compute, ``None`` for fences and barriers.  The
-    two lists are read-only once built, so a compiled trace can be
+    two lists are read-only once built, so a packed trace can be
     shared between runs (and between warps, if a generator emits
-    identical traces).
+    identical traces).  Iterating it yields ``(opcode, operand)`` rows.
     """
 
     __slots__ = ("ops", "args", "length")
@@ -87,31 +177,29 @@ class CompiledTrace:
     def __len__(self) -> int:
         return self.length
 
-    def instr_at(self, index: int) -> Instr:
-        """Reconstruct the authoring-level instruction at ``index``."""
-        op = self.ops[index]
-        arg = self.args[index]
-        if op == OP_COMPUTE:
-            return Instr(COMPUTE, cycles=arg)
-        if OP_LOAD <= op <= OP_ATOMIC:
-            return Instr(OP_NAME[op], addrs=arg)
-        return Instr(OP_NAME[op])
+    def __iter__(self) -> Iterator[Row]:
+        return zip(self.ops, self.args)
 
-    def instructions(self) -> List[Instr]:
-        """The whole trace decompiled (test/debug helper)."""
-        return [self.instr_at(i) for i in range(self.length)]
+
+def pack_trace(rows: Iterable[Row]) -> CompiledTrace:
+    """Pack one warp's rows, as the row functions return them."""
+    ops: List[int] = []
+    args: List = []
+    for op, arg in rows:
+        ops.append(op)
+        args.append(arg)
+    return CompiledTrace(ops, args)
 
 
 class TraceBuilder:
     """Packs one warp's trace as it is written.
 
-    The methods mirror the authoring helpers of
-    :mod:`repro.trace.instr` and raise the same ``ValueError`` as
-    :class:`Instr` — a memory instruction needs an address, a compute
+    The methods mirror the row functions and raise the same
+    ``ValueError`` — a memory instruction needs an address, a compute
     a positive cycle count — but append straight into the ``ops`` and
-    ``args`` lists that :meth:`build` hands to a :class:`CompiledTrace`.
-    The address tuple of ``load(*addrs)`` is stored as the operand
-    itself.
+    ``args`` lists that :meth:`build` hands to a :class:`CompiledTrace`,
+    with no row allocated.  The address tuple of ``load(*addrs)`` is
+    stored as the operand itself.
     """
 
     __slots__ = ("ops", "args")
@@ -163,37 +251,38 @@ class TraceBuilder:
         return CompiledTrace(self.ops, self.args)
 
 
-def compile_trace(instrs: Sequence[Instr]) -> CompiledTrace:
-    """Pack one warp trace of :class:`Instr` records."""
-    builder = TraceBuilder()
-    for instr in instrs:
-        # the builder's methods are named after the authoring opcodes
-        if instr.op == COMPUTE:
-            builder.compute(instr.cycles)
-        elif instr.is_memory:
-            getattr(builder, instr.op)(*instr.addrs)
-        else:
-            getattr(builder, instr.op)()
-    return builder.build()
+# ---------------------------------------------------------------------------
+# kernels
+# ---------------------------------------------------------------------------
 
-
-class CompiledKernel:
-    """A launchable kernel in packed form.
+class Kernel:
+    """A launchable kernel: one packed trace per warp.
 
     What the workload generators return and what the simulator
-    executes.  Interchangeable with :class:`Kernel` at ``GPU.run``:
-    identical warp placement, identical simulated outcome.
+    executes.  Each warp is a :class:`CompiledTrace` or a list of rows
+    (``Kernel("mp", [[store(X), fence()], [load(Y)]])``), which is
+    packed here.
+
+    ``cta_size`` groups consecutive warps into Cooperative Thread
+    Arrays: all warps of a CTA are placed on the *same* SM (the
+    hardware guarantee CUDA barriers rely on) and CTAs are assigned to
+    SMs round-robin.  With the default ``cta_size=1`` every warp is
+    its own CTA and placement degenerates to plain round-robin.  When
+    a kernel has more warps than the machine has slots, whole CTAs
+    queue and activate in waves as earlier ones retire.
     """
 
     __slots__ = ("name", "cta_size", "traces")
 
-    def __init__(self, name: str, traces: List[CompiledTrace],
+    def __init__(self, name: str, traces: Iterable,
                  cta_size: int = 1) -> None:
         self.name = name
-        self.traces = traces
+        self.traces: List[CompiledTrace] = [
+            trace if isinstance(trace, CompiledTrace) else pack_trace(trace)
+            for trace in traces
+        ]
         self.cta_size = cta_size
 
-    # -- Kernel-compatible surface -------------------------------------------
     @property
     def num_warps(self) -> int:
         return len(self.traces)
@@ -210,13 +299,13 @@ class CompiledKernel:
         """All line addresses the kernel touches (test helper)."""
         lines = set()
         for trace in self.traces:
-            for op, arg in zip(trace.ops, trace.args):
+            for op, arg in trace:
                 if OP_LOAD <= op <= OP_ATOMIC:
                     lines.update(arg)
         return lines
 
     def validate(self) -> None:
-        """The same launch-time checks :meth:`Kernel.validate` runs."""
+        """Sanity-check the kernel before launch."""
         if not self.traces:
             raise ValueError(f"kernel {self.name!r} has no warps")
         if self.cta_size < 1:
@@ -230,25 +319,26 @@ class CompiledKernel:
             if OP_BARRIER in trace.ops:
                 uses_barriers = True
         if uses_barriers and self.cta_size == 1 and self.num_warps > 1:
+            # a 1-warp CTA barrier is a no-op; almost certainly a
+            # forgotten cta_size
             raise ValueError(
                 f"kernel {self.name!r} uses barriers but cta_size is 1"
             )
 
-    def decompile(self) -> Kernel:
-        """Rebuild the authoring-level :class:`Kernel` (test helper)."""
-        return Kernel(
-            name=self.name,
-            warp_traces=[t.instructions() for t in self.traces],
-            cta_size=self.cta_size,
-        )
+    def __repr__(self) -> str:
+        warps = ", ".join(
+            "[" + ", ".join(_row_repr(op, arg) for op, arg in trace) + "]"
+            for trace in self.traces)
+        return (f"Kernel({self.name!r}, [{warps}], "
+                f"cta_size={self.cta_size})")
 
-    # -- serialization (the serialize-module row format) ----------------------
+    # -- JSON codec -----------------------------------------------------------
     def to_dict(self) -> dict:
-        """The kernel as the serialize-module row format."""
+        """The kernel as JSON-ready opcode-first rows."""
         warps = []
         for trace in self.traces:
             rows = []
-            for op, arg in zip(trace.ops, trace.args):
+            for op, arg in trace:
                 name = OP_NAME[op]
                 if op == OP_COMPUTE:
                     rows.append([name, arg])
@@ -257,54 +347,34 @@ class CompiledKernel:
                 else:
                     rows.append([name])
             warps.append(rows)
-        return {"format": 1, "name": self.name,
+        return {"format": FORMAT_VERSION, "name": self.name,
                 "cta_size": self.cta_size, "warps": warps}
 
     @classmethod
-    def from_dict(cls, data: dict) -> "CompiledKernel":
-        """Rebuild from :meth:`to_dict` output.
+    def from_dict(cls, data: dict) -> "Kernel":
+        """Rebuild and validate a kernel from :meth:`to_dict` output.
 
-        Packs straight from the rows — no intermediate :class:`Instr`
-        objects.
+        Every row goes through its row function, so a malformed row
+        raises the ``ValueError`` writing it by hand would.
         """
-        version = data.get("format", 1)
-        if version != 1:
+        version = data.get("format", FORMAT_VERSION)
+        if version != FORMAT_VERSION:
             raise ValueError(
                 f"unsupported trace format version: {version}")
-        traces: List[CompiledTrace] = []
-        for rows in data["warps"]:
-            ops: List[int] = []
-            args: List = []
-            for row in rows:
-                op = OP_CODE.get(row[0])
-                if op is None:
-                    raise ValueError(f"unknown opcode in trace: {row!r}")
-                ops.append(op)
-                if op == OP_COMPUTE:
-                    args.append(int(row[1]))
-                elif op <= OP_ATOMIC:
-                    args.append(tuple(int(a) for a in row[1]))
-                else:
-                    args.append(None)
-            traces.append(CompiledTrace(ops, args))
-        kernel = cls(name=str(data["name"]), traces=traces,
+        kernel = cls(str(data["name"]),
+                     [[_row_from_obj(obj) for obj in rows]
+                      for rows in data["warps"]],
                      cta_size=int(data.get("cta_size", 1)))
         kernel.validate()
         return kernel
 
 
-def compile_kernel(kernel: Union[Kernel, CompiledKernel]) -> CompiledKernel:
-    """The launchable form of ``kernel``, validated.
+def compile_kernel(kernel: Kernel) -> Kernel:
+    """``kernel``, validated: the launch-time check ``GPU.run`` makes.
 
-    An authored :class:`Kernel` is packed; a :class:`CompiledKernel`
-    (what every workload generator returns) is validated and returned
-    as it is.
+    Traces are packed when they are written, so nothing is compiled
+    here any more; the name stays because benchmark set-up timing
+    (``bench/workloads.py``) imports it from this module.
     """
     kernel.validate()
-    if isinstance(kernel, CompiledKernel):
-        return kernel
-    return CompiledKernel(
-        name=kernel.name,
-        traces=[compile_trace(trace) for trace in kernel.warp_traces],
-        cta_size=kernel.cta_size,
-    )
+    return kernel

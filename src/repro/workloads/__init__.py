@@ -15,9 +15,9 @@ Use :func:`build_workload` to construct a kernel::
 iterations, footprints); ``seed`` makes the trace deterministic.
 
 The generators write each warp's packed trace through
-:class:`repro.trace.compiled.TraceBuilder`, so the kernel comes back
-as the :class:`repro.trace.compiled.CompiledKernel` the simulator
-executes — no per-instruction objects, no compile pass at launch.
+:class:`repro.trace.TraceBuilder`, so the :class:`repro.trace.Kernel`
+that comes back is what the simulator executes — no per-instruction
+objects, no compile pass at launch.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List
 
-from repro.trace.compiled import CompiledKernel
+from repro.trace.compiled import Kernel
 from repro.workloads import coherent, independent, multigpu
 
 
@@ -44,7 +44,7 @@ class WorkloadSpec:
     name: str
     requires_coherence: bool
     description: str
-    builder: Callable[[random.Random, float], CompiledKernel]
+    builder: Callable[[random.Random, float], Kernel]
     multigpu: bool = False
 
 
@@ -96,11 +96,10 @@ MULTIGPU_NAMES: List[str] = [s.name for s in _SPECS if s.multigpu]
 
 
 def build_workload(name: str, scale: float = 1.0,
-                   seed: int = 2018) -> CompiledKernel:
+                   seed: int = 2018) -> Kernel:
     """Build benchmark ``name`` at the given scale, deterministically.
 
-    Returns the validated :class:`CompiledKernel` the simulator
-    executes.
+    Returns the validated :class:`Kernel` the simulator executes.
     """
     try:
         spec = WORKLOADS[name]

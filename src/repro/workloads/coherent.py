@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 
-from repro.trace.compiled import CompiledKernel, CompiledTrace, TraceBuilder
+from repro.trace.compiled import Kernel, CompiledTrace, TraceBuilder
 from repro.workloads.patterns import AddressSpace, scaled
 
 
@@ -26,7 +26,7 @@ def _finish(trace: TraceBuilder) -> CompiledTrace:
     return trace.build()
 
 
-def barnes_hut(rng: random.Random, scale: float) -> CompiledKernel:
+def barnes_hut(rng: random.Random, scale: float) -> Kernel:
     """BH — Barnes-Hut n-body tree traversal.
 
     Warps repeatedly walk a shared octree.  The upper levels (a hot
@@ -63,10 +63,10 @@ def barnes_hut(rng: random.Random, scale: float) -> CompiledKernel:
                 trace.fence()
             trace.compute(5)
         traces.append(_finish(trace))
-    return CompiledKernel("BH", traces)
+    return Kernel("BH", traces)
 
 
-def connected_components(rng: random.Random, scale: float) -> CompiledKernel:
+def connected_components(rng: random.Random, scale: float) -> Kernel:
     """CC — label-propagation connected components.
 
     Memory-intensive label exchange: every iteration re-reads a fixed
@@ -99,10 +99,10 @@ def connected_components(rng: random.Random, scale: float) -> CompiledKernel:
                     trace.store(line)
             trace.fence()
         traces.append(_finish(trace))
-    return CompiledKernel("CC", traces)
+    return Kernel("CC", traces)
 
 
-def dynamic_load_balancing(rng: random.Random, scale: float) -> CompiledKernel:
+def dynamic_load_balancing(rng: random.Random, scale: float) -> Kernel:
     """DLP — task queues with work stealing.
 
     A small set of queue-head lines is hammered with reads and writes
@@ -137,10 +137,10 @@ def dynamic_load_balancing(rng: random.Random, scale: float) -> CompiledKernel:
             if r % 3 == 2:
                 trace.store(tasks.line(base))
         traces.append(_finish(trace))
-    return CompiledKernel("DLP", traces)
+    return Kernel("DLP", traces)
 
 
-def vpr(rng: random.Random, scale: float) -> CompiledKernel:
+def vpr(rng: random.Random, scale: float) -> Kernel:
     """VPR — simulated-annealing placement (Versatile Place & Route).
 
     Each warp proposes swaps mostly inside its own neighbourhood of
@@ -172,10 +172,10 @@ def vpr(rng: random.Random, scale: float) -> CompiledKernel:
                 trace.fence()
             trace.compute(4)
         traces.append(_finish(trace))
-    return CompiledKernel("VPR", traces)
+    return Kernel("VPR", traces)
 
 
-def stencil(rng: random.Random, scale: float) -> CompiledKernel:
+def stencil(rng: random.Random, scale: float) -> Kernel:
     """STN — iterative stencil with halo exchange.
 
     Each warp owns a tile; every iteration re-reads its interior,
@@ -215,10 +215,10 @@ def stencil(rng: random.Random, scale: float) -> CompiledKernel:
                 trace.store(field.line(mine + 2))
             trace.fence()
         traces.append(_finish(trace))
-    return CompiledKernel("STN", traces)
+    return Kernel("STN", traces)
 
 
-def bfs(rng: random.Random, scale: float) -> CompiledKernel:
+def bfs(rng: random.Random, scale: float) -> Kernel:
     """BFS — frontier-based breadth-first search.
 
     Streams adjacency lists (read-once), probes a shared ``visited``
@@ -256,4 +256,4 @@ def bfs(rng: random.Random, scale: float) -> CompiledKernel:
                     trace.store(visited.random_line(rng))
             trace.fence()                   # level barrier
         traces.append(_finish(trace))
-    return CompiledKernel("BFS", traces)
+    return Kernel("BFS", traces)

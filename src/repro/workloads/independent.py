@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import random
 
-from repro.trace.compiled import CompiledKernel, TraceBuilder
+from repro.trace.compiled import Kernel, TraceBuilder
 from repro.workloads.patterns import AddressSpace, scaled
 
 
-def cutcp(rng: random.Random, scale: float) -> CompiledKernel:
+def cutcp(rng: random.Random, scale: float) -> Kernel:
     """CCP — cutoff Coulombic potential: compute-bound, tiny footprint.
 
     Long arithmetic bursts over a small read-only lattice slice per
@@ -41,10 +41,10 @@ def cutcp(rng: random.Random, scale: float) -> CompiledKernel:
             if s % 6 == 5:
                 trace.store(out.line(w * steps + s))
         traces.append(trace.build())
-    return CompiledKernel("CCP", traces)
+    return Kernel("CCP", traces)
 
 
-def gaussian(rng: random.Random, scale: float) -> CompiledKernel:
+def gaussian(rng: random.Random, scale: float) -> Kernel:
     """GE — Gaussian elimination.
 
     Every warp reads the shared pivot row (broadcast read-only reuse —
@@ -73,10 +73,10 @@ def gaussian(rng: random.Random, scale: float) -> CompiledKernel:
             # eliminated row goes to the output copy of the matrix
             trace.store(out.line(mine))
         traces.append(trace.build())
-    return CompiledKernel("GE", traces)
+    return Kernel("GE", traces)
 
 
-def hotspot(rng: random.Random, scale: float) -> CompiledKernel:
+def hotspot(rng: random.Random, scale: float) -> Kernel:
     """HS — thermal simulation on private tiles.
 
     Pure tile-local stencil: each warp reads and rewrites only its own
@@ -104,10 +104,10 @@ def hotspot(rng: random.Random, scale: float) -> CompiledKernel:
             trace.compute(24)
             trace.store(temp_out.line(base + (it % tile_lines)))
         traces.append(trace.build())
-    return CompiledKernel("HS", traces)
+    return Kernel("HS", traces)
 
 
-def kmeans(rng: random.Random, scale: float) -> CompiledKernel:
+def kmeans(rng: random.Random, scale: float) -> Kernel:
     """KM — k-means clustering.
 
     Streams a large point array (read-once, memory-intensive) while
@@ -134,10 +134,10 @@ def kmeans(rng: random.Random, scale: float) -> CompiledKernel:
             if s % 9 == 8:
                 trace.store(sums.line(w * 4 + (s % 4)))
         traces.append(trace.build())
-    return CompiledKernel("KM", traces)
+    return Kernel("KM", traces)
 
 
-def backprop(rng: random.Random, scale: float) -> CompiledKernel:
+def backprop(rng: random.Random, scale: float) -> Kernel:
     """BP — neural-network back-propagation.
 
     Streaming reads of a shared (read-only within the kernel) weight
@@ -162,10 +162,10 @@ def backprop(rng: random.Random, scale: float) -> CompiledKernel:
             trace.compute(5)
             trace.store(activations.line(w * steps + s))
         traces.append(trace.build())
-    return CompiledKernel("BP", traces)
+    return Kernel("BP", traces)
 
 
-def sgm(rng: random.Random, scale: float) -> CompiledKernel:
+def sgm(rng: random.Random, scale: float) -> Kernel:
     """SGM — semi-global (stereo) matching.
 
     Sliding-window reads with heavy reuse between *consecutive* steps
@@ -189,4 +189,4 @@ def sgm(rng: random.Random, scale: float) -> CompiledKernel:
             trace.compute(7)
             trace.store(costs.line(w * steps + s))
         traces.append(trace.build())
-    return CompiledKernel("SGM", traces)
+    return Kernel("SGM", traces)

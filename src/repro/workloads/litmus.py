@@ -1,9 +1,11 @@
 """Litmus-test kernels for consistency-model validation.
 
 Classic two-warp shapes (message passing, store buffering, coherence
-of a single location) expressed as traces.  The test helpers run them
-many times with randomised timing padding and check the *outcomes*
-against what each consistency model permits:
+of a single location) written by hand: each warp is a list of rows
+made by the :mod:`repro.trace` row functions, which :class:`Kernel`
+packs.  The test helpers run them many times with randomised timing
+padding and check the *outcomes* against what each consistency model
+permits:
 
 * message passing with fences must never show the stale-data outcome
   under G-TSC (SC or RC-with-fences) or TC-Strong;
@@ -19,7 +21,7 @@ from __future__ import annotations
 import random
 from typing import List, Tuple
 
-from repro.trace.instr import Instr, Kernel, compute, fence, load, store
+from repro.trace.compiled import Kernel, Row, compute, fence, load, store
 from repro.validate.versions import AccessLog
 
 
@@ -28,7 +30,7 @@ X_LINE = 3
 Y_LINE = 10
 
 
-def _pad(rng: random.Random, limit: int) -> List[Instr]:
+def _pad(rng: random.Random, limit: int) -> List[Row]:
     """Random compute padding to perturb interleavings."""
     cycles = rng.randrange(1, limit + 1)
     return [compute(cycles)]
@@ -41,7 +43,7 @@ def message_passing(rng: random.Random, with_fences: bool = True) -> Kernel:
     observe the data write.  The reader polls the flag several times
     so at least one observation usually lands after the writer.
     """
-    writer: List[Instr] = []
+    writer: List[Row] = []
     writer += _pad(rng, 30)
     writer.append(store(X_LINE))            # data
     if with_fences:
@@ -49,7 +51,7 @@ def message_passing(rng: random.Random, with_fences: bool = True) -> Kernel:
     writer.append(store(Y_LINE))            # flag
     writer.append(fence())
 
-    reader: List[Instr] = []
+    reader: List[Row] = []
     reader += _pad(rng, 30)
     for _ in range(12):
         reader.append(load(Y_LINE))         # poll the flag
@@ -67,13 +69,13 @@ def store_buffering(rng: random.Random) -> Kernel:
     Under SC at most one warp may read the initial value (0); both
     reading 0 would require reordering that SC forbids.
     """
-    w0: List[Instr] = []
+    w0: List[Row] = []
     w0 += _pad(rng, 10)
     w0.append(store(X_LINE))
     w0.append(load(Y_LINE))
     w0.append(fence())
 
-    w1: List[Instr] = []
+    w1: List[Row] = []
     w1 += _pad(rng, 10)
     w1.append(store(Y_LINE))
     w1.append(load(X_LINE))
@@ -89,9 +91,9 @@ def single_location(rng: random.Random, writers: int = 2,
     Every reader's observed version sequence must be non-decreasing —
     a location never appears to travel back in time.
     """
-    traces: List[List[Instr]] = []
+    traces: List[List[Row]] = []
     for _w in range(writers):
-        t: List[Instr] = []
+        t: List[Row] = []
         for _ in range(stores_per_writer):
             t += _pad(rng, 12)
             t.append(store(X_LINE))
@@ -119,11 +121,11 @@ def iriw(rng: random.Random) -> Kernel:
     two SMs (writer+reader pairs), which is the harder variant —
     readers may share an L1 with a writer.
     """
-    w0: List[Instr] = _pad(rng, 20) + [store(X_LINE), fence()]
-    w1: List[Instr] = _pad(rng, 20) + [store(Y_LINE), fence()]
-    r2: List[Instr] = _pad(rng, 25) + [load(X_LINE), load(Y_LINE),
+    w0: List[Row] = _pad(rng, 20) + [store(X_LINE), fence()]
+    w1: List[Row] = _pad(rng, 20) + [store(Y_LINE), fence()]
+    r2: List[Row] = _pad(rng, 25) + [load(X_LINE), load(Y_LINE),
                                        fence()]
-    r3: List[Instr] = _pad(rng, 25) + [load(Y_LINE), load(X_LINE),
+    r3: List[Row] = _pad(rng, 25) + [load(Y_LINE), load(X_LINE),
                                        fence()]
     return Kernel("litmus-iriw", [w0, w1, r2, r3])
 

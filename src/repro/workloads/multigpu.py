@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 
-from repro.trace.compiled import CompiledKernel, CompiledTrace, TraceBuilder
+from repro.trace.compiled import Kernel, CompiledTrace, TraceBuilder
 from repro.workloads.patterns import AddressSpace, scaled
 
 
@@ -37,7 +37,7 @@ def _finish(trace: TraceBuilder) -> CompiledTrace:
     return trace.build()
 
 
-def producer_consumer(rng: random.Random, scale: float) -> CompiledKernel:
+def producer_consumer(rng: random.Random, scale: float) -> Kernel:
     """PCX — neighbour producer/consumer pipeline across GPUs."""
     space = AddressSpace()
     num_warps = scaled(32, scale, minimum=4)
@@ -64,10 +64,10 @@ def producer_consumer(rng: random.Random, scale: float) -> CompiledKernel:
                 trace.load(slots.line(neighbour * chunk + k))
                 trace.compute(2)
         traces.append(_finish(trace))
-    return CompiledKernel("PCX", traces)
+    return Kernel("PCX", traces)
 
 
-def all_reduce(rng: random.Random, scale: float) -> CompiledKernel:
+def all_reduce(rng: random.Random, scale: float) -> Kernel:
     """ARX — recursive-doubling all-reduce exchange."""
     space = AddressSpace()
     num_warps = scaled(32, scale, minimum=4)
@@ -93,10 +93,10 @@ def all_reduce(rng: random.Random, scale: float) -> CompiledKernel:
             trace.load(partials.line((w + num_warps // 2)
                                      % num_warps))
         traces.append(_finish(trace))
-    return CompiledKernel("ARX", traces)
+    return Kernel("ARX", traces)
 
 
-def numa_zipf(rng: random.Random, scale: float) -> CompiledKernel:
+def numa_zipf(rng: random.Random, scale: float) -> Kernel:
     """NZP — NUMA-skewed zipf reads over one shared region.
 
     The power-law head (the hottest lines) sits at the bottom of the
@@ -121,4 +121,4 @@ def numa_zipf(rng: random.Random, scale: float) -> CompiledKernel:
                 trace.store(shared.powerlaw_line(rng))
                 trace.fence()
         traces.append(_finish(trace))
-    return CompiledKernel("NZP", traces)
+    return Kernel("NZP", traces)

@@ -8,7 +8,7 @@ import pytest
 
 from repro.config import Consistency, GPUConfig, Protocol
 from repro.gpu.gpu import make_gpu
-from repro.trace.instr import Kernel, compute, fence, load, store
+from repro.trace import Kernel, compute, fence, load, store
 from repro.validate.checker import (
     check_atomicity,
     check_gtsc_log,

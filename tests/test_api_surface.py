@@ -34,8 +34,7 @@ def test_run_kernel_convenience():
 
 
 def test_run_kernel_respects_max_events():
-    from repro.trace.instr import Kernel as K
-    kernel = K("big", [[compute(2)] * 50 for _ in range(4)])
+    kernel = Kernel("big", [[compute(2)] * 50 for _ in range(4)])
     with pytest.raises(RuntimeError, match="exceeded"):
         run_kernel(GPUConfig.tiny(), kernel, max_events=10)
 

@@ -13,7 +13,7 @@ import pytest
 
 from repro.config import Consistency, GPUConfig, Protocol
 from repro.gpu.gpu import GPU
-from repro.trace.instr import Kernel, atomic, compute, fence, load, store
+from repro.trace import Kernel, atomic, compute, fence, load, store
 from repro.validate.checker import check_atomicity, check_gtsc_log
 
 from tests.conftest import run_and_check

@@ -18,7 +18,7 @@ from repro.config import (
     Protocol,
     VisibilityPolicy,
 )
-from repro.trace.instr import Kernel, atomic, compute, fence, load, store
+from repro.trace import Kernel, atomic, compute, fence, load, store
 
 from tests.conftest import run_and_check
 

@@ -12,7 +12,7 @@ import pytest
 
 from repro.config import Consistency, GPUConfig, Protocol
 from repro.gpu.gpu import GPU
-from repro.trace.instr import Kernel, compute, fence, load, store
+from repro.trace import OP_STORE, Kernel, compute, fence, load, store
 from repro.workloads import INDEPENDENT_NAMES, build_workload
 
 ALL = [Protocol.GTSC, Protocol.TC, Protocol.DISABLED,
@@ -88,8 +88,7 @@ def test_independent_workloads_same_final_state_across_protocols(name):
 def test_store_counts_conserved_across_protocols():
     """Every protocol performs exactly the stores the trace contains."""
     kernel, lines = private_kernel()
-    expected = sum(1 for t in kernel.warp_traces for i in t
-                   if i.op == "store")
+    expected = sum(t.ops.count(OP_STORE) for t in kernel.traces)
     for protocol in ALL:
         config = GPUConfig.tiny(protocol=protocol)
         gpu = GPU(config)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import Consistency, GPUConfig, Protocol
 from repro.gpu.gpu import GPU
-from repro.trace.instr import (
+from repro.trace import (
     Kernel,
     barrier,
     compute,
@@ -145,14 +145,13 @@ def test_barrier_drains_memory_before_arrival():
 
 
 def test_barriers_serialize_round_trip():
-    from repro.trace.serialize import kernel_from_dict, kernel_to_dict
     kernel = Kernel("ser", [
         [compute(1), barrier(), load(0), fence()],
         [compute(1), barrier(), store(0), fence()],
     ], cta_size=2)
-    rebuilt = kernel_from_dict(kernel_to_dict(kernel))
+    rebuilt = Kernel.from_dict(kernel.to_dict())
     assert rebuilt.cta_size == 2
-    assert rebuilt.warp_traces == kernel.warp_traces
+    assert rebuilt.to_dict() == kernel.to_dict()
 
 
 def test_barrier_heavy_random_kernel_is_coherent():

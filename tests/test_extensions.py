@@ -17,7 +17,7 @@ from repro.gpu.gpu import GPU
 from repro.gpu.machine import Machine
 from repro.gpu.warp import Warp
 from repro.protocols.factory import build_protocol
-from repro.trace.instr import Kernel, compute, fence, load, store
+from repro.trace import Kernel, compute, fence, load, pack_trace, store
 from repro.workloads import build_workload
 from repro.workloads.litmus import iriw, iriw_outcome
 
@@ -41,7 +41,7 @@ def _renewal_machine(policy):
 def test_lease_policies_grant_coverage(policy):
     machine = _renewal_machine(policy)
     l1 = machine.l1s[0]
-    warp = Warp(0, [])
+    warp = Warp(0, pack_trace([]))
     l1.load(warp, 0, lambda: None)
     machine.engine.run()
     warp.ts = 100
@@ -54,7 +54,7 @@ def test_adaptive_lease_grows_with_renewal_streak():
     machine = _renewal_machine(LeasePolicy.ADAPTIVE)
     l1 = machine.l1s[0]
     bank = machine.l2_banks[0]
-    warp = Warp(0, [])
+    warp = Warp(0, pack_trace([]))
     l1.load(warp, 0, lambda: None)
     machine.engine.run()
     grants = []
@@ -72,7 +72,7 @@ def test_adaptive_lease_grows_with_renewal_streak():
 def test_adaptive_streak_resets_on_write():
     machine = _renewal_machine(LeasePolicy.ADAPTIVE)
     l1 = machine.l1s[0]
-    warp = Warp(0, [])
+    warp = Warp(0, pack_trace([]))
     l1.load(warp, 0, lambda: None)
     machine.engine.run()
     for _ in range(3):
@@ -230,10 +230,8 @@ def test_duplicate_thread_addresses_merge():
 
 
 def test_coalesced_instructions():
-    instr = coalesced_load([0, 4, 200], line_size=128)
-    assert instr.addrs == (0, 1)
-    instr = coalesced_store([500], line_size=128)
-    assert instr.addrs == (3,)
+    assert coalesced_load([0, 4, 200], line_size=128) == load(0, 1)
+    assert coalesced_store([500], line_size=128) == store(3)
 
 
 def test_coalesce_rejects_bad_line_size():

@@ -17,7 +17,7 @@ from repro.config import (
     SchedulerPolicy,
 )
 from repro.gpu.gpu import GPU
-from repro.trace.instr import (
+from repro.trace import (
     Kernel,
     atomic,
     barrier,

@@ -16,6 +16,7 @@ from repro.config import (
 from repro.gpu.machine import Machine
 from repro.gpu.warp import Warp
 from repro.protocols.factory import build_protocol
+from repro.trace import pack_trace
 
 
 def make_machine(**overrides):
@@ -26,7 +27,7 @@ def make_machine(**overrides):
 
 
 def make_warp(uid=0):
-    return Warp(uid, [])
+    return Warp(uid, pack_trace([]))
 
 
 def complete_tracker():

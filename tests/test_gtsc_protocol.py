@@ -2,7 +2,7 @@
 
 from repro.config import Consistency, GPUConfig, Protocol, VisibilityPolicy
 from repro.gpu.gpu import GPU
-from repro.trace.instr import Kernel, compute, fence, load, store
+from repro.trace import Kernel, compute, fence, load, store
 from repro.validate.checker import check_gtsc_log, check_warp_monotonicity
 
 from tests.conftest import random_kernel, run_and_check

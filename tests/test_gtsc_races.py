@@ -16,6 +16,7 @@ from repro.core.messages import BusFill, BusRnw, BusWrAck
 from repro.gpu.machine import Machine
 from repro.gpu.warp import Warp
 from repro.protocols.factory import build_protocol
+from repro.trace import pack_trace
 
 from tests.conftest import random_kernel, run_and_check
 
@@ -45,7 +46,7 @@ def fill_line(machine, l1, warp, addr):
 def test_renewal_for_evicted_line_refetches_data():
     machine = make_machine()
     l1 = machine.l1s[0]
-    warp = Warp(0, [])
+    warp = Warp(0, pack_trace([]))
     fill_line(machine, l1, warp, 0)
     # force an expired-lease renewal request, but evict the line while
     # the renewal response is in flight
@@ -75,7 +76,7 @@ def test_direct_renewal_injection_with_no_line_is_safe():
 def test_stale_epoch_fill_triggers_refetch():
     machine = make_machine()
     l1 = machine.l1s[0]
-    warp = Warp(0, [])
+    warp = Warp(0, pack_trace([]))
     done, cb = tracker()
     l1.load(warp, 0, cb)
     # the domain resets while the fill is in flight; the L1 hears of
@@ -90,7 +91,7 @@ def test_stale_epoch_fill_triggers_refetch():
 def test_stale_epoch_write_ack_still_completes_store():
     machine = make_machine()
     l1 = machine.l1s[0]
-    warp = Warp(0, [])
+    warp = Warp(0, pack_trace([]))
     fill_line(machine, l1, warp, 0)
     done, cb = tracker()
     l1.store(warp, 0, cb)
@@ -106,7 +107,7 @@ def test_stale_epoch_write_ack_still_completes_store():
 def test_lines_installed_after_reset_carry_new_epoch():
     machine = make_machine()
     l1 = machine.l1s[0]
-    warp = Warp(0, [])
+    warp = Warp(0, pack_trace([]))
     machine.timestamp_domain.overflow_reset()
     l1._epoch_reset(machine.timestamp_domain.epoch)
     fill_line(machine, l1, warp, 0)
@@ -121,7 +122,7 @@ def test_fill_bypasses_cache_when_all_ways_pinned():
     machine = make_machine()
     l1 = machine.l1s[0]
     config = machine.config
-    warp = Warp(0, [])
+    warp = Warp(0, pack_trace([]))
     # pin both ways of set 0 with pending stores; the fill under test
     # is injected directly so the pins are still held when it lands
     set_stride = config.l1_sets
@@ -134,7 +135,7 @@ def test_fill_bypasses_cache_when_all_ways_pinned():
 
     from repro.protocols.base import LoadWaiter
     done, cb = tracker()
-    other = Warp(1, [])
+    other = Warp(1, pack_trace([]))
     target = 2 * set_stride
     entry = l1.mshr.allocate(target)
     entry.waiters.append(LoadWaiter(other, cb, machine.engine.now))
@@ -156,7 +157,7 @@ def test_fill_bypasses_cache_when_all_ways_pinned():
 def test_forward_all_straggler_still_completes():
     machine = make_machine(combining=CombiningPolicy.FORWARD_ALL)
     l1 = machine.l1s[0]
-    near, far = Warp(0, []), Warp(1, [])
+    near, far = Warp(0, pack_trace([])), Warp(1, pack_trace([]))
     far.ts = 400
     done_near, cb_near = tracker()
     done_far, cb_far = tracker()
@@ -185,7 +186,7 @@ def test_crossed_write_acks_pair_by_version():
     cross the warps' timestamp updates and tear the records."""
     machine = make_machine()
     l1 = machine.l1s[0]
-    warp_a, warp_b = Warp(0, []), Warp(1, [])
+    warp_a, warp_b = Warp(0, pack_trace([])), Warp(1, pack_trace([]))
     line = fill_line(machine, l1, warp_a, 0)
     line.pending_stores = 2
     done_a, cb_a = tracker()
@@ -221,7 +222,7 @@ def test_old_write_ack_does_not_clobber_newer_line_state():
     refreshed by a newer fill meanwhile) must not regress it."""
     machine = make_machine()
     l1 = machine.l1s[0]
-    warp = Warp(0, [])
+    warp = Warp(0, pack_trace([]))
     line = fill_line(machine, l1, warp, 0)
     line.wts, line.rts, line.version = 90, 120, 7  # pretend newer state
     line.pending_stores = 1

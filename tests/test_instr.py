@@ -1,13 +1,13 @@
-"""Unit tests for instruction and kernel records."""
+"""Unit tests for instruction rows and kernel records."""
 
 import pytest
 
-from repro.trace.instr import (
-    COMPUTE,
-    FENCE,
-    LOAD,
-    STORE,
-    Instr,
+from repro.trace import (
+    OP_ATOMIC,
+    OP_COMPUTE,
+    OP_FENCE,
+    OP_LOAD,
+    OP_STORE,
     Kernel,
     compute,
     fence,
@@ -17,28 +17,27 @@ from repro.trace.instr import (
 
 
 def test_constructors_set_opcodes():
-    assert load(1).op == LOAD
-    assert store(2).op == STORE
-    assert fence().op == FENCE
-    assert compute(3).op == COMPUTE
+    assert load(1)[0] == OP_LOAD
+    assert store(2)[0] == OP_STORE
+    assert fence()[0] == OP_FENCE
+    assert compute(3)[0] == OP_COMPUTE
 
 
 def test_load_carries_multiple_coalesced_addresses():
-    instr = load(4, 5, 6)
-    assert instr.addrs == (4, 5, 6)
-    assert instr.is_memory
+    assert load(4, 5, 6) == (OP_LOAD, (4, 5, 6))
 
 
 def test_fence_and_compute_are_not_memory():
-    assert not fence().is_memory
-    assert not compute(1).is_memory
+    # the SM's "is this a memory access" check is this range
+    for op, _ in (fence(), compute(1)):
+        assert not OP_LOAD <= op <= OP_ATOMIC
 
 
 def test_memory_instr_requires_addresses():
     with pytest.raises(ValueError):
-        Instr(LOAD)
+        load()
     with pytest.raises(ValueError):
-        Instr(STORE)
+        store()
 
 
 def test_compute_requires_positive_cycles():
@@ -47,14 +46,14 @@ def test_compute_requires_positive_cycles():
 
 
 def test_unknown_opcode_rejected():
-    with pytest.raises(ValueError):
-        Instr("jump")
+    with pytest.raises(ValueError, match="unknown opcode"):
+        Kernel.from_dict({"name": "k", "warps": [[["jump"]]]})
 
 
 def test_instr_is_immutable():
-    instr = load(1)
-    with pytest.raises(Exception):
-        instr.op = STORE
+    row = load(1)
+    with pytest.raises(TypeError):
+        row[0] = OP_STORE
 
 
 def test_kernel_counts():

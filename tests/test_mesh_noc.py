@@ -149,6 +149,6 @@ def test_mesh_and_port_agree_on_values_not_timing():
 def test_paper_sized_mesh_builds():
     config = GPUConfig.paper(noc_topology=NocTopology.MESH)
     from repro.gpu.gpu import GPU
-    from repro.trace.instr import Kernel, fence, load
+    from repro.trace import Kernel, fence, load
     stats = GPU(config).run(Kernel("k", [[load(0), fence()]]))
     assert stats.cycles > 0

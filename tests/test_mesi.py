@@ -15,7 +15,15 @@ from repro.gpu.machine import Machine
 from repro.gpu.warp import Warp
 from repro.protocols.factory import build_protocol
 from repro.protocols.mesi import _MODIFIED, _SHARED
-from repro.trace.instr import Kernel, atomic, compute, fence, load, store
+from repro.trace import (
+    Kernel,
+    atomic,
+    compute,
+    fence,
+    load,
+    pack_trace,
+    store,
+)
 from repro.workloads.litmus import (
     iriw,
     iriw_outcome,
@@ -48,7 +56,7 @@ def tracker():
 def test_load_installs_shared():
     machine = make_machine()
     l1 = machine.l1s[0]
-    warp = Warp(0, [])
+    warp = Warp(0, pack_trace([]))
     done, cb = tracker()
     l1.load(warp, 0, cb)
     machine.engine.run()
@@ -59,7 +67,7 @@ def test_load_installs_shared():
 def test_store_acquires_ownership_then_hits_locally():
     machine = make_machine()
     l1 = machine.l1s[0]
-    warp = Warp(0, [])
+    warp = Warp(0, pack_trace([]))
     done, cb = tracker()
     l1.store(warp, 0, cb)
     machine.engine.run()
@@ -77,7 +85,7 @@ def test_store_acquires_ownership_then_hits_locally():
 def test_write_invalidates_remote_sharers():
     machine = make_machine()
     reader_l1, writer_l1 = machine.l1s[0], machine.l1s[1]
-    reader, writer = Warp(0, []), Warp(1, [])
+    reader, writer = Warp(0, pack_trace([])), Warp(1, pack_trace([]))
     reader_l1.load(reader, 0, lambda: None)
     machine.engine.run()
     assert reader_l1.cache.lookup(0) is not None
@@ -92,7 +100,7 @@ def test_write_invalidates_remote_sharers():
 def test_read_recalls_modified_owner():
     machine = make_machine()
     writer_l1, reader_l1 = machine.l1s[0], machine.l1s[1]
-    writer, reader = Warp(0, []), Warp(1, [])
+    writer, reader = Warp(0, pack_trace([])), Warp(1, pack_trace([]))
     writer_l1.store(writer, 0, lambda: None)
     machine.engine.run()
     done, cb = tracker()
@@ -110,7 +118,7 @@ def test_read_recalls_modified_owner():
 def test_silent_share_eviction_gets_harmless_invalidation():
     machine = make_machine()
     l1_a, l1_b = machine.l1s[0], machine.l1s[1]
-    wa, wb = Warp(0, []), Warp(1, [])
+    wa, wb = Warp(0, pack_trace([])), Warp(1, pack_trace([]))
     l1_a.load(wa, 0, lambda: None)
     machine.engine.run()
     l1_a.cache.invalidate(0)          # silent S eviction
@@ -122,7 +130,7 @@ def test_silent_share_eviction_gets_harmless_invalidation():
 def test_modified_eviction_writes_back():
     machine = make_machine()
     l1 = machine.l1s[0]
-    warp = Warp(0, [])
+    warp = Warp(0, pack_trace([]))
     l1.store(warp, 0, lambda: None)
     machine.engine.run()
     # force the M line out with conflicting fills
@@ -139,7 +147,7 @@ def test_modified_eviction_writes_back():
 def test_directory_eviction_recalls_copies():
     machine = make_machine()
     l1 = machine.l1s[0]
-    warp = Warp(0, [])
+    warp = Warp(0, pack_trace([]))
     l1.load(warp, 0, lambda: None)
     machine.engine.run()
     sets = machine.config.l2_sets

@@ -5,7 +5,7 @@ from repro.gpu.gpu import GPU
 from repro.gpu.machine import Machine
 from repro.gpu.warp import Warp
 from repro.protocols.factory import build_protocol
-from repro.trace.instr import Kernel, fence, load, store
+from repro.trace import Kernel, fence, load, pack_trace, store
 
 
 def make_machine(protocol, **overrides):
@@ -27,7 +27,7 @@ def tracker():
 def test_disabled_forwards_every_load_to_l2():
     machine = make_machine(Protocol.DISABLED)
     l1 = machine.l1s[0]
-    warp = Warp(0, [])
+    warp = Warp(0, pack_trace([]))
     done, cb = tracker()
     for _ in range(3):
         l1.load(warp, 0, cb)
@@ -42,7 +42,7 @@ def test_disabled_forwards_every_load_to_l2():
 def test_disabled_store_acknowledged_by_l2():
     machine = make_machine(Protocol.DISABLED)
     l1 = machine.l1s[0]
-    warp = Warp(0, [])
+    warp = Warp(0, pack_trace([]))
     done, cb = tracker()
     l1.store(warp, 0, cb)
     machine.engine.run()
@@ -84,7 +84,7 @@ def test_disabled_every_access_crosses_noc():
 def test_noncoherent_caches_and_hits():
     machine = make_machine(Protocol.NONCOHERENT)
     l1 = machine.l1s[0]
-    warp = Warp(0, [])
+    warp = Warp(0, pack_trace([]))
     done, cb = tracker()
     l1.load(warp, 0, cb)
     machine.engine.run()
@@ -97,7 +97,7 @@ def test_noncoherent_caches_and_hits():
 def test_noncoherent_lines_never_expire():
     machine = make_machine(Protocol.NONCOHERENT)
     l1 = machine.l1s[0]
-    warp = Warp(0, [])
+    warp = Warp(0, pack_trace([]))
     l1.load(warp, 0, lambda: None)
     machine.engine.run()
     # eons later it still hits: no lease of any kind
@@ -111,7 +111,7 @@ def test_noncoherent_lines_never_expire():
 def test_noncoherent_own_sm_sees_own_store():
     machine = make_machine(Protocol.NONCOHERENT)
     l1 = machine.l1s[0]
-    warp = Warp(0, [])
+    warp = Warp(0, pack_trace([]))
     l1.load(warp, 0, lambda: None)
     machine.engine.run()
     l1.store(warp, 0, lambda: None)
@@ -128,7 +128,7 @@ def test_noncoherent_is_indeed_incoherent_across_sms():
     for the second benchmark group in Figure 12.)"""
     machine = make_machine(Protocol.NONCOHERENT)
     l1_a, l1_b = machine.l1s[0], machine.l1s[1]
-    wa, wb = Warp(0, []), Warp(1, [])
+    wa, wb = Warp(0, pack_trace([])), Warp(1, pack_trace([]))
     l1_a.load(wa, 0, lambda: None)   # SM0 caches version 0
     machine.engine.run()
     l1_b.store(wb, 0, lambda: None)  # SM1 writes version 1
@@ -142,7 +142,7 @@ def test_noncoherent_combines_misses_in_mshr():
     machine = make_machine(Protocol.NONCOHERENT)
     l1 = machine.l1s[0]
     for uid in range(3):
-        l1.load(Warp(uid, []), 0, lambda: None)
+        l1.load(Warp(uid, pack_trace([])), 0, lambda: None)
     machine.engine.run()
     assert machine.stats.get("l2_access") == 1
 
@@ -150,7 +150,7 @@ def test_noncoherent_combines_misses_in_mshr():
 def test_plain_l2_evicts_dirty_lines_with_writeback():
     machine = make_machine(Protocol.DISABLED)
     l1 = machine.l1s[0]
-    warp = Warp(0, [])
+    warp = Warp(0, pack_trace([]))
     sets = machine.config.l2_sets
     stride = sets * machine.config.num_l2_banks
     l1.store(warp, 0, lambda: None)

@@ -20,7 +20,7 @@ from repro.harness.cache import run_key
 from repro.harness.runner import ExperimentRunner
 from repro.stats.collector import RunStats
 from repro.stats.histogram import Histogram
-from repro.trace.instr import Kernel, fence, load, store
+from repro.trace import Kernel, fence, load, store
 
 
 def small_run() -> RunStats:

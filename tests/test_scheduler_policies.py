@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import Consistency, GPUConfig, Protocol, SchedulerPolicy
 from repro.gpu.gpu import GPU
-from repro.trace.instr import Kernel, compute, fence, load
+from repro.trace import Kernel, compute, fence, load
 
 from tests.conftest import random_kernel, run_and_check
 

@@ -3,7 +3,7 @@ occupancy waves."""
 
 from repro.config import Consistency, GPUConfig, Protocol
 from repro.gpu.gpu import GPU, SimulationHang
-from repro.trace.instr import Kernel, compute, fence, load, store
+from repro.trace import Kernel, compute, fence, load, store
 
 import pytest
 

@@ -11,7 +11,7 @@ from repro.gpu.machine import Machine
 from repro.gpu.warp import Warp
 from repro.protocols.factory import build_protocol
 from repro.protocols.tc import TCFill, TCRd, TCWr, TCWrAck
-from repro.trace.instr import Kernel, compute, fence, load, store
+from repro.trace import Kernel, compute, fence, load, pack_trace, store
 
 
 def make_machine(consistency=Consistency.SC, **overrides):
@@ -34,7 +34,7 @@ def tracker():
 def test_fill_grants_physical_lease():
     machine = make_machine()
     l1 = machine.l1s[0]
-    warp = Warp(0, [])
+    warp = Warp(0, pack_trace([]))
     done, cb = tracker()
     l1.load(warp, 0, cb)
     machine.engine.run()
@@ -47,7 +47,7 @@ def test_fill_grants_physical_lease():
 def test_hit_within_lease_miss_after_expiry():
     machine = make_machine()
     l1 = machine.l1s[0]
-    warp = Warp(0, [])
+    warp = Warp(0, pack_trace([]))
     done, cb = tracker()
     l1.load(warp, 0, cb)
     machine.engine.run()
@@ -65,7 +65,7 @@ def test_hit_within_lease_miss_after_expiry():
 def test_store_invalidates_local_copy():
     machine = make_machine()
     l1 = machine.l1s[0]
-    warp = Warp(0, [])
+    warp = Warp(0, pack_trace([]))
     done, cb = tracker()
     l1.load(warp, 0, cb)
     machine.engine.run()
@@ -82,7 +82,7 @@ def test_store_invalidates_local_copy():
 def test_strong_write_waits_for_lease_expiry():
     machine = make_machine(Consistency.SC)
     l1_a, l1_b = machine.l1s[0], machine.l1s[1]
-    reader, writer = Warp(0, []), Warp(1, [])
+    reader, writer = Warp(0, pack_trace([])), Warp(1, pack_trace([]))
     done_r, cb_r = tracker()
     done_w, cb_w = tracker()
     # SM0 takes a lease on line 0
@@ -102,7 +102,7 @@ def test_strong_reads_queue_behind_waiting_write():
     """Section II-D3: a delayed write delays all subsequent reads."""
     machine = make_machine(Consistency.SC)
     l1_a, l1_b = machine.l1s[0], machine.l1s[1]
-    reader, writer, late = Warp(0, []), Warp(1, []), Warp(2, [])
+    reader, writer, late = Warp(0, pack_trace([])), Warp(1, pack_trace([])), Warp(2, pack_trace([]))
     l1_a.load(reader, 0, lambda: None)
     machine.engine.run()
     lease_end = machine.l2_banks[0].cache.lookup(0).expiry
@@ -121,7 +121,7 @@ def test_strong_reads_queue_behind_waiting_write():
 def test_weak_write_completes_immediately_with_gwct():
     machine = make_machine(Consistency.RC)
     l1_a, l1_b = machine.l1s[0], machine.l1s[1]
-    reader, writer = Warp(0, []), Warp(1, [])
+    reader, writer = Warp(0, pack_trace([])), Warp(1, pack_trace([]))
     l1_a.load(reader, 0, lambda: None)
     machine.engine.run()
     lease_end = machine.l2_banks[0].cache.lookup(0).expiry
@@ -164,7 +164,7 @@ def test_tc_strong_inclusion_stalls_replacement():
     l1 = machine.l1s[0]
     sets = config.l2_sets
     stride = sets * config.num_l2_banks
-    warp = Warp(0, [])
+    warp = Warp(0, pack_trace([]))
     # lease-pin every way of one L2 set, then fetch one more line
     for k in range(config.l2_assoc):
         l1.load(warp, k * stride, lambda: None)

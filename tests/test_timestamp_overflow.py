@@ -5,7 +5,7 @@ import pytest
 from repro.config import Consistency, GPUConfig, Protocol
 from repro.core.timestamps import TimestampDomain
 from repro.gpu.gpu import GPU
-from repro.trace.instr import Kernel, fence, load, store
+from repro.trace import Kernel, fence, load, store
 
 from tests.conftest import random_kernel, run_and_check
 

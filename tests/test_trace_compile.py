@@ -1,11 +1,12 @@
-"""Compiled traces: format round-trips, simulated equivalence, digests.
+"""Packed traces: the one format, its two authoring styles, digests.
 
-The workload generators write packed traces directly through
-:class:`TraceBuilder`.  That is pure packaging: every generated
-kernel must simulate to a ``RunStats.to_dict()`` byte-identical to
-its authoring-level :class:`Kernel` compiled at launch, under every
-protocol, and every generated trace must match the sha256 digest
-recorded in ``tests/golden/trace_digests.json``.
+The workload generators write packed traces through
+:class:`TraceBuilder`; hand-written kernels list rows that the
+:class:`Kernel` constructor packs.  Both must give one format.  Every
+generated trace must match the sha256 digest recorded in
+``tests/golden/trace_digests.json``, and a generated kernel read back
+from its JSON form must simulate to a ``RunStats.to_dict()``
+byte-identical to the original's, under every protocol.
 """
 
 import hashlib
@@ -14,22 +15,27 @@ import os
 
 import pytest
 
-import repro.trace.instr as authoring
+import repro.trace as rows
 from repro.config import Consistency, GPUConfig, Protocol
 from repro.gpu.gpu import GPU
-from repro.trace.compiled import (
+from repro.trace import (
     OP_ATOMIC,
     OP_BARRIER,
     OP_COMPUTE,
     OP_FENCE,
     OP_LOAD,
     OP_STORE,
-    CompiledKernel,
+    CompiledTrace,
+    Kernel,
     TraceBuilder,
+    atomic,
+    barrier,
     compile_kernel,
-    compile_trace,
+    compute,
+    fence,
+    load,
+    store,
 )
-from repro.trace.instr import Instr, Kernel
 from repro.workloads import ALL_NAMES, WORKLOADS, build_workload
 
 SCALE = 0.3
@@ -63,61 +69,62 @@ def test_opcode_range_check_invariant():
     assert OP_ATOMIC < OP_FENCE < OP_BARRIER
 
 
-def test_compile_trace_packs_every_instruction_kind():
-    trace = compile_trace([
-        Instr("compute", cycles=3),
-        Instr("load", addrs=(64, 128)),
-        Instr("store", addrs=(64,)),
-        Instr("atomic", addrs=(192,)),
-        Instr("fence"),
-        Instr("barrier"),
-    ])
-    assert trace.ops == [OP_COMPUTE, OP_LOAD, OP_STORE, OP_ATOMIC,
-                         OP_FENCE, OP_BARRIER]
-    assert trace.args == [3, (64, 128), (64,), (192,), None, None]
-    assert len(trace) == 6
+def test_rows_and_trace_builder_write_one_format():
+    """A two-warp kernel using every opcode, written as rows and
+    through the builder: one dict, the same rows back, one outcome."""
+    warps = [
+        [compute(3), load(64, 128), store(64), barrier(), atomic(192),
+         fence()],
+        [load(64), barrier(), compute(1), store(128), fence()],
+    ]
+    first, second = TraceBuilder(), TraceBuilder()
+    first.compute(3)
+    first.load(64, 128)
+    first.store(64)
+    first.barrier()
+    first.atomic(192)
+    first.fence()
+    second.load(64)
+    second.barrier()
+    second.compute(1)
+    second.store(128)
+    second.fence()
+    by_rows = Kernel("every-op", warps, cta_size=2)
+    by_builder = Kernel("every-op", [first.build(), second.build()],
+                        cta_size=2)
+    assert by_rows.to_dict() == by_builder.to_dict()
+    for kernel in (by_rows, by_builder):
+        assert [list(trace) for trace in kernel.traces] == warps
+    stats = [GPU(GPUConfig.tiny()).run(kernel).to_dict()
+             for kernel in (by_rows, by_builder)]
+    assert stats[0] == stats[1]
 
 
-def test_compiled_trace_decompiles_to_the_same_instructions():
-    instrs = [Instr("load", addrs=(64,)), Instr("compute", cycles=2),
-              Instr("fence")]
-    assert compile_trace(instrs).instructions() == instrs
-
-
-def test_compiled_kernel_mirrors_kernel_surface():
-    kernel = Kernel(name="k", warp_traces=[
-        [Instr("load", addrs=(64,)), Instr("store", addrs=(128,))],
-        [Instr("compute", cycles=1)],
-    ])
-    compiled = compile_kernel(kernel)
-    assert compiled.name == kernel.name
-    assert compiled.cta_size == kernel.cta_size
-    assert compiled.num_warps == kernel.num_warps
-    assert compiled.total_instructions == kernel.total_instructions
-    assert compiled.num_ctas == kernel.num_ctas
-    assert compiled.memory_footprint() == kernel.memory_footprint()
+def test_kernel_repr_spells_its_rows():
+    kernel = Kernel("r", [[load(1, 2), compute(3), fence()],
+                          [atomic(4), barrier()]], cta_size=2)
+    assert repr(kernel) == ("Kernel('r', [[load(1, 2), compute(3), "
+                            "fence()], [atomic(4), barrier()]], "
+                            "cta_size=2)")
 
 
 def test_compiled_kernel_dict_round_trip():
-    kernel = Kernel(name="rt", cta_size=2, warp_traces=[
-        [Instr("load", addrs=(64, 128)), Instr("barrier"),
-         Instr("atomic", addrs=(256,))],
-        [Instr("compute", cycles=5), Instr("barrier"), Instr("fence")],
-    ])
-    compiled = compile_kernel(kernel)
-    rebuilt = CompiledKernel.from_dict(
-        json.loads(json.dumps(compiled.to_dict())))
-    assert rebuilt.to_dict() == compiled.to_dict()
-    assert rebuilt.decompile() == kernel
+    kernel = Kernel("rt", [
+        [load(64, 128), barrier(), atomic(256)],
+        [compute(5), barrier(), fence()],
+    ], cta_size=2)
+    rebuilt = Kernel.from_dict(json.loads(json.dumps(kernel.to_dict())))
+    assert rebuilt.to_dict() == kernel.to_dict()
+    assert repr(rebuilt) == repr(kernel)
 
 
 def test_from_dict_rejects_unknown_format_and_opcodes():
     with pytest.raises(ValueError, match="format"):
-        CompiledKernel.from_dict({"format": 99, "name": "x",
-                                  "cta_size": 1, "warps": [[["load", [0]]]]})
+        Kernel.from_dict({"format": 99, "name": "x",
+                          "cta_size": 1, "warps": [[["load", [0]]]]})
     with pytest.raises(ValueError, match="opcode"):
-        CompiledKernel.from_dict({"format": 1, "name": "x",
-                                  "cta_size": 1, "warps": [[["jump"]]]})
+        Kernel.from_dict({"format": 1, "name": "x",
+                          "cta_size": 1, "warps": [[["jump"]]]})
 
 
 @pytest.mark.parametrize("op, args", [
@@ -125,30 +132,32 @@ def test_from_dict_rejects_unknown_format_and_opcodes():
     ("compute", (0,)), ("compute", (-1,)),
 ])
 def test_trace_builder_raises_what_instr_raises(op, args):
+    """The builder, the row function and the JSON reader refuse the
+    same instruction with the same message."""
     builder = TraceBuilder()
     with pytest.raises(ValueError) as packed:
         getattr(builder, op)(*args)
-    with pytest.raises(ValueError) as authored:
-        getattr(authoring, op)(*args)
-    assert str(packed.value) == str(authored.value)
+    with pytest.raises(ValueError) as by_row:
+        getattr(rows, op)(*args)
+    operand = args[0] if op == "compute" else list(args)
+    with pytest.raises(ValueError) as read:
+        Kernel.from_dict({"name": "x", "warps": [[[op, operand]]]})
+    assert str(packed.value) == str(by_row.value) == str(read.value)
     assert builder.ops == [] and builder.args == []
 
 
 def test_compile_kernel_returns_a_compiled_kernel_validated():
-    compiled = compile_kernel(Kernel("k", [[Instr("fence")]]))
-    assert compile_kernel(compiled) is compiled
+    kernel = Kernel("k", [[fence()]])
+    assert compile_kernel(kernel) is kernel
     with pytest.raises(ValueError, match="no warps"):
-        compile_kernel(CompiledKernel("e", []))
+        compile_kernel(Kernel("e", []))
 
 
 def test_compiled_validate_matches_kernel_validate():
     with pytest.raises(ValueError, match="barriers"):
-        CompiledKernel("b", [
-            compile_trace([Instr("barrier")]),
-            compile_trace([Instr("barrier")]),
-        ], cta_size=1).validate()
+        Kernel("b", [[barrier()], [barrier()]], cta_size=1).validate()
     with pytest.raises(ValueError, match="no warps"):
-        CompiledKernel("e", []).validate()
+        Kernel("e", []).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -159,11 +168,12 @@ def test_compiled_validate_matches_kernel_validate():
                          ids=[p.value for p in PROTOCOLS])
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_compiled_path_is_byte_identical(name, protocol):
+    """A generated kernel and its JSON replay — rows read back through
+    the row functions and packed by the constructor, the path of a
+    saved or hand-written kernel — simulate identically."""
     generated = build_workload(name, scale=SCALE, seed=SEED)
-    assert isinstance(generated, CompiledKernel)
-    expected = _run(generated, protocol)
-    # the authoring-level kernel, compiled at launch
-    assert _run(generated.decompile(), protocol) == expected
+    replayed = Kernel.from_dict(json.loads(json.dumps(generated.to_dict())))
+    assert _run(replayed, protocol) == _run(generated, protocol)
 
 
 # ---------------------------------------------------------------------------
@@ -173,11 +183,12 @@ def test_compiled_path_is_byte_identical(name, protocol):
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_every_workload_builds_a_compiled_kernel(name):
     kernel = build_workload(name, scale=0.15, seed=SEED)
-    assert isinstance(kernel, CompiledKernel)
+    assert isinstance(kernel, Kernel)
+    assert all(isinstance(trace, CompiledTrace) for trace in kernel.traces)
 
 
 def _trace_digest(kernel) -> str:
-    blob = json.dumps(compile_kernel(kernel).to_dict(), sort_keys=True)
+    blob = json.dumps(kernel.to_dict(), sort_keys=True)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 

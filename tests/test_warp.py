@@ -1,11 +1,11 @@
 """Unit tests for warp state."""
 
 from repro.gpu.warp import Warp
-from repro.trace.instr import compute, fence, load, store
+from repro.trace import compute, fence, load, pack_trace
 
 
 def test_initial_state():
-    warp = Warp(3, [load(0)])
+    warp = Warp(3, pack_trace([load(0)]))
     assert warp.uid == 3
     assert warp.pc == 0
     assert warp.ts == 1          # logical clocks start at 1 (§III-B)
@@ -14,18 +14,17 @@ def test_initial_state():
     assert warp.drained()
 
 
-def test_next_instr_and_finished():
-    warp = Warp(0, [load(0), fence()])
-    assert warp.next_instr().op == "load"
+def test_pc_indexes_the_packed_rows_until_finished():
+    warp = Warp(0, pack_trace([load(0), fence()]))
+    assert (warp.ops[warp.pc], warp.args[warp.pc]) == load(0)
     warp.pc = 1
     assert warp.at_fence()
     warp.pc = 2
     assert warp.finished_trace
-    assert warp.next_instr() is None
 
 
 def test_drained_tracks_all_outstanding_state():
-    warp = Warp(0, [])
+    warp = Warp(0, pack_trace([]))
     assert warp.drained()
     warp.outstanding_loads = 1
     assert not warp.drained()
@@ -40,12 +39,12 @@ def test_drained_tracks_all_outstanding_state():
 
 
 def test_at_fence_only_on_fence():
-    warp = Warp(0, [compute(1), fence()])
+    warp = Warp(0, pack_trace([compute(1), fence()]))
     assert not warp.at_fence()
     warp.pc = 1
     assert warp.at_fence()
 
 
 def test_empty_trace_is_finished():
-    warp = Warp(0, [])
+    warp = Warp(0, pack_trace([]))
     assert warp.finished_trace

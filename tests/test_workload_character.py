@@ -7,27 +7,28 @@ would quietly invalidate every figure.
 
 import pytest
 
-from repro.trace.instr import COMPUTE, FENCE, LOAD, STORE
+from repro.trace import OP_COMPUTE, OP_FENCE, OP_LOAD, OP_STORE
 from repro.workloads import ALL_NAMES, build_workload
 
 
 def profile(name, scale=0.4):
-    kernel = build_workload(name, scale=scale, seed=2018).decompile()
-    counts = {LOAD: 0, STORE: 0, FENCE: 0, COMPUTE: 0}
+    kernel = build_workload(name, scale=scale, seed=2018)
+    counts = {OP_LOAD: 0, OP_STORE: 0, OP_FENCE: 0, OP_COMPUTE: 0}
     compute_cycles = 0
     accesses = 0
-    for trace in kernel.warp_traces:
-        for instr in trace:
-            counts[instr.op] += 1
-            if instr.op == COMPUTE:
-                compute_cycles += instr.cycles
-            accesses += len(instr.addrs)
-    mem_instrs = counts[LOAD] + counts[STORE]
+    for trace in kernel.traces:
+        for op, arg in trace:
+            counts[op] += 1
+            if op == OP_COMPUTE:
+                compute_cycles += arg
+            elif op != OP_FENCE:
+                accesses += len(arg)
+    mem_instrs = counts[OP_LOAD] + counts[OP_STORE]
     return {
         "kernel": kernel,
         "counts": counts,
         "compute_per_access": compute_cycles / max(1, accesses),
-        "store_share": counts[STORE] / max(1, mem_instrs),
+        "store_share": counts[OP_STORE] / max(1, mem_instrs),
     }
 
 
@@ -72,10 +73,10 @@ def test_km_has_the_largest_stream():
 def test_dlp_concentrates_writes_on_hot_lines():
     kernel = profile("DLP")["kernel"]
     writes = {}
-    for trace in kernel.warp_traces:
-        for instr in trace:
-            if instr.op == STORE:
-                for addr in instr.addrs:
+    for trace in kernel.traces:
+        for op, arg in trace:
+            if op == OP_STORE:
+                for addr in arg:
                     writes[addr] = writes.get(addr, 0) + 1
     top = sorted(writes.values(), reverse=True)
     # the hottest handful of lines absorb a large share of all writes
@@ -86,12 +87,12 @@ def test_stn_halo_crosses_warp_boundaries():
     kernel = profile("STN")["kernel"]
     reads_by_warp = {}
     writes_by_warp = {}
-    for index, trace in enumerate(kernel.warp_traces):
-        for instr in trace:
-            target = reads_by_warp if instr.op == LOAD else \
-                writes_by_warp if instr.op == STORE else None
+    for index, trace in enumerate(kernel.traces):
+        for op, arg in trace:
+            target = reads_by_warp if op == OP_LOAD else \
+                writes_by_warp if op == OP_STORE else None
             if target is not None:
-                target.setdefault(index, set()).update(instr.addrs)
+                target.setdefault(index, set()).update(arg)
     # every warp reads at least one line that a different warp writes
     for index, reads in reads_by_warp.items():
         foreign = set()

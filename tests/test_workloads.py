@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import Consistency, GPUConfig, Protocol
 from repro.gpu.gpu import GPU
-from repro.trace.instr import FENCE, LOAD, STORE
+from repro.trace import OP_FENCE, OP_LOAD, OP_STORE
 from repro.workloads import (
     ALL_NAMES,
     COHERENT_NAMES,
@@ -34,14 +34,14 @@ def test_every_workload_builds_and_validates(name):
 
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_workloads_are_deterministic_per_seed(name):
-    a = build_workload(name, scale=0.25, seed=42).decompile()
-    b = build_workload(name, scale=0.25, seed=42).decompile()
-    assert a.warp_traces == b.warp_traces
+    a = build_workload(name, scale=0.25, seed=42).to_dict()
+    b = build_workload(name, scale=0.25, seed=42).to_dict()
+    assert a == b
     # a different seed changes the randomised workloads (some
     # generators are fully structured and legitimately seed-free)
     seed_free = {"STN", "HS", "GE", "BP", "SGM", "CCP", "KM"}
-    c = build_workload(name, scale=0.25, seed=43).decompile()
-    assert a.warp_traces != c.warp_traces or name in seed_free
+    c = build_workload(name, scale=0.25, seed=43).to_dict()
+    assert a != c or name in seed_free
 
 
 def test_scale_changes_workload_size():
@@ -64,13 +64,13 @@ def test_nonpositive_scale_rejected():
 def _has_cross_warp_rw_sharing(kernel):
     """Does any line get written by one warp and read by another?"""
     writers, readers = {}, {}
-    for index, trace in enumerate(kernel.warp_traces):
-        for instr in trace:
-            if instr.op == STORE:
-                for addr in instr.addrs:
+    for index, trace in enumerate(kernel.traces):
+        for op, arg in trace:
+            if op == OP_STORE:
+                for addr in arg:
                     writers.setdefault(addr, set()).add(index)
-            elif instr.op == LOAD:
-                for addr in instr.addrs:
+            elif op == OP_LOAD:
+                for addr in arg:
                     readers.setdefault(addr, set()).add(index)
     for addr, wset in writers.items():
         rset = readers.get(addr, set())
@@ -81,15 +81,15 @@ def _has_cross_warp_rw_sharing(kernel):
 
 @pytest.mark.parametrize("name", COHERENT_NAMES)
 def test_coherent_group_really_shares_read_write_data(name):
-    kernel = build_workload(name, scale=0.25, seed=1).decompile()
+    kernel = build_workload(name, scale=0.25, seed=1)
     assert _has_cross_warp_rw_sharing(kernel)
 
 
 @pytest.mark.parametrize("name", COHERENT_NAMES)
 def test_coherent_group_uses_fences(name):
-    kernel = build_workload(name, scale=0.25, seed=1).decompile()
-    ops = {i.op for t in kernel.warp_traces for i in t}
-    assert FENCE in ops
+    kernel = build_workload(name, scale=0.25, seed=1)
+    ops = {op for t in kernel.traces for op in t.ops}
+    assert OP_FENCE in ops
 
 
 @pytest.mark.parametrize("name", INDEPENDENT_NAMES)
