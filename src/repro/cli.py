@@ -69,8 +69,8 @@ def _results_db(args: argparse.Namespace):
     except sqlite3.DatabaseError as error:
         raise SystemExit(
             f"cannot use {args.db} as a results database ({error}) — "
-            f"point --db at another file, or pass --no-db to run "
-            f"without one") from None
+            f"point --db at another file ('run', 'report', 'sweep', "
+            f"'profile' and 'serve' also take --no-db)") from None
 
 
 def _add_runner_args(parser: argparse.ArgumentParser) -> None:
