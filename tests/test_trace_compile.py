@@ -34,6 +34,7 @@ from repro.trace import (
     compute,
     fence,
     load,
+    pack_trace,
     store,
 )
 from repro.workloads import ALL_NAMES, WORKLOADS, build_workload
@@ -67,6 +68,20 @@ def test_opcode_range_check_invariant():
     assert OP_STORE + 1 == OP_ATOMIC
     assert OP_COMPUTE < OP_LOAD
     assert OP_ATOMIC < OP_FENCE < OP_BARRIER
+
+
+def test_compile_trace_packs_every_instruction_kind():
+    trace = pack_trace([compute(3), load(64, 128), store(64),
+                        atomic(192), fence(), barrier()])
+    assert trace.ops == [OP_COMPUTE, OP_LOAD, OP_STORE, OP_ATOMIC,
+                         OP_FENCE, OP_BARRIER]
+    assert trace.args == [3, (64, 128), (64,), (192,), None, None]
+    assert len(trace) == 6
+
+
+def test_compiled_trace_decompiles_to_the_same_instructions():
+    warp = [load(64), compute(2), fence()]
+    assert list(pack_trace(warp)) == warp
 
 
 def test_rows_and_trace_builder_write_one_format():
