@@ -105,7 +105,7 @@ class FleetWorker:
         self.drain_exit = drain_exit
         self.quiet = quiet
         self._rng = rng if rng is not None else random.Random()
-        self._stop = threading.Event()
+        self._stopping = False
         #: jobs executed / failed / leases granted to this worker
         self.executed = 0
         self.failed = 0
@@ -117,15 +117,22 @@ class FleetWorker:
                   file=sys.stderr, flush=True)
 
     def stop(self) -> None:
-        """Ask the loop to exit after the current job."""
-        self._stop.set()
+        """Ask the loop to exit after the current job.
+
+        Only sets a flag, so ``serve worker`` calls it from its SIGTERM
+        handler: a handler runs on the main thread between any two
+        lines, and setting an ``Event`` there wedges for good if the
+        loop was inside ``Event.wait`` holding the event's lock.  An
+        idle loop sees the flag at its next poll.
+        """
+        self._stopping = True
 
     # ------------------------------------------------------------------
     def run(self) -> int:
         """Lease-execute-report until told to stop; returns jobs run."""
         self._log(f"connected to {self.client.host}:{self.client.port}")
         idle_since: Optional[float] = None
-        while not self._stop.is_set():
+        while not self._stopping:
             if self.max_jobs is not None and \
                     self.executed + self.failed >= self.max_jobs:
                 self._log(f"max-jobs reached ({self.max_jobs})")
@@ -148,8 +155,8 @@ class FleetWorker:
                     self._log(f"idle for {self.idle_exit}s; exiting")
                     break
                 # jittered so a fleet's pollers don't phase-lock
-                self._stop.wait(self.poll_interval *
-                                (0.5 + self._rng.random()))
+                time.sleep(self.poll_interval *
+                           (0.5 + self._rng.random()))
                 continue
             idle_since = None
             self.leases += 1

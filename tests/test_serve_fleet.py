@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import sys
 import threading
 import time
 
@@ -434,6 +435,40 @@ def test_fleet_worker_timeout_fires_before_the_first_heartbeat():
     assert time.monotonic() - started < 2.0
     [(kind, message)] = client.reports
     assert kind == "fail" and message.startswith("JobTimeout:")
+
+
+def test_stop_may_be_called_at_any_line_of_the_idle_loop():
+    """``serve worker`` calls :meth:`FleetWorker.stop` from its SIGTERM
+    handler, which runs on the main thread between any two lines of
+    what that thread was doing, even while it holds a lock.  A trace
+    hook stands in for the signal and asks for the stop at each line
+    of the first idle polls in turn: every time, the loop must end
+    instead of waiting on a lock it holds itself."""
+    for at in range(1, 120):
+        client = StubClient(None)
+        client.jobs.clear()
+        worker = FleetWorker(client, name="w1", poll_interval=0.001,
+                             quiet=True)
+        lines = [0]
+
+        def trace(frame, event, arg):
+            if event == "line":
+                lines[0] += 1
+                if lines[0] == at:
+                    worker.stop()
+            return trace
+
+        def run():
+            sys.settrace(trace)
+            try:
+                worker.run()
+            finally:
+                sys.settrace(None)
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(5)
+        assert not thread.is_alive(), f"wedged stopping at line {at}"
 
 
 def test_fleet_worker_drain_exit_and_max_jobs(tmp_path):
