@@ -112,9 +112,7 @@ class GTSCL1Controller(L1ControllerBase):
                    or self._pending_atomics.get(addr))
         if pending and self._blocks_load(warp, addr):
             counters["l1_locked_wait"] += 1
-            self._locked_waiters.setdefault(addr, []).append(
-                (warp, on_done, self.engine.now)
-            )
+            self._park_locked(warp, addr, on_done)
             return True
 
         # tag probe + lease check (the Fig. 2 hit test): lookup()
@@ -190,10 +188,16 @@ class GTSCL1Controller(L1ControllerBase):
         if line is not None:
             # block accesses to the updated line until the ack arrives
             line.pending_stores += 1
-        self._pending_writers.setdefault(addr, set()).add(warp.uid)
+        writers = self._pending_writers.get(addr)
+        if writers is None:
+            writers = self._pending_writers[addr] = set()
+        writers.add(warp.uid)
         pending = PendingStore(warp, addr, version, on_done,
                                self.engine.now)
-        self._pending_stores.setdefault(addr, deque()).append(pending)
+        queue = self._pending_stores.get(addr)
+        if queue is None:
+            queue = self._pending_stores[addr] = deque()
+        queue.append(pending)
         self._send(BusWr(addr, self.sm_id, warp.ts, version, self.epoch))
         return True
 
@@ -210,10 +214,16 @@ class GTSCL1Controller(L1ControllerBase):
         line = self.cache.lookup(addr)
         if line is not None:
             line.pending_stores += 1
-        self._pending_writers.setdefault(addr, set()).add(warp.uid)
+        writers = self._pending_writers.get(addr)
+        if writers is None:
+            writers = self._pending_writers[addr] = set()
+        writers.add(warp.uid)
         pending = PendingAtomic(warp, addr, version, on_done,
                                 self.engine.now)
-        self._pending_atomics.setdefault(addr, deque()).append(pending)
+        queue = self._pending_atomics.get(addr)
+        if queue is None:
+            queue = self._pending_atomics[addr] = deque()
+        queue.append(pending)
         self._send(BusAtm(addr, self.sm_id, warp.ts, version, self.epoch))
         return True
 
@@ -236,6 +246,15 @@ class GTSCL1Controller(L1ControllerBase):
         writers = self._pending_writers.get(addr)
         return writers is not None and warp.uid in writers
 
+    def _park_locked(self, warp: "Warp", addr: int,
+                     on_done: Callable[[], None]) -> None:
+        """Hold a load the update-visibility rule delays until the
+        line's pending stores drain."""
+        waiters = self._locked_waiters.get(addr)
+        if waiters is None:
+            waiters = self._locked_waiters[addr] = []
+        waiters.append((warp, on_done, self.engine.now))
+
     def _release_locked(self, addr: int) -> None:
         """Replay loads that were delayed by a (now drained) store."""
         if self._pending_stores.get(addr) or self._pending_atomics.get(addr):
@@ -251,9 +270,7 @@ class GTSCL1Controller(L1ControllerBase):
             if not accepted:
                 # MSHR full: put the load back in the locked queue and
                 # retry on a timer rather than losing it
-                self._locked_waiters.setdefault(addr, []).append(
-                    (warp, on_done, self.engine.now)
-                )
+                self._park_locked(warp, addr, on_done)
                 self.engine.schedule(self.config.mshr_retry_interval,
                                      self._retry_locked, addr)
 
@@ -263,9 +280,7 @@ class GTSCL1Controller(L1ControllerBase):
             return
         for warp, on_done, _issue in waiters:
             if not self.load(warp, addr, on_done):
-                self._locked_waiters.setdefault(addr, []).append(
-                    (warp, on_done, self.engine.now)
-                )
+                self._park_locked(warp, addr, on_done)
                 self.engine.schedule(self.config.mshr_retry_interval,
                                      self._retry_locked, addr)
 

@@ -217,8 +217,11 @@ class GTSCL2Bank(L2BankBase):
     # DRAM fill and eviction (Figure 6)
     # ------------------------------------------------------------------
     def _install_fill(self, addr: int) -> Optional[CacheLine]:
-        line, evicted = self.cache.allocate(addr,
-                                            evictable=self._evictable)
+        # non-inclusive L2: every line may be evicted, always, so the
+        # victim is plain LRU.  This is the Section V-C contrast with
+        # TC, whose inclusive L2 must refuse to evict lines with
+        # unexpired leases.
+        line, evicted = self.cache.allocate(addr)
         if line is None:  # pragma: no cover - non-inclusive never pins
             return None
         if evicted is not None:
@@ -236,14 +239,6 @@ class GTSCL2Bank(L2BankBase):
                               addr, line.wts, line.rts, 0,
                               self.domain.epoch)
         return line
-
-    def _evictable(self, line: CacheLine) -> bool:
-        """Non-inclusive L2: every line may be evicted, always.
-
-        This is the Section V-C contrast with TC, whose inclusive L2
-        must refuse to evict lines with unexpired leases.
-        """
-        return True
 
     def _evict(self, evicted: CacheLine) -> None:
         """Fold the victim's lease into ``mem_ts`` and write back."""

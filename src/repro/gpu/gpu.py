@@ -51,7 +51,8 @@ class GPU:
         self.obs = obs
         engine = Engine()
         stats = StatsCollector()
-        versions = VersionStore()
+        # one switch for both records the checkers read
+        versions = VersionStore(record_writes=record_accesses)
         log = AccessLog(enabled=record_accesses)
         self.interlink = None
         self.home = None

@@ -42,7 +42,8 @@ class Machine:
         # namespace; a machine built on its own gets private instances
         self.engine = engine if engine is not None else Engine()
         self.stats = stats if stats is not None else StatsCollector()
-        self.versions = versions if versions is not None else VersionStore()
+        self.versions = versions if versions is not None else VersionStore(
+            record_writes=record_accesses)
         self.log = log if log is not None else AccessLog(
             enabled=record_accesses)
         # multi-GPU identity: cluster is None for a standalone machine;

@@ -204,7 +204,10 @@ class MESIL1Controller(L1ControllerBase):
         if addr in self._m_requested:
             # merge into the outstanding write miss; the ownership
             # grant will satisfy this read with the newest data
-            self._loads_after_getm.setdefault(addr, []).append(waiter)
+            merged = self._loads_after_getm.get(addr)
+            if merged is None:
+                merged = self._loads_after_getm[addr] = []
+            merged.append(waiter)
             return True
         entry = self.mshr.get(addr)
         if entry is not None and \
@@ -240,7 +243,10 @@ class MESIL1Controller(L1ControllerBase):
             return True
         pending = PendingStore(warp, addr, version, on_done,
                                self.engine.now)
-        self._pending_stores.setdefault(addr, deque()).append(pending)
+        queue = self._pending_stores.get(addr)
+        if queue is None:
+            queue = self._pending_stores[addr] = deque()
+        queue.append(pending)
         if addr not in self._m_requested:
             self._m_requested.add(addr)
             self._send(GetM(addr, self.sm_id))
@@ -255,7 +261,10 @@ class MESIL1Controller(L1ControllerBase):
         self._invalidate_local(addr)
         pending = PendingAtomic(warp, addr, version, on_done,
                                 self.engine.now)
-        self._pending_atomics.setdefault(addr, deque()).append(pending)
+        queue = self._pending_atomics.get(addr)
+        if queue is None:
+            queue = self._pending_atomics[addr] = deque()
+        queue.append(pending)
         self._send(MemAtmD(addr, self.sm_id, version))
         return True
 
@@ -328,7 +337,10 @@ class MESIL1Controller(L1ControllerBase):
         self._send(InvAck(msg.addr, self.sm_id, version, had_data))
 
     def _on_atomic_ack(self, msg: AtmAckD) -> None:
-        pending = pop_pending(self._pending_atomics[msg.addr], msg.version)
+        queue = self._pending_atomics[msg.addr]
+        pending = pop_pending(queue, msg.version)
+        if not queue:
+            del self._pending_atomics[msg.addr]
         self.machine.log.record_atomic(AtomicRecord(
             warp_uid=pending.warp.uid, addr=msg.addr,
             old_version=msg.old_version, new_version=pending.version,

@@ -34,7 +34,8 @@ from repro.validate.versions import AtomicRecord, LoadRecord, StoreRecord
 class _AtomicMixin:
     """Shared atomic plumbing for the two baseline L1 controllers:
     forward the RMW to the L2 (invalidating any local copy) and match
-    responses FIFO per line."""
+    responses per line, by version (see :func:`pop_pending`).  A
+    line's queue is dropped once its last atomic is acknowledged."""
 
     __slots__ = ()
 
@@ -60,7 +61,10 @@ class _AtomicMixin:
         return True
 
     def _on_atomic_ack(self, msg: "MemAtmAck") -> None:
-        pending = pop_pending(self._pending_atomics[msg.addr], msg.version)
+        queue = self._pending_atomics[msg.addr]
+        pending = pop_pending(queue, msg.version)
+        if not queue:
+            del self._pending_atomics[msg.addr]
         log = self.machine.log
         if log.enabled:
             log.atomics.append(AtomicRecord(
@@ -159,14 +163,22 @@ class MemAtmAck(Message):
 # ---------------------------------------------------------------------------
 
 class DisabledL1Controller(_AtomicMixin, L1ControllerBase):
-    """Coherence by construction: every access goes straight to L2."""
+    """Coherence by construction: every access goes straight to L2.
+
+    With no cache, the only state is the requests in flight: per line,
+    a FIFO of loads awaiting their fill and queues of stores and
+    atomics awaiting their acks.  A line's entry exists only while it
+    has a request in flight, so a run ends with all three tables empty
+    however many lines it touched.
+    """
 
     __slots__ = ("_load_waiters", "_pending_stores", "_pending_atomics")
 
     def __init__(self, sm_id: int, machine: "Machine") -> None:
         super().__init__(sm_id, machine)
-        # responses return in per-(SM, bank) FIFO order, so plain
-        # per-line queues are enough to match fills to waiting loads
+        # fills carry no request tag, so each one completes the line's
+        # oldest waiting load; stores and atomics match their acks by
+        # version (pop_pending)
         self._load_waiters: Dict[int, Deque[LoadWaiter]] = {}
         self._pending_stores: Dict[int, Deque[PendingStore]] = {}
         self._init_atomics()
@@ -196,7 +208,10 @@ class DisabledL1Controller(_AtomicMixin, L1ControllerBase):
     def receive(self, msg: Message) -> None:
         cls = type(msg)
         if cls is MemFill:
-            waiter = self._load_waiters[msg.addr].popleft()
+            queue = self._load_waiters[msg.addr]
+            waiter = queue.popleft()
+            if not queue:
+                del self._load_waiters[msg.addr]
             log = self.machine.log
             if log.enabled:
                 log.loads.append(LoadRecord(
@@ -212,8 +227,10 @@ class DisabledL1Controller(_AtomicMixin, L1ControllerBase):
             engine = self.engine
             engine.post(engine.now, waiter.on_done)
         elif cls is MemAck:
-            pending = pop_pending(self._pending_stores[msg.addr],
-                                  msg.version)
+            queue = self._pending_stores[msg.addr]
+            pending = pop_pending(queue, msg.version)
+            if not queue:
+                del self._pending_stores[msg.addr]
             log = self.machine.log
             if log.enabled:
                 log.stores.append(StoreRecord(
@@ -318,8 +335,10 @@ class NonCoherentL1Controller(_AtomicMixin, L1ControllerBase):
                     ))
                 engine.post(engine.now, waiter.on_done)
         elif cls is MemAck:
-            pending = pop_pending(self._pending_stores[msg.addr],
-                                  msg.version)
+            queue = self._pending_stores[msg.addr]
+            pending = pop_pending(queue, msg.version)
+            if not queue:
+                del self._pending_stores[msg.addr]
             log = self.machine.log
             if log.enabled:
                 log.stores.append(StoreRecord(

@@ -114,8 +114,7 @@ class XGpuGTSCL2Bank(XGpuL2Mixin, GTSCL2Bank):
 
     def _install_fill(self, addr: int) -> Optional[CacheLine]:
         home = self.machine.cluster.home
-        line, evicted = self.cache.allocate(addr,
-                                            evictable=self._evictable)
+        line, evicted = self.cache.allocate(addr)
         if line is None:  # pragma: no cover - non-inclusive never pins
             return None
         if evicted is not None:

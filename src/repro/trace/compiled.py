@@ -355,16 +355,35 @@ class Kernel:
         """Rebuild and validate a kernel from :meth:`to_dict` output.
 
         Every row goes through its row function, so a malformed row
-        raises the ``ValueError`` writing it by hand would.
+        raises the ``ValueError`` writing it by hand would.  So does a
+        malformed document: not an object, no string ``name``, no list
+        of row lists as ``warps``, or a ``cta_size`` that is not an
+        integer.
         """
+        if not isinstance(data, dict):
+            raise ValueError(
+                f"a kernel document is a JSON object, not "
+                f"{type(data).__name__}")
         version = data.get("format", FORMAT_VERSION)
         if version != FORMAT_VERSION:
             raise ValueError(
                 f"unsupported trace format version: {version}")
-        kernel = cls(str(data["name"]),
+        name, warps = data.get("name"), data.get("warps")
+        if not isinstance(name, str):
+            raise ValueError(
+                f"kernel document needs a string 'name', got {name!r}")
+        if not isinstance(warps, list) \
+                or not all(isinstance(rows, list) for rows in warps):
+            raise ValueError(f"kernel {name!r}: 'warps' must be a list "
+                             f"holding one list of rows per warp")
+        cta_size = data.get("cta_size", 1)
+        if type(cta_size) is not int:
+            raise ValueError(f"kernel {name!r}: 'cta_size' must be an "
+                             f"integer, got {cta_size!r}")
+        kernel = cls(name,
                      [[_row_from_obj(obj) for obj in rows]
-                      for rows in data["warps"]],
-                     cta_size=int(data.get("cta_size", 1)))
+                      for rows in warps],
+                     cta_size=cta_size)
         kernel.validate()
         return kernel
 

@@ -15,15 +15,22 @@ from typing import Dict, List, Tuple
 
 
 class VersionStore:
-    """Allocates version numbers and remembers global write order.
+    """Allocates version numbers and, when recording, remembers global
+    write order.
 
-    Version 0 of every address is the initial memory content.  The
-    G-TSC L2 additionally reports the logical write timestamp assigned
-    to each version via :meth:`record_wts`, which the timestamp-order
-    checker consumes.
+    Version 0 of every address is the initial memory content.  Every
+    L2 reports each write it performs via :meth:`record_wts` (G-TSC
+    with the logical write timestamp it assigned), and the checkers in
+    :mod:`repro.validate.checker` read those records.  They cost two
+    entries per store, so only a recording store keeps them:
+    :class:`~repro.gpu.gpu.GPU` builds its store with
+    ``record_writes=record_accesses``, and a run that keeps no access
+    log keeps only the version counters (:meth:`new_version`,
+    :meth:`latest`).  A store built on its own records.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, record_writes: bool = True) -> None:
+        self.record_writes = record_writes
         self._next: Dict[int, int] = {}
         # (addr, version) -> logical wts assigned by the L2 (per epoch)
         self._wts: Dict[Tuple[int, int], Tuple[int, int]] = {}
@@ -49,9 +56,15 @@ class VersionStore:
 
         Called by the L2 at the moment the store is performed, so the
         per-address call order is the global write order of the line.
+        A store that does not record writes keeps nothing.
         """
+        if not self.record_writes:
+            return
         self._wts[(addr, version)] = (epoch, wts)
-        self._order.setdefault(addr, []).append((epoch, wts, version))
+        order = self._order.get(addr)
+        if order is None:
+            order = self._order[addr] = []
+        order.append((epoch, wts, version))
 
     def write_order(self, addr: int) -> List[Tuple[int, int, int]]:
         """``(epoch, wts, version)`` tuples in L2 processing order."""

@@ -97,6 +97,25 @@ def test_from_dict_rejects_malformed_row(row, message):
         Kernel.from_dict(one_warp(row, ["fence"]))
 
 
+@pytest.mark.parametrize("document, message", [
+    ({"format": 1, "cta_size": 1, "warps": [[["fence"]]]},
+     "needs a string 'name', got None"),
+    ({"format": 1, "name": "k", "cta_size": 1}, "'warps' must be a list"),
+    ({**one_warp(["fence"]), "cta_size": None},
+     "'cta_size' must be an integer, got None"),
+    ([one_warp(["fence"])], "JSON object, not list"),
+    ("kernel", "JSON object, not str"),
+    ({**one_warp(["fence"]), "warps": 5}, "'warps' must be a list"),
+    ({**one_warp(["fence"]), "warps": [5]}, "'warps' must be a list"),
+], ids=["no-name", "no-warps", "cta-size-null", "list", "string",
+        "warps-int", "warp-int"])
+def test_from_dict_rejects_malformed_document(document, message):
+    """Each of these documents once escaped as a KeyError, TypeError or
+    AttributeError; a bad document fails like a bad row does."""
+    with pytest.raises(ValueError, match=message):
+        Kernel.from_dict(document)
+
+
 def test_unsupported_format_version_rejected():
     data = sample_kernel().to_dict()
     data["format"] = 99
