@@ -1,4 +1,4 @@
-"""Figure 17 — L1 cache energy (absolute joules).
+"""Figure 17 — L1 cache energy (absolute nanojoules).
 
 Shape target from the paper's discussion: TC consumes slightly *less*
 L1 energy than G-TSC (G-TSC makes more L1 accesses — its lines stay

@@ -1,8 +1,12 @@
 #!/usr/bin/env python
-"""Compare a pytest-benchmark JSON result against the committed baseline.
+"""Compare a pytest-benchmark JSON result against a baseline result.
 
 Usage:
-    python scripts/check_bench_regression.py RESULT.json [BASELINE.json]
+    python scripts/check_bench_regression.py RESULT.json BASELINE.json
+
+CI produces both files on one runner: ``BASELINE.json`` from the base
+commit's copies of the benchmark files, checked out in a git worktree,
+and ``RESULT.json`` from the change, so the two are comparable.
 
 Exits non-zero when any benchmark's best (min) time regressed by more
 than its tolerance over the baseline's best time.  Tolerances are
@@ -16,11 +20,9 @@ known-noisy runners, but never *tightens* a listed bound.
 
 Minimum-of-rounds is compared rather than the mean because it is the
 most noise-robust statistic a short benchmark produces; the
-tolerances absorb the remaining machine-to-machine variance between
-the host that produced ``benchmarks/BENCH_baseline.json`` and CI
-runners.  Benchmarks present in only one file are reported but do not
-fail the check, so adding or retiring a benchmark does not require a
-lockstep baseline update.
+tolerances absorb the run-to-run noise that remains between two runs
+on one host.  Benchmarks present in only one file are reported but do
+not fail the check, so a change may add or retire a benchmark.
 """
 
 from __future__ import annotations
@@ -29,9 +31,6 @@ import json
 import os
 import sys
 from pathlib import Path
-
-DEFAULT_BASELINE = Path(__file__).resolve().parent.parent / \
-    "benchmarks" / "BENCH_baseline.json"
 
 #: Per-benchmark regression tolerance (fraction over baseline min).
 TOLERANCES = {
@@ -76,11 +75,11 @@ def load_mins(path: Path) -> dict[str, float]:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) < 2 or len(argv) > 3:
+    if len(argv) != 3:
         print(__doc__)
         return 2
     result_path = Path(argv[1])
-    baseline_path = Path(argv[2]) if len(argv) == 3 else DEFAULT_BASELINE
+    baseline_path = Path(argv[2])
     override = os.environ.get("REPRO_BENCH_TOLERANCE")
     fallback = float(override) if override is not None else 0.30
 

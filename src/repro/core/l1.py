@@ -68,23 +68,23 @@ class GTSCL1Controller(L1ControllerBase):
     """Per-SM L1 controller for G-TSC."""
 
     __slots__ = ("cache", "epoch", "_pending_stores", "_pending_atomics",
-                 "_locked_waiters", "_pending_writers", "_warps",
-                 "_handlers")
+                 "_locked_waiters", "_pending_writers", "_warps")
+
+    # response dispatch by concrete message class: one dict lookup on
+    # the hot receive path instead of an isinstance ladder
+    _handler_names = {
+        BusFill: "_on_fill",
+        BusRnw: "_on_renewal",
+        BusWrAck: "_on_write_ack",
+        BusAtmAck: "_on_atomic_ack",
+        BusInv: "_on_back_inv",
+    }
 
     def __init__(self, sm_id: int, machine: "Machine") -> None:
         super().__init__(sm_id, machine)
         config = machine.config
         self.cache = CacheArray(config.l1_sets, config.l1_assoc)
         self.epoch = 0
-        # response dispatch by concrete message class: one dict lookup
-        # on the hot receive path instead of an isinstance ladder
-        self._handlers = {
-            BusFill: self._on_fill,
-            BusRnw: self._on_renewal,
-            BusWrAck: self._on_write_ack,
-            BusAtmAck: self._on_atomic_ack,
-            BusInv: self._on_back_inv,
-        }
         # FIFO of unacknowledged stores per line (acks return in order)
         self._pending_stores: Dict[int, Deque[PendingStore]] = {}
         # FIFO of unacknowledged atomics per line
@@ -294,7 +294,7 @@ class GTSCL1Controller(L1ControllerBase):
         handler = self._handlers.get(type(msg))
         if handler is None:  # pragma: no cover - defensive
             raise TypeError(f"unexpected message at G-TSC L1: {msg!r}")
-        handler(msg)
+        handler(self, msg)
 
     def _on_back_inv(self, msg: BusInv) -> None:
         # inclusive-L2 ablation: back-invalidate (never drops a

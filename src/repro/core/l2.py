@@ -36,20 +36,20 @@ if TYPE_CHECKING:  # pragma: no cover
 class GTSCL2Bank(L2BankBase):
     """One bank of the shared cache under G-TSC."""
 
-    __slots__ = ("domain", "mem_ts", "_handlers", "_fixed_lease",
-                 "_lease", "_ts_max")
+    __slots__ = ("domain", "mem_ts", "_fixed_lease", "_lease", "_ts_max")
+
+    # request dispatch by concrete class (same idiom as the L1)
+    _handler_names = {
+        BusRd: "_read",
+        BusWr: "_write",
+        BusAtm: "_atomic",
+    }
 
     def __init__(self, bank_id: int, machine: "Machine",
                  domain: TimestampDomain) -> None:
         super().__init__(bank_id, machine)
         self.domain = domain
         self.mem_ts = 1
-        # request dispatch by concrete class (same idiom as the L1)
-        self._handlers = {
-            BusRd: self._read,
-            BusWr: self._write,
-            BusAtm: self._atomic,
-        }
         # under the paper's fixed policy the lease grant is a constant;
         # precompute it so _read skips the _lease_for call
         self._fixed_lease = (
@@ -66,7 +66,7 @@ class GTSCL2Bank(L2BankBase):
         handler = self._handlers.get(type(msg))
         if handler is None:  # pragma: no cover - defensive
             raise TypeError(f"unexpected message at G-TSC L2: {msg!r}")
-        handler(msg)
+        handler(self, msg)
 
     # ------------------------------------------------------------------
     # reads: renewal vs fill (Figure 4)

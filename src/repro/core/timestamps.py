@@ -32,6 +32,11 @@ class TimestampDomain:
         """Register a bank callback invoked on every overflow reset."""
         self._reset_listeners.append(listener)
 
+    def clear_listeners(self) -> None:
+        """Forget every reset listener (a closing GPU unlinks its
+        banks this way; see :meth:`repro.gpu.gpu.GPU.close`)."""
+        self._reset_listeners.clear()
+
     def would_overflow(self, ts: int) -> bool:
         """True when assigning ``ts`` requires a reset first."""
         return ts > self.ts_max

@@ -40,7 +40,9 @@ class GPU:
     Kernels run to completion; between kernels the L1s are flushed and
     logical timestamps reset while the L2 keeps its data (the paper's
     kernel boundary, Section V-D).  Use :func:`run_kernel` for the
-    one-shot convenience path.
+    one-shot convenience path.  A caller that keeps only the RunStats
+    builds the GPU in a ``with`` block: leaving it calls :meth:`close`,
+    so reference counting frees the machine at once.
     """
 
     def __init__(self, config: GPUConfig,
@@ -94,8 +96,9 @@ class GPU:
             for sm_id in range(config.num_sms)
         ]
         self._energy = EnergyModel(config, energy_params or EnergyParams())
-        self._warps_remaining = 0
         self._warp_uid_base = 0
+        #: set by :meth:`close`; a closed GPU cannot run
+        self.closed = False
 
     # -- kernel execution -------------------------------------------------------
     def run(self, kernel: Kernel,
@@ -137,17 +140,23 @@ class GPU:
                 counters=delta,
                 energy=self._energy.compute(delta, cycles),
             ))
+        # deliver the last boundary's flush traffic (write-back
+        # protocols emit PutM writebacks), as finish() does; every
+        # earlier boundary's went out during the next kernel
+        engine.run()
         return results
 
     def _execute(self, kernel: Kernel,
                  max_events: Optional[int]) -> None:
+        if self.closed:
+            raise RuntimeError("cannot run a kernel on a closed GPU")
         compile_kernel(kernel)
         if kernel.cta_size > self.config.max_warps_per_sm:
             raise ValueError(
                 f"kernel {kernel.name!r}: cta_size {kernel.cta_size} "
                 f"exceeds {self.config.max_warps_per_sm} warps/SM"
             )
-        self._warps_remaining = kernel.num_warps
+        retired_before = sum(sm.retired for sm in self.sms)
         uid_base = self._warp_uid_base
         self._warp_uid_base += kernel.num_warps
         n_gpus = self.config.n_gpus
@@ -164,13 +173,14 @@ class GPU:
             local_sm = (cta_index // n_gpus) % num_sms
             self.sms[gpu * num_sms + local_sm].add_warp(warp)
         for sm in self.sms:
-            sm.on_warp_done = self._on_warp_done
             sm.start()
 
         self.machine.engine.run(max_events=max_events)
 
-        if self._warps_remaining > 0:
-            self._raise_hang(kernel)
+        unfinished = kernel.num_warps - (
+            sum(sm.retired for sm in self.sms) - retired_before)
+        if unfinished > 0:
+            self._raise_hang(kernel, unfinished)
 
     def _flush_l1s(self) -> None:
         for machine in self.machines:
@@ -188,10 +198,7 @@ class GPU:
                     # L1s are already flushed; adopt the new epoch eagerly
                     l1.epoch = domain.epoch
 
-    def _on_warp_done(self) -> None:
-        self._warps_remaining -= 1
-
-    def _raise_hang(self, kernel: Kernel) -> None:
+    def _raise_hang(self, kernel: Kernel, unfinished: int) -> None:
         stuck = []
         for sm in self.sms:
             unit = f"{sm.machine.unit_prefix}sm{sm.sm_id}"
@@ -205,7 +212,7 @@ class GPU:
             if sm.queue:
                 stuck.append(f"{unit}: {len(sm.queue)} queued warps")
         raise SimulationHang(
-            f"kernel {kernel.name!r}: {self._warps_remaining} warps never "
+            f"kernel {kernel.name!r}: {unfinished} warps never "
             f"finished at cycle {self.machine.engine.now}:\n"
             + "\n".join(stuck)
         )
@@ -249,6 +256,39 @@ class GPU:
             timeseries=timeseries,
         )
 
+    # -- lifetime -------------------------------------------------------------
+    def close(self) -> None:
+        """Unlink the machine so that reference counting frees it.
+
+        Some links are cyclic by design: each controller points at its
+        machine, which lists it; a cluster's machines point at this
+        GPU, which lists them; the G-TSC banks and a cluster's home
+        directory listen on a timestamp domain the banks point at; and
+        an observability bundle's engine hook and gauges reach the
+        machines, which point at the bundle.  Closing drops one side
+        of each, so the whole machine goes as soon as the last outside
+        reference to this GPU does, instead of waiting for the cyclic
+        collector.  A new back-reference must be dropped here too
+        (``tests/test_request_state.py`` checks that nothing is left).
+        Read what is still needed (engine counters, the access log)
+        first.  Idempotent; a closed GPU cannot run.
+        """
+        self.closed = True
+        self.machine.engine.hook = None
+        for machine in self.machines:
+            machine.l1s = []
+            machine.l2_banks = []
+            machine.cluster = None
+            machine.obs = None
+            if machine.timestamp_domain is not None:
+                machine.timestamp_domain.clear_listeners()
+
+    def __enter__(self) -> "GPU":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
 
 #: the name the CLI and the harness build a simulator through;
 #: ``bench/workloads.py`` times each build by swapping the harness's
@@ -261,6 +301,5 @@ def run_kernel(config: GPUConfig,
                record_accesses: bool = True,
                max_events: Optional[int] = None) -> RunStats:
     """Build a GPU for ``config``, run ``kernel``, return its stats."""
-    return make_gpu(config, record_accesses=record_accesses).run(
-        kernel, max_events=max_events
-    )
+    with make_gpu(config, record_accesses=record_accesses) as gpu:
+        return gpu.run(kernel, max_events=max_events)

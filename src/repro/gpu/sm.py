@@ -128,7 +128,6 @@ class SM:
         self._issue_event = None
         self._sleep_start: Optional[int] = None
         self._sleep_mem = False
-        self.on_warp_done = None            # set by the GPU
         obs = machine.obs
         self.trace = obs.tracer if obs is not None else None
         self.track = f"sm{sm_id}"
@@ -180,6 +179,10 @@ class SM:
             self.engine.at(warp.ready_at, self._check_retire, warp)
             return
         warp.done = True
+        # a retired warp is drained, so nothing calls back into it:
+        # drop the links bind() made, each of which closes a reference
+        # cycle through this SM
+        warp.sm = warp.load_cb = warp.store_cb = None
         self.retired += 1
         self._counters["warps_retired"] += 1
         slot = warp.slot
@@ -202,8 +205,6 @@ class SM:
         if self.active:
             # a queued warp may just have been activated
             self._schedule_issue(0)
-        if self.on_warp_done is not None:
-            self.on_warp_done()
 
     # ------------------------------------------------------------------
     # wake-up plumbing

@@ -15,8 +15,9 @@ per-warp state:
 
 * ``load_cb`` / ``store_cb`` — the warp's preallocated memory
   completion callbacks, bound once when the SM takes ownership
-  (:meth:`bind`).  The L1/L2/NoC completion path carries these exact
-  objects, so issuing a memory access allocates no closure.
+  (:meth:`bind`) and dropped, with ``sm``, when the warp retires.  The
+  L1/L2/NoC completion path carries these exact objects, so issuing a
+  memory access allocates no closure.
 * ``slot`` — this warp's index into the owning SM's ``active`` list
   and its parallel ``_cls`` classification cache (packed int: state
   in the low 3 bits, wake time + 1 in the rest; -1 = dirty).  Any

@@ -10,7 +10,7 @@ Every function takes an :class:`ExperimentRunner` and returns an
 ``fig14``          Fig. 14 — G-TSC-RC performance across lease values
 ``fig15``          Fig. 15 — NoC traffic, normalised
 ``fig16``          Fig. 16 — total energy, normalised
-``fig17``          Fig. 17 — L1 cache energy (absolute joules)
+``fig17``          Fig. 17 — L1 cache energy (absolute nanojoules)
 ``expiration``     §VI-E — lease-expiration miss reduction
 ``headline``       the abstract's three headline claims
 ``ablation_*``     §V design-choice ablations (see DESIGN.md)
@@ -346,14 +346,17 @@ def fig16_components(runner: ExperimentRunner) -> ExperimentResult:
 
 
 def fig17(runner: ExperimentRunner) -> ExperimentResult:
-    """Absolute L1 cache energy per protocol (joules).
+    """Absolute L1 cache energy per protocol (nanojoules).
 
     The paper reports TC consuming slightly less L1 energy than G-TSC
     (G-TSC probes L1 tags on renewals and keeps lines alive longer).
+    A run's L1 energy is tens to hundreds of nanojoules, so the table
+    prints nanojoules: joules or microjoules would round cells to zero
+    at three decimals.
     """
     result = ExperimentResult(
         "fig17",
-        "L1 cache energy in joules (BL has no L1 and is zero)",
+        "L1 cache energy in nanojoules",
         ["benchmark", "group"] + _BARS,
     )
     runner.prefetch(ExperimentRunner.matrix_points(ALL_NAMES))
@@ -361,7 +364,7 @@ def fig17(runner: ExperimentRunner) -> ExperimentResult:
         bars = runner.matrix(name)
         row: List = [name, _group(name)]
         for bar in _BARS:
-            row.append(bars[bar].energy["l1"])
+            row.append(bars[bar].energy["l1"] * 1e9)
         result.rows.append(row)
     return result
 

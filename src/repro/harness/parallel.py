@@ -83,7 +83,8 @@ def _simulate_point(preset: str, scale: float, seed: int,
         config = factory(protocol=protocol, consistency=consistency,
                          **merged)
         kernel = build_workload(workload, scale=scale, seed=seed)
-        stats = make_gpu(config, record_accesses=False).run(kernel)
+        with make_gpu(config, record_accesses=False) as gpu:
+            stats = gpu.run(kernel)
         return stats.to_dict()
     except SimulationJobError:
         raise

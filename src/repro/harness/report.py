@@ -92,7 +92,7 @@ EXPECTATIONS: List[PaperExpectation] = [
         experiments.fig16_components,
     ),
     PaperExpectation(
-        "fig17", "Figure 17 — L1 cache energy (joules)",
+        "fig17", "Figure 17 — L1 cache energy (nanojoules)",
         "TC consumes slightly less L1 energy than G-TSC.",
         "G-TSC's L1 works at least as hard as TC's (more hits and "
         "renewal probes) even though G-TSC wins on total energy.",

@@ -114,11 +114,12 @@ class ExperimentRunner:
     def _simulate(self, workload: str, config: GPUConfig) -> RunStats:
         kernel = self._kernel(workload)
         self.simulations_run += 1
-        gpu = make_gpu(config, record_accesses=False)
-        stats = gpu.run(kernel)
-        totals = self.engine_counters
-        for name, value in gpu.machine.engine.counters().items():
-            totals[name] = totals.get(name, 0) + value
+        # closing frees the machine as soon as this returns
+        with make_gpu(config, record_accesses=False) as gpu:
+            stats = gpu.run(kernel)
+            totals = self.engine_counters
+            for name, value in gpu.machine.engine.counters().items():
+                totals[name] = totals.get(name, 0) + value
         return stats
 
     def run(self, workload: str, protocol: Protocol,

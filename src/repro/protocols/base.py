@@ -119,11 +119,39 @@ def pop_pending(queue, version: Optional[int]):
     return queue.popleft()
 
 
+class _Dispatch:
+    """Message dispatch through a table built once per class.
+
+    A controller lists ``_handler_names``, message class -> name of the
+    method that handles it.  Every subclass gets ``_handler_table``,
+    the same table with each name resolved on that subclass, so an
+    override dispatches.  A controller reads the table through its
+    ``_handlers`` slot (a slot read is cheaper than a class-attribute
+    read on the hot receive path) and calls ``handler(self, msg)``.
+    The table holds functions, not bound methods: a per-instance table
+    of bound methods would tie every controller into a reference cycle
+    with itself.
+    """
+
+    __slots__ = ("_handlers",)
+
+    _handler_names: dict = {}
+    _handler_table: dict = {}
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._handler_table = {kind: getattr(cls, name)
+                              for kind, name in cls._handler_names.items()}
+
+    def __init__(self) -> None:
+        self._handlers = self._handler_table
+
+
 # ---------------------------------------------------------------------------
 # L1 controller base
 # ---------------------------------------------------------------------------
 
-class L1ControllerBase:
+class L1ControllerBase(_Dispatch):
     """Per-SM private-cache controller.
 
     The SM calls :meth:`load` / :meth:`store`; both return True when
@@ -138,6 +166,7 @@ class L1ControllerBase:
                  "audit", "track")
 
     def __init__(self, sm_id: int, machine: "Machine") -> None:
+        super().__init__()
         self.sm_id = sm_id
         self.machine = machine
         self.config = machine.config
@@ -214,7 +243,7 @@ class L1ControllerBase:
 # L2 bank base
 # ---------------------------------------------------------------------------
 
-class L2BankBase:
+class L2BankBase(_Dispatch):
     """One bank of the shared L2 cache.
 
     Owns the tag array, the bank's service pipeline (requests occupy
@@ -230,6 +259,7 @@ class L2BankBase:
                  "trace", "audit", "track")
 
     def __init__(self, bank_id: int, machine: "Machine") -> None:
+        super().__init__()
         self.bank_id = bank_id
         self.machine = machine
         self.config = machine.config

@@ -426,10 +426,10 @@ class MESIL2Bank(L2BankBase):
         # acks still owed to fire-and-forget eviction recalls; they
         # must not be mistaken for a live transaction's acks
         self._stray_acks: Dict[int, int] = {}
-        # prebound eviction predicate (no closure per fill attempt)
-        self._dir_free = self._dir_line_idle
 
-    def _dir_line_idle(self, line: CacheLine) -> bool:
+    def _dir_free(self, line: CacheLine) -> bool:
+        """Eviction predicate: no directory transaction is in flight
+        on the way's line."""
         return not self._entry_busy(line.addr)
 
     def _entry(self, addr: int) -> _DirEntry:

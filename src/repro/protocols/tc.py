@@ -152,7 +152,14 @@ class TCL1Controller(L1ControllerBase):
     """Per-SM L1 under Temporal Coherence."""
 
     __slots__ = ("cache", "_pending_stores", "_pending_atomics",
-                 "_handlers", "_combine")
+                 "_combine")
+
+    # response dispatch by concrete class (same idiom as G-TSC)
+    _handler_names = {
+        TCFill: "_on_fill",
+        TCWrAck: "_on_write_ack",
+        TCAtmAck: "_on_atomic_ack",
+    }
 
     def __init__(self, sm_id: int, machine: "Machine") -> None:
         super().__init__(sm_id, machine)
@@ -160,12 +167,6 @@ class TCL1Controller(L1ControllerBase):
         self.cache = CacheArray(config.l1_sets, config.l1_assoc)
         self._pending_stores: Dict[int, Deque[PendingStore]] = {}
         self._pending_atomics: Dict[int, Deque[PendingAtomic]] = {}
-        # response dispatch by concrete class (same idiom as G-TSC)
-        self._handlers = {
-            TCFill: self._on_fill,
-            TCWrAck: self._on_write_ack,
-            TCAtmAck: self._on_atomic_ack,
-        }
         self._combine = config.combining is CombiningPolicy.MSHR
 
     def load(self, warp: "Warp", addr: int,
@@ -257,7 +258,7 @@ class TCL1Controller(L1ControllerBase):
         handler = self._handlers.get(type(msg))
         if handler is None:  # pragma: no cover - defensive
             raise TypeError(f"unexpected message at TC L1: {msg!r}")
-        handler(msg)
+        handler(self, msg)
 
     def _on_fill(self, msg: TCFill) -> None:
         if msg.expiry <= self.engine.now:
@@ -378,26 +379,25 @@ class TCL2Bank(L2BankBase):
     immediately and the ack carries ``max(now, expiry)`` as the GWCT.
     """
 
-    __slots__ = ("strong", "_blocked", "_handlers", "_tc_lease",
-                 "_lease_gate", "_lease_free", "_set_lines", "_free_ways",
-                 "_where_map", "_set_min")
+    __slots__ = ("strong", "_blocked", "_tc_lease", "_lease_gate",
+                 "_set_lines", "_free_ways", "_where_map", "_set_min")
+
+    _handler_names = {
+        TCRd: "_read",
+        TCWr: "_write",
+        TCAtm: "_atomic",
+    }
 
     def __init__(self, bank_id: int, machine: "Machine") -> None:
         super().__init__(bank_id, machine)
         self.strong = machine.config.consistency is Consistency.SC
         # lines currently blocked behind a waiting write
         self._blocked: Dict[int, Deque[Message]] = {}
-        self._handlers = {
-            TCRd: self._read,
-            TCWr: self._write,
-            TCAtm: self._atomic,
-        }
         self._tc_lease = machine.config.tc_lease
-        # prebound eviction predicate for _install_fill: the inclusive
-        # L2 thrashes under small presets, so the fill path must not
-        # allocate a closure per attempt (_lease_gate carries `now`)
+        # `now` for the _lease_free eviction predicate, set by
+        # _install_fill, so the fill path passes a method rather than
+        # a fresh closure
         self._lease_gate = 0
-        self._lease_free = self._lease_expired_and_unblocked
         # per-set line-object views for _retry_fill's raw probe
         cache = self.cache
         lines = cache._lines
@@ -414,7 +414,9 @@ class TCL2Bank(L2BankBase):
         # whenever the probe computes it anyway.
         self._set_min = [0] * cache.num_sets
 
-    def _lease_expired_and_unblocked(self, line: CacheLine) -> bool:
+    def _lease_free(self, line: CacheLine) -> bool:
+        """Eviction predicate: the way's lease has run out by
+        ``_lease_gate`` and no write is blocked on it."""
         return (line.expiry <= self._lease_gate
                 and line.addr not in self._blocked)
 
@@ -430,7 +432,7 @@ class TCL2Bank(L2BankBase):
         handler = self._handlers.get(type(msg))
         if handler is None:  # pragma: no cover - defensive
             raise TypeError(f"unexpected message at TC L2: {msg!r}")
-        handler(msg)
+        handler(self, msg)
 
     def _read(self, msg: TCRd) -> None:
         line = self.cache.lookup(msg.addr)

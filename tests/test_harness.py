@@ -129,6 +129,11 @@ def test_fig17_l1_energy_nonnegative(runner):
     result = exp.fig17(runner)
     for row in result.rows:
         assert all(c >= 0 for c in row[2:])
+    # every protocol in the table has an L1 that does work, so every
+    # printed cell must read above zero at the table's precision
+    body = format_result(result).splitlines()[4:4 + len(result.rows)]
+    for line in body:
+        assert all(float(cell) > 0 for cell in line.split()[2:]), line
 
 
 def test_expiration_reports_reduction(runner):
