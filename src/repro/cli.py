@@ -29,7 +29,6 @@ from typing import List, Optional
 
 from repro.config import Consistency, GPUConfig, Protocol
 from repro.gpu.gpu import make_gpu
-from repro.harness import experiments
 from repro.harness.report import EXPECTATIONS, build_report
 from repro.harness.runner import ExperimentRunner
 from repro.harness.tables import format_result
@@ -373,7 +372,7 @@ def cmd_multigpu(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.harness.sweeps import METRICS, sweep
+    from repro.harness.sweeps import sweep
 
     values: List = []
     for token in args.values:

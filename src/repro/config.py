@@ -15,7 +15,7 @@ Two presets are provided:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 
 class Protocol(enum.Enum):

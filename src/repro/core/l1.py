@@ -41,7 +41,6 @@ from repro.core.messages import (
     BusWrAck,
 )
 from repro.mem.cache import CacheArray
-from repro.mem.mshr import MSHRFullError
 from repro.protocols.base import (
     L1ControllerBase,
     LoadWaiter,

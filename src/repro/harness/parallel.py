@@ -30,7 +30,6 @@ import time
 import warnings
 from typing import Dict, Iterable, Optional, Tuple
 
-from repro.config import Consistency, Protocol
 from repro.gpu.gpu import make_gpu
 from repro.harness.progress import RateEstimator
 from repro.harness.runner import ExperimentRunner, Point

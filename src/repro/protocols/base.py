@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.mem.cache import CacheArray, CacheLine
-from repro.mem.mshr import MSHRFullError, MSHRTable
+from repro.mem.mshr import MSHRTable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.gpu.machine import Machine
@@ -108,15 +108,20 @@ def pop_pending(queue, version: Optional[int]):
     bank pipeline on an independent timer, which can reorder same-line
     requests from one SM — plain FIFO popping would then pair each ack
     with the wrong pending entry, tearing atomic old/new pairs and warp
-    timestamp updates.  Falls back to FIFO when the ack carries no
-    version (unit tests that hand-build messages).
+    timestamp updates.  Falls back to FIFO only when the ack carries no
+    version (unit tests that hand-build messages); an ack whose version
+    matches no pending entry raises ``RuntimeError``.
     """
-    if version is not None:
-        for index, pending in enumerate(queue):
-            if pending.version == version:
-                del queue[index]
-                return pending
-    return queue.popleft()
+    if version is None:
+        return queue.popleft()
+    for index, pending in enumerate(queue):
+        if pending.version == version:
+            del queue[index]
+            return pending
+    raise RuntimeError(
+        f"ack for line {queue[0].addr:#x} carries version {version}, "
+        f"which no pending request on the line holds "
+        f"(pending: {[pending.version for pending in queue]})")
 
 
 class _Dispatch:

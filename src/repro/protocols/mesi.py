@@ -35,7 +35,6 @@ from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Set
 
 from repro.config import CombiningPolicy
 from repro.mem.cache import CacheArray, CacheLine
-from repro.mem.mshr import MSHRFullError
 from repro.protocols.base import (
     L1ControllerBase,
     L2BankBase,

@@ -20,6 +20,16 @@ Two ways of writing a trace meet in that format:
   through :func:`pack_trace`.  Iterating a :class:`CompiledTrace`
   yields the same rows back.
 
+Either way a kernel holds each distinct address tuple once.  Every
+memory operand is stored through an *operand table* (a dict mapping an
+address tuple to the one instance the kernel keeps) as its instruction
+is written: a generator hands one table to all of a kernel's builders,
+:class:`Kernel` makes one for the row lists it packs, and
+:meth:`Kernel.from_dict` one for the rows it parses.  The table lives
+only while the kernel is built.  A paper-scale kernel repeats a few
+thousand address sets across tens of thousands of memory
+instructions, so the traces shrink by about two thirds.
+
 Opcode numbering is part of the format: the three memory opcodes are
 contiguous (``OP_LOAD..OP_ATOMIC``) so "is this a memory access" is a
 single range check.
@@ -34,7 +44,7 @@ are taken over::
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 # integer opcodes; OP_LOAD..OP_ATOMIC are contiguous on purpose
 OP_COMPUTE = 0
@@ -59,13 +69,26 @@ FORMAT_VERSION = 1
 #: one packed instruction: ``(opcode, operand)``
 Row = Tuple[int, object]
 
+#: a kernel build's operand table: address tuple -> the kernel's one
+#: instance of it
+Operands = Dict[Tuple[int, ...], Tuple[int, ...]]
+
 
 # ---------------------------------------------------------------------------
 # row functions: one packed instruction each
 # ---------------------------------------------------------------------------
 
+def _malformed(name: str, operands: tuple) -> ValueError:
+    """The error for a row whose operands are not all ints (a bool is
+    not one): the SMs and caches would fail on it mid-run."""
+    return ValueError(f"malformed instruction: "
+                      f"{name}({', '.join(map(repr, operands))})")
+
+
 def compute(cycles: int) -> Row:
     """``cycles`` of non-memory work (models ALU instructions)."""
+    if type(cycles) is not int:
+        raise _malformed("compute", (cycles,))
     if cycles <= 0:
         raise ValueError("compute needs a positive cycle count")
     return (OP_COMPUTE, cycles)
@@ -74,6 +97,9 @@ def compute(cycles: int) -> Row:
 def _memory(op: int, addrs: Tuple[int, ...]) -> Row:
     if not addrs:
         raise ValueError(f"{OP_NAME[op]} needs at least one address")
+    for addr in addrs:
+        if type(addr) is not int:
+            raise _malformed(OP_NAME[op], addrs)
     return (op, addrs)
 
 
@@ -128,7 +154,8 @@ def _row_repr(op: int, arg) -> str:
 
 
 def _row_from_obj(obj) -> Row:
-    """Parse one JSON row through its row function."""
+    """Parse one JSON row through its row function, which checks the
+    operand types."""
     if not isinstance(obj, list) or not obj:
         raise ValueError(f"malformed instruction: {obj!r}")
     name, operands = obj[0], obj[1:]
@@ -143,11 +170,8 @@ def _row_from_obj(obj) -> Row:
         raise ValueError(f"malformed instruction: {obj!r}")
     operand = operands[0]
     if row_fn is compute:
-        if not isinstance(operand, int):
-            raise ValueError(f"malformed instruction: {obj!r}")
         return compute(operand)
-    if not isinstance(operand, list) \
-            or not all(isinstance(a, int) for a in operand):
+    if not isinstance(operand, list):
         raise ValueError(f"malformed instruction: {obj!r}")
     return row_fn(*operand)
 
@@ -164,7 +188,10 @@ class CompiledTrace:
     cycle count for compute, ``None`` for fences and barriers.  The
     two lists are read-only once built, so a packed trace can be
     shared between runs (and between warps, if a generator emits
-    identical traces).  Iterating it yields ``(opcode, operand)`` rows.
+    identical traces).  So are the address tuples, which the traces
+    of one kernel share: equal operands anywhere in the kernel are
+    one tuple (see the module docstring).  Iterating a trace yields
+    ``(opcode, operand)`` rows.
     """
 
     __slots__ = ("ops", "args", "length")
@@ -181,32 +208,51 @@ class CompiledTrace:
         return zip(self.ops, self.args)
 
 
-def pack_trace(rows: Iterable[Row]) -> CompiledTrace:
-    """Pack one warp's rows, as the row functions return them."""
+def pack_trace(rows: Iterable[Row],
+               operands: Optional[Operands] = None) -> CompiledTrace:
+    """Pack one warp's rows, as the row functions return them.
+
+    Each memory operand is stored through ``operands``, the kernel
+    build's operand table (a table of this trace's own when none is
+    given), as its row is read; ``rows`` may be a lazy iterable.
+    """
+    if operands is None:
+        operands = {}
+    intern = operands.setdefault
     ops: List[int] = []
     args: List = []
     for op, arg in rows:
         ops.append(op)
-        args.append(arg)
+        args.append(intern(arg, arg) if OP_LOAD <= op <= OP_ATOMIC
+                    else arg)
     return CompiledTrace(ops, args)
 
 
 class TraceBuilder:
     """Packs one warp's trace as it is written.
 
-    The methods mirror the row functions and raise the same
-    ``ValueError`` — a memory instruction needs an address, a compute
-    a positive cycle count — but append straight into the ``ops`` and
-    ``args`` lists that :meth:`build` hands to a :class:`CompiledTrace`,
-    with no row allocated.  The address tuple of ``load(*addrs)`` is
-    stored as the operand itself.
+    The methods mirror the row functions, but append straight into the
+    ``ops`` and ``args`` lists that :meth:`build` hands to a
+    :class:`CompiledTrace`, with no row allocated.  They make only the
+    row functions' value checks — a memory instruction needs an
+    address, a compute a positive cycle count — and not their type
+    checks: the builder serves the workload generators, which pass
+    the ints they computed.
+
+    The address tuple of ``load(*addrs)`` is stored through
+    ``operands``, the kernel build's operand table: a generator makes
+    one dict per kernel and hands it to every builder of that kernel,
+    so each distinct address set is one tuple kernel-wide.  Without
+    one, the builder interns within its own warp.
     """
 
-    __slots__ = ("ops", "args")
+    __slots__ = ("ops", "args", "_intern")
 
-    def __init__(self) -> None:
+    def __init__(self, operands: Optional[Operands] = None) -> None:
         self.ops: List[int] = []
         self.args: List = []
+        self._intern = (operands if operands is not None
+                        else {}).setdefault
 
     def compute(self, cycles: int) -> None:
         """``cycles`` of non-memory work."""
@@ -220,21 +266,21 @@ class TraceBuilder:
         if not addrs:
             raise ValueError("load needs at least one address")
         self.ops.append(OP_LOAD)
-        self.args.append(addrs)
+        self.args.append(self._intern(addrs, addrs))
 
     def store(self, *addrs: int) -> None:
         """A coalesced store to the given line addresses."""
         if not addrs:
             raise ValueError("store needs at least one address")
         self.ops.append(OP_STORE)
-        self.args.append(addrs)
+        self.args.append(self._intern(addrs, addrs))
 
     def atomic(self, *addrs: int) -> None:
         """An atomic read-modify-write on the given lines."""
         if not addrs:
             raise ValueError("atomic needs at least one address")
         self.ops.append(OP_ATOMIC)
-        self.args.append(addrs)
+        self.args.append(self._intern(addrs, addrs))
 
     def fence(self) -> None:
         """A memory fence."""
@@ -261,7 +307,8 @@ class Kernel:
     What the workload generators return and what the simulator
     executes.  Each warp is a :class:`CompiledTrace` or a list of rows
     (``Kernel("mp", [[store(X), fence()], [load(Y)]])``), which is
-    packed here.
+    packed here; the row lists share one operand table, so they hold
+    each distinct address tuple once.
 
     ``cta_size`` groups consecutive warps into Cooperative Thread
     Arrays: all warps of a CTA are placed on the *same* SM (the
@@ -277,8 +324,10 @@ class Kernel:
     def __init__(self, name: str, traces: Iterable,
                  cta_size: int = 1) -> None:
         self.name = name
+        operands: Operands = {}
         self.traces: List[CompiledTrace] = [
-            trace if isinstance(trace, CompiledTrace) else pack_trace(trace)
+            trace if isinstance(trace, CompiledTrace)
+            else pack_trace(trace, operands)
             for trace in traces
         ]
         self.cta_size = cta_size
@@ -358,7 +407,8 @@ class Kernel:
         raises the ``ValueError`` writing it by hand would.  So does a
         malformed document: not an object, no string ``name``, no list
         of row lists as ``warps``, or a ``cta_size`` that is not an
-        integer.
+        integer.  Rows are packed as they are parsed, through one
+        operand table for the whole document.
         """
         if not isinstance(data, dict):
             raise ValueError(
@@ -380,8 +430,9 @@ class Kernel:
         if type(cta_size) is not int:
             raise ValueError(f"kernel {name!r}: 'cta_size' must be an "
                              f"integer, got {cta_size!r}")
+        operands: Operands = {}
         kernel = cls(name,
-                     [[_row_from_obj(obj) for obj in rows]
+                     [pack_trace(map(_row_from_obj, rows), operands)
                       for rows in warps],
                      cta_size=cta_size)
         kernel.validate()

@@ -17,7 +17,9 @@ iterations, footprints); ``seed`` makes the trace deterministic.
 The generators write each warp's packed trace through
 :class:`repro.trace.TraceBuilder`, so the :class:`repro.trace.Kernel`
 that comes back is what the simulator executes — no per-instruction
-objects, no compile pass at launch.
+objects, no compile pass at launch.  Each generator hands one operand
+table to all of its kernel's builders, so the kernel holds each
+distinct address set once.
 """
 
 from __future__ import annotations

@@ -33,8 +33,9 @@ def cutcp(rng: random.Random, scale: float) -> Kernel:
     steps = scaled(18, scale)
 
     traces = []
+    operands = {}
     for w in range(num_warps):
-        trace = TraceBuilder()
+        trace = TraceBuilder(operands)
         for s in range(steps):
             trace.load(lattice.line(w + s))
             trace.compute(40)
@@ -59,8 +60,9 @@ def gaussian(rng: random.Random, scale: float) -> Kernel:
     steps = scaled(16, scale)
 
     traces = []
+    operands = {}
     for w in range(num_warps):
-        trace = TraceBuilder()
+        trace = TraceBuilder(operands)
         for s in range(steps):
             mine = w * steps + s
             # the pivot row is re-read for every column block
@@ -92,9 +94,10 @@ def hotspot(rng: random.Random, scale: float) -> Kernel:
     iterations = scaled(12, scale)
 
     traces = []
+    operands = {}
     for w in range(num_warps):
         base = w * tile_lines
-        trace = TraceBuilder()
+        trace = TraceBuilder(operands)
         for it in range(iterations):
             # ping-pong grids: reads never touch the written copy, so
             # the input tile stays cacheable for the whole kernel
@@ -124,8 +127,9 @@ def kmeans(rng: random.Random, scale: float) -> Kernel:
     chunk = scaled(36, scale)
 
     traces = []
+    operands = {}
     for w in range(num_warps):
-        trace = TraceBuilder()
+        trace = TraceBuilder(operands)
         cursor = w * chunk
         for s in range(chunk):
             trace.load(points.line(cursor + s))
@@ -151,8 +155,9 @@ def backprop(rng: random.Random, scale: float) -> Kernel:
     steps = scaled(22, scale)
 
     traces = []
+    operands = {}
     for w in range(num_warps):
-        trace = TraceBuilder()
+        trace = TraceBuilder(operands)
         for s in range(steps):
             # each weight-row block is reused for three consecutive
             # input elements before the stream moves on
@@ -179,8 +184,9 @@ def sgm(rng: random.Random, scale: float) -> Kernel:
     steps = scaled(26, scale)
 
     traces = []
+    operands = {}
     for w in range(num_warps):
-        trace = TraceBuilder()
+        trace = TraceBuilder(operands)
         row = w * 11
         for s in range(steps):
             # window slides by one line per step: 3 reads, 2 reused

@@ -47,9 +47,10 @@ def producer_consumer(rng: random.Random, scale: float) -> Kernel:
     flags = space.region(num_warps)
 
     traces = []
+    operands = {}
     for w in range(num_warps):
         neighbour = (w + 1) % num_warps      # next CTA = next GPU
-        trace = TraceBuilder()
+        trace = TraceBuilder(operands)
         for _ in range(rounds):
             # produce this warp's chunk, then publish the flag
             for k in range(chunk):
@@ -76,8 +77,9 @@ def all_reduce(rng: random.Random, scale: float) -> Kernel:
     repeats = scaled(6, scale, minimum=2)
 
     traces = []
+    operands = {}
     for w in range(num_warps):
-        trace = TraceBuilder()
+        trace = TraceBuilder(operands)
         for _ in range(repeats):
             # publish this warp's partial
             trace.store(partials.line(w))
@@ -110,8 +112,9 @@ def numa_zipf(rng: random.Random, scale: float) -> Kernel:
     steps = scaled(30, scale, minimum=5)
 
     traces = []
+    operands = {}
     for w in range(num_warps):
-        trace = TraceBuilder()
+        trace = TraceBuilder(operands)
         for s in range(steps):
             trace.load(shared.powerlaw_line(rng))
             trace.load(shared.powerlaw_line(rng))

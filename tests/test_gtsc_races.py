@@ -6,6 +6,8 @@ responses crossing a timestamp reset, fills finding every way pinned
 by pending stores, and stragglers under the forward-all policy.
 """
 
+import pytest
+
 from repro.config import (
     CombiningPolicy,
     Consistency,
@@ -211,6 +213,26 @@ def test_crossed_write_acks_pair_by_version():
     by_version = {r.version: r for r in machine.log.stores}
     assert by_version[1].warp_uid == 0 and by_version[1].logical_ts == 50
     assert by_version[2].warp_uid == 1 and by_version[2].logical_ts == 30
+
+
+def test_write_ack_matching_no_pending_version_raises():
+    """An ack whose version no pending store holds is a protocol bug;
+    pairing it with the head of the queue would complete the wrong
+    warp's store, so the L1 refuses it and names the line and version."""
+    machine = make_machine()
+    l1 = machine.l1s[0]
+    warp_a, warp_b = Warp(0, pack_trace([])), Warp(1, pack_trace([]))
+    line = fill_line(machine, l1, warp_a, 0x40)
+    line.pending_stores = 2
+    from repro.protocols.base import PendingStore
+    from collections import deque
+    l1._pending_stores[0x40] = deque([
+        PendingStore(warp_a, 0x40, 1, lambda: None, 0),
+        PendingStore(warp_b, 0x40, 2, lambda: None, 0),
+    ])
+    with pytest.raises(RuntimeError, match="line 0x40 carries version 9"):
+        l1.receive(BusWrAck(0x40, 0, wts=30, rts=40, epoch=0, version=9))
+    assert [p.version for p in l1._pending_stores[0x40]] == [1, 2]
 
 
 # ---------------------------------------------------------------------------

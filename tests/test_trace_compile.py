@@ -161,6 +161,69 @@ def test_trace_builder_raises_what_instr_raises(op, args):
     assert builder.ops == [] and builder.args == []
 
 
+@pytest.mark.parametrize("op, args", [
+    ("compute", (2.5,)), ("compute", ("3",)), ("compute", (None,)),
+    ("compute", (True,)), ("load", ("3",)), ("load", (3.0,)),
+    ("store", (3, 4.0)), ("atomic", (False,)),
+], ids=["compute-float", "compute-str", "compute-none", "compute-bool",
+        "load-str", "load-float", "store-float", "atomic-bool"])
+def test_row_functions_reject_non_integer_operands(op, args):
+    """Each of these rows once packed as written and failed inside the
+    SMs or caches (a float cycle count in a shift, a string address in
+    bank routing, a float address as a list index).  The row function
+    refuses it with the ``ValueError`` the JSON reader raises."""
+    with pytest.raises(ValueError, match="malformed instruction") \
+            as by_row:
+        getattr(rows, op)(*args)
+    operand = args[0] if op == "compute" else list(args)
+    with pytest.raises(ValueError) as read:
+        Kernel.from_dict({"name": "x", "warps": [[[op, operand]]]})
+    assert str(by_row.value) == str(read.value)
+
+
+def test_hand_written_kernel_with_a_float_never_reaches_the_sms():
+    with pytest.raises(ValueError, match=r"compute\(2\.5\)"):
+        Kernel("k", [[compute(2.5), load(3), fence()]])
+
+
+def _operand_tuples(kernel):
+    return [arg for trace in kernel.traces for op, arg in trace
+            if OP_LOAD <= op <= OP_ATOMIC]
+
+
+def _assert_one_tuple_per_value(kernel):
+    operands = _operand_tuples(kernel)
+    assert operands
+    assert len({id(arg) for arg in operands}) == len(set(operands))
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_generated_kernel_holds_each_operand_once(name):
+    """A generator hands one operand table to all its builders, so
+    equal address sets anywhere in the kernel are one tuple."""
+    _assert_one_tuple_per_value(build_workload(name, scale=0.3, seed=SEED))
+
+
+@pytest.mark.parametrize("name", ["BFS", "KM", "NZP"])
+def test_kernel_read_from_json_holds_each_operand_once(name):
+    kernel = build_workload(name, scale=0.3, seed=SEED)
+    replayed = Kernel.from_dict(json.loads(json.dumps(kernel.to_dict())))
+    _assert_one_tuple_per_value(replayed)
+    assert replayed.to_dict() == kernel.to_dict()
+
+
+def test_hand_written_kernel_holds_each_operand_once():
+    """Rows packed by the constructor share one operand table across
+    warps; a trace packed on its own interns within itself."""
+    kernel = Kernel("repeat", [[load(3, 4), store(3), load(3, 4), fence()],
+                               [load(3, 4), atomic(3), fence()],
+                               [compute(2), load(3, 4), fence()]])
+    _assert_one_tuple_per_value(kernel)
+    assert len({id(arg) for arg in _operand_tuples(kernel)}) == 2
+    alone = pack_trace([load(5), load(5), store(5)])
+    assert alone.args[0] is alone.args[1] is alone.args[2]
+
+
 def test_compile_kernel_returns_a_compiled_kernel_validated():
     kernel = Kernel("k", [[fence()]])
     assert compile_kernel(kernel) is kernel
