@@ -79,8 +79,9 @@ Operands = Dict[Tuple[int, ...], Tuple[int, ...]]
 # ---------------------------------------------------------------------------
 
 def _malformed(name: str, operands: tuple) -> ValueError:
-    """The error for a row whose operands are not all ints (a bool is
-    not one): the SMs and caches would fail on it mid-run."""
+    """The error for a row with an operand that is not an int: a float
+    or a string would fail mid-run inside an SM or a cache, and a bool
+    would run as 0 or 1."""
     return ValueError(f"malformed instruction: "
                       f"{name}({', '.join(map(repr, operands))})")
 
