@@ -168,10 +168,11 @@ def test_trace_builder_raises_what_instr_raises(op, args):
 ], ids=["compute-float", "compute-str", "compute-none", "compute-bool",
         "load-str", "load-float", "store-float", "atomic-bool"])
 def test_row_functions_reject_non_integer_operands(op, args):
-    """Each of these rows once packed as written and failed inside the
-    SMs or caches (a float cycle count in a shift, a string address in
-    bank routing, a float address as a list index).  The row function
-    refuses it with the ``ValueError`` the JSON reader raises."""
+    """The row function refuses each of these rows with the
+    ``ValueError`` the JSON reader raises.  A float or string operand
+    was once packed as written and failed inside the SMs or caches (a
+    float cycle count in a shift, a string address in bank routing, a
+    float address as a list index), and a bool ran as 0 or 1."""
     with pytest.raises(ValueError, match="malformed instruction") \
             as by_row:
         getattr(rows, op)(*args)
