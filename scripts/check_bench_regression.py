@@ -14,9 +14,7 @@ per-benchmark (``TOLERANCES`` below): long, simulation-dominated
 benchmarks have stable minima and get a tight bound, while
 wall-clock-sensitive ones (the serve benchmarks cross a real TCP
 socket) get slack proportional to their observed jitter.  Names not
-listed use ``REPRO_BENCH_TOLERANCE`` (a fraction, default 30%); the
-environment variable also serves as an emergency loosening knob for
-known-noisy runners, but never *tightens* a listed bound.
+listed get 30%.
 
 Minimum-of-rounds is compared rather than the mean because it is the
 most noise-robust statistic a short benchmark produces; the
@@ -28,7 +26,6 @@ not fail the check, so a change may add or retire a benchmark.
 from __future__ import annotations
 
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -80,9 +77,6 @@ def main(argv: list[str]) -> int:
         return 2
     result_path = Path(argv[1])
     baseline_path = Path(argv[2])
-    override = os.environ.get("REPRO_BENCH_TOLERANCE")
-    fallback = float(override) if override is not None else 0.30
-
     result = load_mins(result_path)
     baseline = load_mins(baseline_path)
 
@@ -94,10 +88,7 @@ def main(argv: list[str]) -> int:
             side = "baseline" if new is None else "result"
             print(f"  SKIP {name}: only in {side}")
             continue
-        tolerance = TOLERANCES.get(name, fallback)
-        if override is not None:
-            # explicit env knob loosens any bound, never tightens one
-            tolerance = max(tolerance, fallback)
+        tolerance = TOLERANCES.get(name, 0.30)
         ratio = new / old
         status = "ok"
         if ratio > 1.0 + tolerance:

@@ -42,7 +42,8 @@ class ExperimentResult:
         raise KeyError(f"no row {name!r} in {self.experiment_id}")
 
 
-def _fmt_cell(value: Cell) -> str:
+def format_cell(value: Cell) -> str:
+    """A cell as every table prints it: floats to three decimals."""
     if isinstance(value, float):
         return f"{value:.3f}"
     return str(value)
@@ -51,7 +52,7 @@ def _fmt_cell(value: Cell) -> str:
 def format_result(result: ExperimentResult) -> str:
     """Render a result as an aligned text table."""
     table: List[Sequence[str]] = [result.headers]
-    table += [[_fmt_cell(c) for c in row] for row in result.rows]
+    table += [[format_cell(c) for c in row] for row in result.rows]
     widths = [max(len(row[i]) for row in table)
               for i in range(len(result.headers))]
 
@@ -84,7 +85,7 @@ def render_html_table(result: ExperimentResult) -> str:
 
     def cell(value: Cell, tag: str = "td") -> str:
         css = ' class="num"' if isinstance(value, (int, float)) else ""
-        return f"<{tag}{css}>{html.escape(_fmt_cell(value))}</{tag}>"
+        return f"<{tag}{css}>{html.escape(format_cell(value))}</{tag}>"
 
     lines = [f'<table class="result" id="{html.escape(result.experiment_id)}">',
              f"<caption>{html.escape(result.title)}</caption>",

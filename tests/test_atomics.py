@@ -169,3 +169,40 @@ def test_atomicity_checker_catches_torn_rmw():
         logical_ts=30, epoch=0, issue_cycle=0, complete_cycle=5))
     with pytest.raises(Exception, match="torn"):
         check_atomicity(log, versions)
+
+
+def contention_kernel(warps, rounds, counters=4, seed=7):
+    """Every warp reads a shared counter line and then atomically
+    updates one: the hot-spot pattern of histogram kernels."""
+    rng = random.Random(seed)
+    traces = []
+    for _ in range(warps):
+        trace = []
+        for _ in range(rounds):
+            trace.append(compute(rng.randrange(1, 6)))
+            # the read before the update is what TC-Strong's atomic
+            # must wait out
+            trace.append(load(rng.randrange(counters)))
+            trace.append(compute(2))
+            trace.append(atomic(rng.randrange(counters)))
+        trace.append(fence())
+        traces.append(trace)
+    return Kernel("atomic-contention", traces)
+
+
+@pytest.mark.parametrize("consistency", [Consistency.SC, Consistency.RC])
+def test_atomic_contention_loses_no_update(consistency):
+    """12 warps x 6 atomics on 4 small-preset counter lines: every
+    protocol keeps every update, and under SC G-TSC's stall-free
+    atomics beat TC-Strong's, which park behind leases."""
+    warps, rounds = 12, 6
+    kernel = contention_kernel(warps, rounds)
+    cycles = {}
+    for protocol in (Protocol.GTSC, Protocol.TC, Protocol.DISABLED):
+        gpu = GPU(GPUConfig.small(protocol=protocol,
+                                  consistency=consistency))
+        cycles[protocol] = gpu.run(kernel).cycles
+        versions = gpu.machine.versions
+        assert sum(versions.latest(c) for c in range(4)) == warps * rounds
+    if consistency is Consistency.SC:
+        assert cycles[Protocol.GTSC] < cycles[Protocol.TC]

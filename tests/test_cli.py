@@ -112,6 +112,17 @@ def test_build_report_contains_every_experiment():
     for expectation in EXPECTATIONS:
         assert expectation.title in text
     assert "Paper:" in text and "Measured:" in text
+    # one verdict line per check, in its own section, whether or not
+    # the check holds (at this scale some do not)
+    sections = text.split("\n## ")[1:]
+    assert len(sections) == len(EXPECTATIONS)
+    for expectation, section in zip(EXPECTATIONS, sections):
+        verdicts = [line for line in section.splitlines()
+                    if line.endswith((" — holds", " — FAILS"))]
+        assert len(verdicts) == len(expectation.checks)
+        for check, line in zip(expectation.checks, verdicts):
+            assert line.startswith(f"- {check.label}: ")
+            assert f"(bound {check.op} {check.bound:g})" in line
 
 
 def test_report_command_writes_file(tmp_path, capsys):

@@ -1,8 +1,10 @@
-"""Tests for the experiment harness (runner, formatters, experiments).
+"""Tests for the experiment harness (runner, formatters, experiments,
+report checks).
 
 The experiments themselves are exercised at a very small scale so the
-whole module stays fast; the shape assertions on their outputs live in
-test_integration_shapes.py.
+whole module stays fast.  Their shape targets are the checks on each
+report section in ``repro.harness.report``; test_integration_shapes.py
+evaluates them at the CLI's report defaults.
 """
 
 from collections import Counter
@@ -10,7 +12,7 @@ from collections import Counter
 import pytest
 
 from repro.config import Consistency, Protocol
-from repro.harness.report import build_report
+from repro.harness.report import EXPECTATIONS, build_report, summary
 from repro.harness.runner import ExperimentRunner, point_of
 from repro.harness.tables import ExperimentResult, format_result, geomean
 from repro.harness import experiments as exp
@@ -81,6 +83,44 @@ def test_geomean():
         geomean([])
     with pytest.raises(ValueError):
         geomean([1.0, 0.0])
+
+
+# ---------------------------------------------------------------------------
+# report checks
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("op, holds_at, fails_at", [
+    (">", 1.2, 1.15), (">=", 1.15, 1.1), ("<", 1.1, 1.15), ("<=", 1.15, 1.2),
+])
+def test_check_verdict_on_either_side_of_its_bound(op, holds_at, fails_at):
+    check = summary("speedup", op, 1.15)
+
+    def verdict(value):
+        return check.verdict(ExperimentResult("x", "t", ["name"],
+                                              summary={"speedup": value}))
+
+    assert verdict(holds_at) == \
+        f"- speedup: {holds_at:.3f} (bound {op} 1.15) — holds"
+    assert verdict(fails_at) == \
+        f"- speedup: {fails_at:.3f} (bound {op} 1.15) — FAILS"
+    assert verdict(float("nan")).endswith("— FAILS")
+
+
+def test_row_check_verdict_on_either_side_of_its_bound():
+    """The traffic-breakdown check that G-TSC ships no more data bytes
+    than TC on any benchmark, fed hand-built rows."""
+    [check] = [c for e in EXPECTATIONS for c in e.checks
+               if c.label == "largest gtsc_data/tc_data"]
+
+    def verdict(gtsc_data):
+        return check.verdict(ExperimentResult(
+            "traffic-breakdown", "t", ["benchmark", "gtsc_data", "tc_data"],
+            rows=[["BH", 90, 100], ["CC", gtsc_data, 100]]))
+
+    assert verdict(102) == \
+        "- largest gtsc_data/tc_data: 1.020 (bound <= 1.02) — holds"
+    assert verdict(103) == \
+        "- largest gtsc_data/tc_data: 1.030 (bound <= 1.02) — FAILS"
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ import pytest
 
 from repro.config import Consistency, GPUConfig, Protocol, SchedulerPolicy
 from repro.gpu.gpu import GPU
+from repro.harness.tables import geomean
 from repro.trace import Kernel, compute, fence, load
+from repro.workloads import COHERENT_NAMES, build_workload
 
 from tests.conftest import random_kernel, run_and_check
 
@@ -88,3 +90,23 @@ def test_policies_are_deterministic():
         _, b = run(policy, kernel)
         assert a.cycles == b.cycles
         assert a.counters == b.counters
+
+
+@pytest.mark.parametrize("policy", [SchedulerPolicy.RR,
+                                    SchedulerPolicy.GTO])
+def test_gtsc_beats_tc_under_either_policy(policy):
+    """The headline G-TSC-over-TC conclusion does not hinge on the
+    scheduler: TC-RC cycles over G-TSC-RC cycles, geomean over the
+    coherent set (small preset, scale 0.4, seed 2018)."""
+    speedups = []
+    for name in COHERENT_NAMES:
+        kernel = build_workload(name, scale=0.4, seed=2018)
+        cycles = {}
+        for protocol in (Protocol.TC, Protocol.GTSC):
+            config = GPUConfig.small(protocol=protocol,
+                                     consistency=Consistency.RC,
+                                     scheduler=policy)
+            cycles[protocol] = GPU(config, record_accesses=False) \
+                .run(kernel).cycles
+        speedups.append(cycles[Protocol.TC] / cycles[Protocol.GTSC])
+    assert geomean(speedups) > 1.1
