@@ -1,7 +1,7 @@
 """Result containers and text formatting for experiment output.
 
-Every experiment returns an :class:`ExperimentResult`; the benchmark
-scripts print it with :func:`format_result`, producing the same rows
+Every experiment returns an :class:`ExperimentResult`; the CLI and the
+report print it with :func:`format_result`, producing the same rows
 or bar series the paper's table/figure reports.
 """
 
@@ -30,12 +30,12 @@ class ExperimentResult:
     notes: str = ""
 
     def column(self, header: str) -> List[Cell]:
-        """Extract one column by header name (test helper)."""
+        """Extract one column by header name."""
         index = self.headers.index(header)
         return [row[index] for row in self.rows]
 
     def row(self, name: str) -> List[Cell]:
-        """Extract one row by its first-column label (test helper)."""
+        """Extract one row by its first-column label."""
         for row in self.rows:
             if row[0] == name:
                 return row

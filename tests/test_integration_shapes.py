@@ -46,7 +46,8 @@ def test_shape_target(runner, expectation, check):
 def test_experiments_md_is_the_report(runner):
     """EXPERIMENTS.md is what ``repro report --no-db`` writes; after a
     change that moves the report, regenerate it with that command."""
-    assert build_report(runner) + "\n" == EXPERIMENTS_MD.read_text()
+    assert (build_report(runner) + "\n"
+            == EXPERIMENTS_MD.read_text(encoding="utf-8"))
 
 
 def run_paper_preset(kernel, protocol):

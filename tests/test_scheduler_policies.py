@@ -92,21 +92,20 @@ def test_policies_are_deterministic():
         assert a.counters == b.counters
 
 
+def small_rc_cycles(name, protocol, policy):
+    config = GPUConfig.small(protocol=protocol, consistency=Consistency.RC,
+                             scheduler=policy)
+    kernel = build_workload(name, scale=0.4, seed=2018)
+    return GPU(config, record_accesses=False).run(kernel).cycles
+
+
 @pytest.mark.parametrize("policy", [SchedulerPolicy.RR,
                                     SchedulerPolicy.GTO])
 def test_gtsc_beats_tc_under_either_policy(policy):
     """The headline G-TSC-over-TC conclusion does not hinge on the
     scheduler: TC-RC cycles over G-TSC-RC cycles, geomean over the
     coherent set (small preset, scale 0.4, seed 2018)."""
-    speedups = []
-    for name in COHERENT_NAMES:
-        kernel = build_workload(name, scale=0.4, seed=2018)
-        cycles = {}
-        for protocol in (Protocol.TC, Protocol.GTSC):
-            config = GPUConfig.small(protocol=protocol,
-                                     consistency=Consistency.RC,
-                                     scheduler=policy)
-            cycles[protocol] = GPU(config, record_accesses=False) \
-                .run(kernel).cycles
-        speedups.append(cycles[Protocol.TC] / cycles[Protocol.GTSC])
+    speedups = [small_rc_cycles(name, Protocol.TC, policy)
+                / small_rc_cycles(name, Protocol.GTSC, policy)
+                for name in COHERENT_NAMES]
     assert geomean(speedups) > 1.1
