@@ -42,8 +42,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.serve import (JobStore, Scheduler, ServeClient, ServeServer,
-                         make_spec)
+from repro.serve import Scheduler, ServeClient, ServeServer, make_spec
 
 BENCH_WORKLOAD = "HS"
 BENCH_SCALE = 0.1
@@ -58,9 +57,8 @@ class LiveServer:
 
     def __init__(self, root, jobs: int = 1,
                  queue_limit: int = 64) -> None:
-        store = JobStore(str(root / "jobs.jsonl"))
         self.scheduler = Scheduler(
-            store, db=str(root / "repro.db"), jobs=jobs,
+            db=str(root / "repro.db"), jobs=jobs,
             queue_limit=queue_limit, poll_interval=0.005)
         self.server = ServeServer(self.scheduler, port=0, quiet=True)
         self.loop = asyncio.new_event_loop()

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """End-to-end smoke of the dispatcher + worker fleet, suitable for CI.
 
-Boots ``repro serve --jobs 0`` (a pure dispatcher: it journals,
+Boots ``repro serve --jobs 0`` (a pure dispatcher: it queues,
 leases, and records, but never simulates) plus two ``repro serve
 worker --connect`` subprocesses, submits a small 7-point matrix (six
 single-GPU seeds plus one 4-GPU cluster point) from concurrent
@@ -13,7 +13,8 @@ clients, and asserts the fleet actually did the work:
 * the 4-GPU point keeps its machine shape end to end: ``n_gpus=4``
   in the result envelope, interlink traffic in its counters, and
   ``n_gpus=4`` on its database row;
-* the journal drains to 7 DONE jobs, nothing pending/leased/failed;
+* the job queue in the results database drains to 7 DONE jobs,
+  nothing pending/leased/failed;
 * all 7 runs landed in the sqlite results database, the fleet's one
   result store, with ``source="serve"``.
 
@@ -58,17 +59,16 @@ def fail(message: str,
 def main() -> None:
     sys.path.insert(0, str(REPO / "src"))
     from repro.db import ResultsDB
-    from repro.serve import JobStore, ServeClient
+    from repro.serve import ServeClient
+    from repro.serve.jobs import JobStore
     from repro.serve.schema import validate_spec
 
     procs: list[subprocess.Popen] = []
     with tempfile.TemporaryDirectory(prefix="fleet-smoke-") as tmp:
-        state_dir = Path(tmp) / "state"
         db_path = Path(tmp) / "repro.db"
         dispatcher = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "serve",
              "--port", str(PORT), "--jobs", "0",
-             "--state-dir", str(state_dir),
              "--db", str(db_path)],
             cwd=REPO, stderr=subprocess.PIPE, text=True)
         procs.append(dispatcher)
@@ -166,17 +166,14 @@ def main() -> None:
             if "drain complete" not in log:
                 fail(f"no drain banner in log:\n{log}")
 
-            store = JobStore(str(state_dir / "jobs.jsonl"))
-            counts = store.counts()
-            store.close()
-            if counts["done"] != len(specs) or counts["pending"] \
-                    or counts["leased"] or counts["failed"]:
-                fail(f"journal not drained: {counts}")
-            print(f"journal drained: {counts}")
-
             db = ResultsDB(str(db_path))
+            counts = JobStore(db).counts()
             rows = db.runs(source="serve")
             db.close()
+            if counts["done"] != len(specs) or counts["pending"] \
+                    or counts["leased"] or counts["failed"]:
+                fail(f"job queue not drained: {counts}")
+            print(f"job queue drained: {counts}")
             if len(rows) != len(specs):
                 fail(f"expected {len(specs)} serve rows in "
                      f"{db_path}, found {len(rows)}")

@@ -6,8 +6,8 @@ database, submits the same tiny point twice (the second submit must
 be answered from the database),
 checks the metrics show one lease and one execution by an in-process
 fleet worker, sends SIGTERM, and asserts a clean graceful drain: exit
-code 0, the drain banner in the log, and a journal whose every job is
-DONE and was run by an in-process worker.
+code 0, the drain banner in the log, and a job queue in the results
+database whose every job is DONE and was run by an in-process worker.
 
 Usage::
 
@@ -60,17 +60,18 @@ def submit(expect_cached: bool) -> dict:
 
 def main() -> None:
     with tempfile.TemporaryDirectory(prefix="serve-smoke-") as tmp:
-        state_dir = Path(tmp) / "state"
+        db_path = Path(tmp) / "repro.db"
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "serve",
              "--port", str(PORT),
-             "--state-dir", str(state_dir),
-             "--db", str(Path(tmp) / "repro.db")],
+             "--db", str(db_path)],
             cwd=REPO, stderr=subprocess.PIPE, text=True)
         try:
             # wait for the listener
             sys.path.insert(0, str(REPO / "src"))
-            from repro.serve import JobStore, ServeClient
+            from repro.db import ResultsDB
+            from repro.serve import ServeClient
+            from repro.serve.jobs import JobStore
             client = ServeClient(port=PORT, timeout=10, retries=20,
                                  backoff_base=0.25)
             health = client.healthz()
@@ -112,17 +113,17 @@ def main() -> None:
             if "drain complete" not in log:
                 fail(f"no drain banner in log:\n{log}")
 
-            store = JobStore(str(state_dir / "jobs.jsonl"))
+            store = JobStore(ResultsDB(str(db_path)))
             counts = store.counts()
             workers = [job.worker for job in store.jobs()]
             store.close()
             if counts["done"] != 1 or counts["pending"] or \
                     counts["leased"] or counts["failed"]:
-                fail(f"journal not clean after drain: {counts}")
+                fail(f"job queue not clean after drain: {counts}")
             if not all(re.fullmatch(r"local-\d+", worker)
                        for worker in workers):
                 fail(f"job not run by an in-process worker: {workers}")
-            print(f"clean drain, journal: {counts}, "
+            print(f"clean drain, job queue: {counts}, "
                   f"worker(s): {workers}")
             print("OK")
         finally:

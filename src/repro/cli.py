@@ -413,24 +413,18 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 DEFAULT_SERVE_PORT = 8642
-DEFAULT_STATE_DIR = "results/.serve"
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
-    import os
 
-    from repro.serve import JobStore, Scheduler, ServeServer
+    from repro.serve import Scheduler, ServeServer
 
-    state_dir = args.state_dir
-    os.makedirs(state_dir, exist_ok=True)
-    store = JobStore(os.path.join(state_dir, "jobs.jsonl"))
     scheduler = Scheduler(
-        store, jobs=args.jobs,
+        jobs=args.jobs,
         queue_limit=args.queue_limit,
         retry_after=args.retry_after,
         db=_results_db(args),
-        shards=args.shards,
         timeout=args.job_timeout,
         max_attempts=args.max_attempts,
         lease_duration=args.lease_duration,
@@ -756,9 +750,10 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_serve = sub.add_parser(
         "serve",
-        help="run the experiment service (durable queue, dedup, "
-             "shared result store) until SIGTERM; 'serve worker' "
-             "joins a remote fleet instead")
+        help="run the experiment service (a job queue in the results "
+             "database, in memory under --no-db; dedup; shared result "
+             "store) until SIGTERM; 'serve worker' joins a remote "
+             "fleet instead")
     _add_endpoint_args(p_serve)
     p_serve.add_argument("--jobs", type=int, default=1, metavar="N",
                          help="in-process fleet workers, each "
@@ -769,10 +764,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--queue-limit", type=int, default=64,
                          help="max queued+running jobs before submits "
                               "get a retry-after refusal (default: 64)")
-    p_serve.add_argument("--state-dir", default=DEFAULT_STATE_DIR,
-                         metavar="DIR",
-                         help="directory for the job journal "
-                              f"(default: {DEFAULT_STATE_DIR})")
     p_serve.add_argument("--job-timeout", type=float, default=None,
                          metavar="S",
                          help="per-job execution timeout in seconds "
@@ -785,9 +776,6 @@ def make_parser() -> argparse.ArgumentParser:
                          help="seconds a worker may hold a job before "
                               "it is requeued (default: 300)")
     _add_db_args(p_serve)
-    p_serve.add_argument("--shards", type=int, default=16,
-                         metavar="N",
-                         help="dedup lock shards (default: 16)")
     p_serve.add_argument("--retry-after", type=float, default=1.0,
                          metavar="S",
                          help="retry-after hint sent with busy/"

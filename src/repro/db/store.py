@@ -5,7 +5,7 @@ One row per simulation run, keyed by the harness
 runner's memo, the serve scheduler's single-flight dedup, and the
 result envelope already agree on.  It is the one persistent store of
 results: a runner or a serve scheduler that finds a row for a point's
-key reads the :class:`RunStats` back instead of simulating it.  Three
+key reads the :class:`RunStats` back instead of simulating it.  Four
 tables:
 
 * ``runs`` — one row per run: the validated spec (JSON), the
@@ -16,17 +16,20 @@ tables:
   every counter and per-component energy as one ``(kind, name,
   value)`` row, every histogram as its exact bucket payload;
 * ``timeseries`` — the cycle-sampled metrics rows a run carries in
-  ``RunStats.timeseries`` (PR 2), one row per (sample, column).
+  ``RunStats.timeseries`` (PR 2), one row per (sample, column);
+* ``jobs`` — the serve job queue (:mod:`repro.serve.jobs`), so a job's
+  state and its result live in one file and change in one transaction.
 
 Writes are **idempotent upserts**: recording the same run key twice
 replaces the row and its child rows in one transaction, so re-running
 a sweep converges instead of duplicating, and concurrent writers
 (worker processes, serve workers on other hosts sharing a filesystem)
-resolve by last-write-wins.  Each :meth:`record` is its own
-transaction, so a result is durable once the call returns.  The
-database opens in WAL mode with a busy timeout, which is sqlite's
-supported concurrent-writer configuration: writers queue briefly
-instead of failing.
+resolve by last-write-wins.  Every write runs in :meth:`transaction`:
+a :meth:`record` on its own is one transaction, durable once the call
+returns, and one inside an enclosing :meth:`transaction` commits with
+the rest of it.  The database opens in WAL mode with a busy timeout,
+which is sqlite's supported concurrent-writer configuration: writers
+queue briefly instead of failing.
 
 The round trip is exact: ``db.get_stats(key) ==`` the original
 ``RunStats`` for any run — counters stay integers (sqlite NUMERIC
@@ -38,13 +41,14 @@ than re-simulations.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import sqlite3
 import threading
 import time
 import warnings
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 import repro
 from repro.db import provenance
@@ -52,11 +56,10 @@ from repro.stats.collector import RunStats
 from repro.stats.histogram import Histogram
 
 #: bump when the table shapes change incompatibly
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
-_SCHEMA = """
-PRAGMA user_version = {version};
-CREATE TABLE IF NOT EXISTS runs (
+_SCHEMA = (
+    """CREATE TABLE IF NOT EXISTS runs (
     run_key       TEXT PRIMARY KEY,
     workload      TEXT NOT NULL DEFAULT '',
     protocol      TEXT NOT NULL DEFAULT '',
@@ -77,45 +80,58 @@ CREATE TABLE IF NOT EXISTS runs (
     timeseries_meta TEXT NOT NULL DEFAULT '',
     created_at    REAL NOT NULL,
     updated_at    REAL NOT NULL,
-    sim_backend   TEXT NOT NULL DEFAULT '',
     n_gpus        INTEGER NOT NULL DEFAULT 1
-);
-CREATE INDEX IF NOT EXISTS idx_runs_point
-    ON runs(workload, protocol, consistency);
-CREATE INDEX IF NOT EXISTS idx_runs_commit ON runs(git_commit);
-CREATE TABLE IF NOT EXISTS stats (
+)""",
+    "CREATE INDEX IF NOT EXISTS idx_runs_point "
+    "ON runs(workload, protocol, consistency)",
+    "CREATE INDEX IF NOT EXISTS idx_runs_commit ON runs(git_commit)",
+    """CREATE TABLE IF NOT EXISTS stats (
     run_key TEXT NOT NULL,
     kind    TEXT NOT NULL,
     name    TEXT NOT NULL,
     value   NUMERIC,
     payload TEXT,
     PRIMARY KEY (run_key, kind, name)
-) WITHOUT ROWID;
-CREATE TABLE IF NOT EXISTS timeseries (
+) WITHOUT ROWID""",
+    """CREATE TABLE IF NOT EXISTS timeseries (
     run_key TEXT NOT NULL,
     sample  INTEGER NOT NULL,
     cycle   INTEGER NOT NULL,
     name    TEXT NOT NULL,
     value   NUMERIC NOT NULL,
     PRIMARY KEY (run_key, sample, name)
-) WITHOUT ROWID;
-"""
+) WITHOUT ROWID""",
+    # a job's id is "j" + seq, zero-padded to six digits
+    """CREATE TABLE IF NOT EXISTS jobs (
+    seq          INTEGER PRIMARY KEY,
+    key          TEXT NOT NULL,
+    spec         TEXT NOT NULL,
+    state        TEXT NOT NULL DEFAULT 'pending',
+    attempts     INTEGER NOT NULL DEFAULT 0,
+    not_before   REAL NOT NULL DEFAULT 0.0,
+    deadline     REAL NOT NULL DEFAULT 0.0,
+    worker       TEXT NOT NULL DEFAULT '',
+    error        TEXT NOT NULL DEFAULT '',
+    submitted_at REAL NOT NULL,
+    updated_at   REAL NOT NULL
+)""",
+    # at most one active job per key; written as an OR so that the
+    # queries on one state can scan it instead of the whole table
+    "CREATE UNIQUE INDEX IF NOT EXISTS idx_jobs_active ON jobs(key) "
+    "WHERE state = 'pending' OR state = 'leased'",
+)
 
-#: columns of the ``runs`` table, in schema order (query helpers and
-#: the CLI build row dicts from this single list).  ``sim_backend``
-#: and ``n_gpus`` are deliberately last, in migration order:
-#: pre-existing databases gain them via ALTER TABLE, which appends,
-#: and ``SELECT *`` must zip against the same order on both fresh and
-#: migrated files.  ``sim_backend`` is a legacy column: the simulator
-#: has one engine, so every new row stores ``"pure"``; it stays so
-#: files written when an alternative engine existed still load.
+#: columns of the ``runs`` table.  Rows are read by naming them, so a
+#: file whose ``n_gpus`` column was added by ALTER TABLE reads the same.
 RUN_COLUMNS = (
     "run_key", "workload", "protocol", "consistency", "preset",
     "scale", "seed", "spec", "config_desc", "config_hash",
     "git_commit", "repro_version", "host", "source", "status",
     "wall_time_s", "cycles", "timeseries_meta", "created_at",
-    "updated_at", "sim_backend", "n_gpus",
+    "updated_at", "n_gpus",
 )
+
+_SELECT_RUNS = f"SELECT {', '.join(RUN_COLUMNS)} FROM runs"
 
 
 def _switch_to_wal(conn: sqlite3.Connection, timeout: float) -> None:
@@ -142,8 +158,8 @@ class ResultsDB:
 
     A handle may be shared between threads (serve workers report
     through one scheduler-owned handle); cross-process concurrency is
-    sqlite's own WAL + busy-timeout machinery.  All writes go through
-    :meth:`record`, which is transactional and idempotent per run key.
+    sqlite's own WAL + busy-timeout machinery.  Every write runs in
+    :meth:`transaction`; :meth:`record` is idempotent per run key.
     """
 
     def __init__(self, path: str, timeout: float = 30.0) -> None:
@@ -151,9 +167,12 @@ class ResultsDB:
         directory = os.path.dirname(path)
         if directory:
             os.makedirs(directory, exist_ok=True)
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
+        # autocommit: transactions are only the explicit ones of
+        # transaction()
         self._conn = sqlite3.connect(path, timeout=timeout,
-                                     check_same_thread=False)
+                                     check_same_thread=False,
+                                     isolation_level=None)
         try:
             self._set_up(timeout)
         except sqlite3.DatabaseError:
@@ -164,21 +183,20 @@ class ResultsDB:
     def _set_up(self, timeout: float) -> None:
         _switch_to_wal(self._conn, timeout)
         self._conn.execute("PRAGMA synchronous=NORMAL")
-        self._conn.executescript(
-            _SCHEMA.format(version=SCHEMA_VERSION))
-        # migrate databases created before the sim_backend / n_gpus
-        # columns: ALTER TABLE appends, matching RUN_COLUMNS order
-        present = {row[1] for row in self._conn.execute(
-            "PRAGMA table_info(runs)")}
-        if "sim_backend" not in present:
-            self._conn.execute(
-                "ALTER TABLE runs ADD COLUMN sim_backend "
-                "TEXT NOT NULL DEFAULT ''")
-        if "n_gpus" not in present:
-            self._conn.execute(
-                "ALTER TABLE runs ADD COLUMN n_gpus "
-                "INTEGER NOT NULL DEFAULT 1")
-        self._conn.commit()
+        with self.transaction() as conn:
+            for statement in _SCHEMA:
+                conn.execute(statement)
+            # schema 1 carried a sim_backend column, "pure" on every
+            # row since the simulator has had one engine; files older
+            # still lack n_gpus
+            present = {row[1] for row in conn.execute(
+                "PRAGMA table_info(runs)")}
+            if "sim_backend" in present:
+                conn.execute("ALTER TABLE runs DROP COLUMN sim_backend")
+            if "n_gpus" not in present:
+                conn.execute("ALTER TABLE runs ADD COLUMN n_gpus "
+                             "INTEGER NOT NULL DEFAULT 1")
+            conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -192,6 +210,33 @@ class ResultsDB:
 
     def __exit__(self, *_exc) -> None:
         self.close()
+
+    @contextlib.contextmanager
+    def transaction(self) -> Iterator[sqlite3.Connection]:
+        """Hold this handle's lock across one sqlite write transaction.
+
+        Yields the connection.  The transaction commits when the block
+        ends and rolls back when it raises.  A use nested inside
+        another on the same thread joins the outer transaction, so
+        :meth:`record` and the serve job queue's transitions commit
+        together when a caller wraps them in one block.
+        """
+        with self._lock:
+            if self._conn.in_transaction:
+                yield self._conn
+                return
+            self._conn.execute("BEGIN IMMEDIATE")
+            try:
+                yield self._conn
+                self._conn.execute("COMMIT")
+            except BaseException:
+                self._conn.rollback()
+                raise
+
+    def query(self, sql: str, params=()) -> List[tuple]:
+        """Every row of one read statement, under this handle's lock."""
+        with self._lock:
+            return self._conn.execute(sql, params).fetchall()
 
     # ------------------------------------------------------------------
     # writing
@@ -256,7 +301,6 @@ class ResultsDB:
             meta,
             now,
             now,
-            "pure",  # legacy sim_backend column
             n_gpus,
         )
         stat_rows: List[tuple] = [
@@ -278,8 +322,8 @@ class ResultsDB:
             for name, value in row.items():
                 if name != "cycle":
                     ts_rows.append((run_key, index, cycle, name, value))
-        with self._lock, self._conn:
-            self._conn.execute(
+        with self.transaction() as conn:
+            conn.execute(
                 f"INSERT INTO runs ({', '.join(RUN_COLUMNS)}) "
                 f"VALUES ({', '.join('?' * len(RUN_COLUMNS))}) "
                 "ON CONFLICT(run_key) DO UPDATE SET "
@@ -287,14 +331,14 @@ class ResultsDB:
                             for c in RUN_COLUMNS
                             if c not in ("run_key", "created_at")),
                 run_row)
-            self._conn.execute(
+            conn.execute(
                 "DELETE FROM stats WHERE run_key = ?", (run_key,))
-            self._conn.execute(
+            conn.execute(
                 "DELETE FROM timeseries WHERE run_key = ?", (run_key,))
-            self._conn.executemany(
+            conn.executemany(
                 "INSERT INTO stats (run_key, kind, name, value, payload)"
                 " VALUES (?, ?, ?, ?, ?)", stat_rows)
-            self._conn.executemany(
+            conn.executemany(
                 "INSERT INTO timeseries "
                 "(run_key, sample, cycle, name, value)"
                 " VALUES (?, ?, ?, ?, ?)", ts_rows)
@@ -304,13 +348,8 @@ class ResultsDB:
     # ------------------------------------------------------------------
     def get_run(self, run_key: str) -> Optional[Dict]:
         """The ``runs`` row for one key as a dict, or None."""
-        with self._lock:
-            cur = self._conn.execute(
-                "SELECT * FROM runs WHERE run_key = ?", (run_key,))
-            row = cur.fetchone()
-        if row is None:
-            return None
-        return dict(zip(RUN_COLUMNS, row))
+        rows = self.query(f"{_SELECT_RUNS} WHERE run_key = ?", (run_key,))
+        return dict(zip(RUN_COLUMNS, rows[0])) if rows else None
 
     def get_stats(self, run_key: str) -> Optional[RunStats]:
         """Rebuild the exact :class:`RunStats` recorded for one key."""
@@ -396,29 +435,24 @@ class ResultsDB:
         if commit is not None:
             clauses.append("git_commit LIKE ?")
             params.append(commit + "%")
-        sql = "SELECT * FROM runs"
+        sql = _SELECT_RUNS
         if clauses:
             sql += " WHERE " + " AND ".join(clauses)
         sql += " ORDER BY updated_at DESC, run_key"
         if limit is not None:
             sql += f" LIMIT {int(limit)}"
-        with self._lock:
-            rows = self._conn.execute(sql, params).fetchall()
-        return [dict(zip(RUN_COLUMNS, row)) for row in rows]
+        return [dict(zip(RUN_COLUMNS, row))
+                for row in self.query(sql, params)]
 
     def counter(self, run_key: str, name: str) -> Optional[int]:
         """One counter of one run (None when absent)."""
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT value FROM stats WHERE run_key = ? "
-                "AND kind = 'counter' AND name = ?",
-                (run_key, name)).fetchone()
-        return row[0] if row else None
+        rows = self.query(
+            "SELECT value FROM stats WHERE run_key = ? "
+            "AND kind = 'counter' AND name = ?", (run_key, name))
+        return rows[0][0] if rows else None
 
     def count(self) -> int:
-        with self._lock:
-            return self._conn.execute(
-                "SELECT COUNT(*) FROM runs").fetchone()[0]
+        return self.query("SELECT COUNT(*) FROM runs")[0][0]
 
     def summary(self) -> Dict:
         """Fleet-level aggregates for reports and the CLI."""

@@ -3,12 +3,15 @@
 ``repro.serve`` turns the one-shot harness into a long-lived server
 so many clients can share one simulation budget:
 
-* :mod:`~repro.serve.jobs` — crash-safe JSONL job journal with
-  leases (PENDING -> LEASED -> DONE/FAILED, expiry requeues);
+* :mod:`~repro.serve.jobs` — the job queue, a ``jobs`` table in the
+  results database beside the results it produces, with leases
+  (PENDING -> LEASED -> DONE/FAILED, expiry requeues); each
+  transition is one sqlite transaction;
 * :mod:`~repro.serve.scheduler` — single-flight dedup keyed by
-  :func:`repro.harness.cache.run_key`, sharded over independent
-  locks, plus the lease/complete/fail/heartbeat entry points every
-  worker uses, with jittered retry and failure quarantine;
+  :func:`repro.harness.cache.run_key`, plus the
+  lease/complete/fail/heartbeat entry points every worker uses, with
+  jittered retry and failure quarantine; a completion commits the
+  result rows and DONE together;
 * :mod:`~repro.serve.fleet` — the one worker loop, with per-job
   timeout and heartbeats: ``serve --jobs N`` runs N in-process
   (``--jobs 0`` makes the process a pure dispatcher), ``serve worker

@@ -15,32 +15,35 @@ the first of:
    error is raised immediately instead of re-burning workers;
 3. **coalesce** — a job for the key is already queued or running: the
    caller is attached to the existing job's future;
-4. **enqueue** — a new job is journalled and idle workers are woken;
-   this is the only path that can be refused for backpressure
-   (:class:`Busy`), because attaching a waiter or reading the store
-   costs nothing.
+4. **enqueue** — a new job row is written to the queue and idle
+   workers are woken; this is the only path that can be refused for
+   backpressure (:class:`Busy`), because attaching a waiter or reading
+   the store costs nothing.
 
-Dedup state is **sharded by key**: the waiter-future map is split
-over ``shards`` independent locks (a key's shard is a prefix of its
-hex digest), so thousands of concurrent submissions of *distinct*
-points do not serialize on one lock — only identical points contend,
-and those are exactly the ones that must.  The queue-occupancy limit
-moved into :meth:`JobStore.submit` so backpressure stays exact
-without a global lock around the check-then-enqueue.
+The queue is the ``jobs`` table of the results database
+(:class:`~repro.serve.jobs.JobStore`), so a job's state and its result
+change in one transaction; without a results database it is an
+in-memory sqlite database, since nothing a job produces would outlive
+the process anyway.  One lock guards the waiter futures; every step
+inside it already takes the database's lock, so distinct keys gain
+nothing from more.
 
 Every execution is a :class:`~repro.serve.fleet.FleetWorker` calling
 :meth:`lease`, :meth:`heartbeat`, :meth:`complete` and :meth:`fail`:
 ``serve worker --connect`` processes over the wire, the ``jobs``
 in-process workers through a :class:`LocalLink`.  :meth:`complete` is
-the only place a result is published (results DB, then waiters);
+the only place a result is published (its rows and DONE in one
+transaction, then waiters);
 :meth:`fail` is the only place the retry policy runs — requeue with
 jittered exponential backoff until ``max_attempts`` lease grants are
 used up, then FAILED plus a ``quarantine_ttl`` quarantine of the key,
 so resubmitting a deterministic crash fails fast.
 
-Store trouble never fails a job: a read that raises warns and counts
-as a miss, and a write that raises warns and the result still reaches
-its waiters.
+Store trouble never fails a job that is running: a result lookup
+that raises warns and counts as a miss, and a completion the database
+cannot take warns, still answers its waiters and leaves the job LEASED
+with no row, so it is requeued when its lease expires.  A submit the
+database cannot take raises.
 
 Waiters hold :class:`concurrent.futures.Future` objects resolved from
 worker threads (or the server's executor for remote completions); the
@@ -58,10 +61,11 @@ from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.db.store import ResultsDB
 from repro.serve import schema
 from repro.serve.client import ServeError
 from repro.serve.fleet import FleetWorker, JobTimeout, execute_spec
-from repro.serve.jobs import Job, JobStore, LEASED
+from repro.serve.jobs import Job, JobStore
 from repro.stats.collector import RunStats
 from repro.stats.histogram import HistogramSet
 
@@ -130,18 +134,18 @@ class LocalLink:
 
 
 class Scheduler:
-    """Owns the job journal, the results database (``db``: a
+    """Owns the results database (``db``: a
     :class:`~repro.db.store.ResultsDB` or a path to open one; None
-    stores nothing), the retry policy and the ``jobs`` in-process
-    workers (``execute``/``timeout`` configure them; ``jobs=0`` leaves
-    all executing to remote workers).  ``clock``/``rng`` are
-    injectable for deterministic tests.
+    stores nothing), the job queue in it (``store``), the retry policy
+    and the ``jobs`` in-process workers (``execute``/``timeout``
+    configure them; ``jobs=0`` leaves all executing to remote
+    workers).  ``clock``/``rng`` are injectable for deterministic
+    tests; ``clock`` also stamps the queue's leases.
     """
 
-    def __init__(self, store: JobStore,
-                 jobs: int = 1, queue_limit: int = 64,
+    def __init__(self, jobs: int = 1, queue_limit: int = 64,
                  retry_after: float = 1.0,
-                 db=None, shards: int = 16, *,
+                 db=None, *,
                  execute: Callable[[Dict], RunStats] = execute_spec,
                  timeout: Optional[float] = None,
                  max_attempts: int = 3,
@@ -158,9 +162,6 @@ class Scheduler:
             raise ValueError("max_attempts must be >= 1")
         if queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
-        self.store = store
         self.jobs = jobs
         self.queue_limit = queue_limit
         self.retry_after = retry_after
@@ -168,9 +169,10 @@ class Scheduler:
         # every job a worker completes lands as a provenance-stamped
         # row (a path opens a ResultsDB here)
         if isinstance(db, str):
-            from repro.db.store import ResultsDB
             db = ResultsDB(db)
         self.db = db
+        self.store = JobStore(
+            db if db is not None else ResultsDB(":memory:"), clock=clock)
         self.execute = execute
         self.timeout = timeout
         self.max_attempts = max_attempts
@@ -184,10 +186,9 @@ class Scheduler:
         self._wake = threading.Event()
         self._workers: List[FleetWorker] = []
         self._threads: List[threading.Thread] = []
-        self.shards = shards
-        self._shard_locks = [threading.Lock() for _ in range(shards)]
-        self._futures: List[Dict[str, "Future[RunStats]"]] = \
-            [{} for _ in range(shards)]
+        #: key -> the future its waiters hold, guarded by _futures_lock
+        self._futures: Dict[str, "Future[RunStats]"] = {}
+        self._futures_lock = threading.Lock()
         self._lock = threading.Lock()
         #: key -> (expires_at, error) of terminally failed points
         self._quarantine: Dict[str, Tuple[float, str]] = {}
@@ -206,19 +207,14 @@ class Scheduler:
         self.timeouts = 0
         self.deduped_results = 0
 
-    def _shard_of(self, key: str) -> int:
-        # keys are hex sha256 digests; the leading 32 bits are as
-        # uniform as any slice and cheap to parse
-        return int(key[:8], 16) % self.shards
-
     def _count(self, name: str) -> None:
         with self._lock:
             setattr(self, name, getattr(self, name) + 1)
 
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Start the in-process workers (pending journal entries
-        resume here)."""
+        """Start the in-process workers (jobs left pending in the
+        database resume here)."""
         if self._workers:
             raise RuntimeError("workers already started")
         for index in range(self.jobs):
@@ -241,7 +237,7 @@ class Scheduler:
 
         In-flight executions finish their current job first (that is
         the graceful-drain half of SIGTERM handling); jobs still
-        PENDING stay journalled for the next process.
+        PENDING stay in the database for the next process.
         """
         for worker in self._workers:
             worker.stop()
@@ -255,9 +251,8 @@ class Scheduler:
     def submit(self, spec: Dict) -> Submission:
         """Route one validated spec; see the module docstring order."""
         key = schema.spec_key(spec)
-        index = self._shard_of(key)
         self._count("submits")
-        with self._shard_locks[index]:
+        with self._futures_lock:
             stats = self.db.lookup(key) if self.db is not None else None
             if stats is not None:
                 self._count("cache_hits")
@@ -269,11 +264,11 @@ class Scheduler:
             error = self.quarantined(key)
             if error is not None:
                 raise Quarantined(error)
-            pending = self._futures[index].get(key)
+            pending = self._futures.get(key)
             if pending is not None:
-                # the job may have just been stored and journalled
-                # DONE while its waiters are still being answered;
-                # the live future bridges that window
+                # the job may have just been stored DONE while its
+                # waiters are still being answered; the live future
+                # bridges that window
                 self._count("coalesced")
                 active = self.store.active_for(key)
                 return Submission(key=key,
@@ -285,7 +280,7 @@ class Scheduler:
                 self._count("coalesced")
                 return Submission(key=key, job_id=existing.id,
                                   cached=False, coalesced=True,
-                                  future=self._future_for(index, key))
+                                  future=self._future_for(key))
             job = self.store.submit(spec, key,
                                     limit=self.queue_limit)
             if job is None:
@@ -293,16 +288,14 @@ class Scheduler:
                 raise Busy(self.retry_after)
             submission = Submission(key=key, job_id=job.id,
                                     cached=False, coalesced=False,
-                                    future=self._future_for(index, key))
+                                    future=self._future_for(key))
         self._wake.set()
         return submission
 
-    def _future_for(self, index: int,
-                    key: str) -> "Future[RunStats]":
-        future = self._futures[index].get(key)
+    def _future_for(self, key: str) -> "Future[RunStats]":
+        future = self._futures.get(key)
         if future is None:
-            future = Future()
-            self._futures[index][key] = future
+            future = self._futures[key] = Future()
         return future
 
     def quarantined(self, key: str) -> Optional[str]:
@@ -327,8 +320,8 @@ class Scheduler:
         completed here instead of handed out — the fleet-wide dedup
         that makes an expired-then-finished-elsewhere job free, lets a
         database warmed by batch runs drain a queue without burning a
-        single worker-second, and finishes a job whose result was
-        stored just before a crash kept it from being journalled DONE.
+        single worker-second, and finishes a job whose row a runner
+        sharing the database wrote.
         """
         while True:
             job = self.store.lease(worker, duration)
@@ -337,7 +330,7 @@ class Scheduler:
             stats = (self.db.lookup(job.key) if self.db is not None
                      else None)
             if stats is not None:
-                self.store.complete(job.id)
+                self.store.complete(job.id, worker)
                 self._count("deduped_results")
                 self._resolve(job.key, stats)
                 continue
@@ -348,17 +341,18 @@ class Scheduler:
                  wall_time_s: Optional[float] = None) -> bool:
         """Store a worker's finished result and publish it.
 
-        The row is written before the job is journalled DONE, so a
-        DONE job always has its result stored; a crash between the two
-        leaves a stored row that lease-time dedup completes after the
-        restart.  Returns ``True`` when this was the completion of
-        record (the worker still held the lease).  A late result — the
-        lease expired, the job was requeued, possibly re-leased or
-        already finished by someone else — is **not** an error:
-        determinism makes it byte-equal to the winning result, so it
-        is stored (the last write wins) and any waiters are answered,
-        and ``False`` reports that it was redundant.  Raises
-        :class:`KeyError` for a job id the journal has never seen.
+        The result rows and the job's DONE commit in one transaction,
+        so a DONE job always has its result stored.  Returns ``True``
+        when this was the completion of record (the worker still held
+        the lease).  A late result — the lease expired, the job was
+        requeued, possibly re-leased or already finished by someone
+        else — is **not** an error: determinism makes it byte-equal to
+        the winning result, so it is stored (the last write wins) and
+        any waiters are answered, and ``False`` reports that it was
+        redundant.  When the transaction raises, the waiters are still
+        answered, the job stays LEASED with no row until its lease
+        expires, and ``False`` is returned.  Raises :class:`KeyError`
+        for a job id the queue has never seen.
         """
         job = self.store.get(job_id)
         if job is None:
@@ -368,25 +362,23 @@ class Scheduler:
         queue_wait = max(
             0.0, (job.updated_at or job.submitted_at)
             - job.submitted_at)
-        if self.db is not None:
-            try:
-                self.db.record(
-                    job.key, stats, spec=job.spec, source="serve",
-                    wall_time_s=wall_time_s,
-                    config=schema.spec_config(job.spec))
-            except Exception as error:
-                warnings.warn(
-                    f"results-db record failed for {job.key[:12]}…: "
-                    f"{type(error).__name__}: {error}",
-                    RuntimeWarning, stacklevel=2)
-        fresh = job.state == LEASED and job.worker == worker
-        if fresh:
-            try:
-                self.store.complete(job_id)
-            except ValueError:
-                # lost a photo-finish with lease expiry; fall through
-                # to the dedup path
-                fresh = False
+        # built before the transaction, which holds the write lock
+        config = (schema.spec_config(job.spec) if self.db is not None
+                  else None)
+        try:
+            with self.store.db.transaction():
+                if self.db is not None:
+                    self.db.record(
+                        job.key, stats, spec=job.spec, source="serve",
+                        wall_time_s=wall_time_s, config=config)
+                fresh = self.store.complete(job_id, worker)
+        except Exception as error:
+            warnings.warn(
+                f"results-db record failed for {job.key[:12]}…: "
+                f"{type(error).__name__}: {error}",
+                RuntimeWarning, stacklevel=2)
+            self._resolve(job.key, stats)
+            return False
         if not fresh:
             self._count("deduped_results")
             self._resolve(job.key, stats)
@@ -411,18 +403,15 @@ class Scheduler:
         job = self.store.get(job_id)
         if job is None:
             raise KeyError(f"no job {job_id!r}")
-        if job.state != LEASED or job.worker != worker:
-            return False
         retry = job.attempts < self.max_attempts
-        try:
-            if retry:
-                self.store.requeue(job.id,
-                                   not_before=self._clock() +
-                                   self._backoff(job.attempts))
-            else:
-                self.store.fail(job.id, message)
-        except ValueError:
-            return False           # the lease expired under the report
+        if retry:
+            applied = self.store.requeue(
+                job_id, worker,
+                not_before=self._clock() + self._backoff(job.attempts))
+        else:
+            applied = self.store.fail(job_id, worker, message)
+        if not applied:
+            return False
         if message.startswith(f"{JobTimeout.__name__}:"):
             self._count("timeouts")
         if retry:
@@ -433,9 +422,8 @@ class Scheduler:
         with self._lock:
             self._quarantine[job.key] = (
                 self._clock() + self.quarantine_ttl, message)
-        index = self._shard_of(job.key)
-        with self._shard_locks[index]:
-            future = self._futures[index].pop(job.key, None)
+        with self._futures_lock:
+            future = self._futures.pop(job.key, None)
         if future is not None:
             future.set_exception(Quarantined(message))
         return True
@@ -453,20 +441,16 @@ class Scheduler:
 
     def _resolve(self, key: str, stats: RunStats) -> None:
         """Answer any waiters for ``key``."""
-        index = self._shard_of(key)
-        with self._shard_locks[index]:
-            future = self._futures[index].pop(key, None)
+        with self._futures_lock:
+            future = self._futures.pop(key, None)
         if future is not None:
             future.set_result(stats)
 
     # ------------------------------------------------------------------
     def inflight(self) -> int:
         """Keys with unresolved waiters (a drain gauge)."""
-        total = 0
-        for index in range(self.shards):
-            with self._shard_locks[index]:
-                total += len(self._futures[index])
-        return total
+        with self._futures_lock:
+            return len(self._futures)
 
     def latency_summary(self) -> Dict:
         """Count/mean/p50/p95/p99/max (ms) per latency histogram."""

@@ -58,7 +58,7 @@ def validate_spec(spec) -> Dict:
     """Normalise and validate one request spec.
 
     Returns a fresh dict containing exactly the canonical fields, so a
-    validated spec is safe to journal and to hash.  Raises
+    validated spec is safe to store and to hash.  Raises
     :class:`SpecError` with a message naming the offending field.
     """
     if not isinstance(spec, dict):

@@ -14,7 +14,7 @@ connection may carry any number of requests)::
     -> {"v": 1, "op": "status", "job_id": "j000001"}
 
 Remote workers (``serve worker --connect``) drive the fleet half of
-the protocol — leasing jobs out of the dispatcher's journal over the
+the protocol — leasing jobs out of the dispatcher's queue over the
 wire and reporting outcomes back::
 
     -> {"v": 1, "op": "lease", "worker": "host-123", "duration": 300}
@@ -39,8 +39,9 @@ Refusals are structured, never silence: a full queue answers
 ``{"ok": false, "error": "busy", "retry_after": s}`` (the client's
 backoff honours ``retry_after``), a draining server answers the same
 shape with ``"error": "draining"``, and a malformed request gets
-``"error": "bad-request"`` with a message — the connection stays
-usable afterwards.
+``"error": "bad-request"`` with a message, and an op the database
+cannot take (a closed, locked or damaged file) answers
+``"error": "store-error"`` — the connection stays usable afterwards.
 
 Metrics ride the PR-2 observability machinery rather than a parallel
 implementation: request outcomes bump a
@@ -50,10 +51,14 @@ and in-flight waiters as gauges) once per ``metrics`` request, so the
 endpoint returns the same time-series shape a simulation run embeds
 in ``RunStats.timeseries``.
 
+Every op that reads or writes the database runs in the loop's
+executor, except ``submit``: its result lookup answers a cached point
+on the loop, without a thread hop.
+
 SIGTERM/SIGINT trigger a graceful drain: new submits are refused,
-in-flight executions finish and answer their waiters, the journal and
-listener close, and the process exits — PENDING jobs stay journalled
-for the next start.
+in-flight executions finish and answer their waiters, the listener
+and the database close, and the process exits — PENDING jobs stay in
+the database for the next start.
 """
 
 from __future__ import annotations
@@ -61,6 +66,7 @@ from __future__ import annotations
 import asyncio
 import json
 import signal
+import sqlite3
 import sys
 import time
 from typing import Dict, Optional
@@ -146,7 +152,7 @@ class ServeServer:
 
         Idempotent — a second signal while draining is a no-op rather
         than a hard kill (operators who want that can escalate to
-        SIGKILL; the journal makes even that lose nothing).
+        SIGKILL; with a results database even that loses nothing).
         """
         if self.draining:
             return
@@ -159,15 +165,14 @@ class ServeServer:
                 time.monotonic() < deadline:
             await asyncio.sleep(0.02)
         leftover = self.scheduler.inflight()
-        await asyncio.get_running_loop().run_in_executor(
-            None, self.scheduler.stop)
+        await self._off_loop(self.scheduler.stop)
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        self.scheduler.store.close()
         counts = self.scheduler.store.counts()
+        self.scheduler.store.close()
         self._log(f"drain complete: {counts['done']} done, "
-                  f"{counts['pending']} pending (journalled), "
+                  f"{counts['pending']} pending, "
                   f"{leftover} waiter(s) abandoned")
         self._drained.set()
 
@@ -211,25 +216,25 @@ class ServeServer:
                 f"server speaks v{schema.PROTOCOL_VERSION}, "
                 f"request is v{version}")
         op = request.get("op")
-        if op == "submit":
-            return await self._submit(request)
-        if op == "healthz":
-            return self._healthz()
-        if op == "metrics":
-            return self._metrics(request)
-        if op == "jobs":
-            return self._jobs()
-        if op == "status":
-            return self._status(request)
-        if op == "lease":
-            return await self._lease(request)
-        if op == "complete":
-            return await self._complete(request)
-        if op == "fail":
-            return self._fail(request)
-        if op == "heartbeat":
-            return self._heartbeat(request)
-        return self._error("bad-request", f"unknown op {op!r}")
+        handler = {"submit": self._submit, "healthz": self._healthz,
+                   "metrics": self._metrics, "jobs": self._jobs,
+                   "status": self._status, "lease": self._lease,
+                   "complete": self._complete, "fail": self._fail,
+                   "heartbeat": self._heartbeat}.get(op)
+        if handler is None:
+            return self._error("bad-request", f"unknown op {op!r}")
+        try:
+            return await handler(request)
+        except sqlite3.Error as error:
+            return self._error("store-error",
+                               f"{type(error).__name__}: {error}")
+
+    @staticmethod
+    async def _off_loop(fn, *args):
+        """``fn(*args)`` in the loop's executor: database calls wait on
+        its lock and on sqlite's, which must not stall the loop."""
+        return await asyncio.get_running_loop().run_in_executor(
+            None, fn, *args)
 
     def _error(self, error: str, message: str = "",
                **extra) -> Dict:
@@ -286,28 +291,33 @@ class ServeServer:
         reply.setdefault("job_id", None)
         return reply
 
-    def _healthz(self) -> Dict:
-        counts = self.scheduler.store.counts()
+    async def _healthz(self, _request: Dict) -> Dict:
+        counts = await self._off_loop(self.scheduler.store.counts)
         return {"v": schema.PROTOCOL_VERSION, "ok": True,
                 "status": "draining" if self.draining else "serving",
                 "uptime_s": round(time.monotonic() - self._started, 3),
-                "queue_depth": self.scheduler.store.active_count(),
+                "queue_depth": counts["pending"] + counts["leased"],
                 "queue_limit": self.scheduler.queue_limit,
                 "workers": self.scheduler.jobs,
                 "jobs": counts}
 
-    def _metrics(self, request: Optional[Dict] = None) -> Dict:
+    async def _metrics(self, request: Dict) -> Dict:
+        fmt = request.get("format", "json")
+        if fmt not in ("json", "prometheus"):
+            return self._error("bad-request",
+                               f"unknown metrics format {fmt!r} "
+                               f"(known: json, prometheus)")
         self._tick += 1
-        self.metrics.on_cycle(self._tick)
-        fmt = (request or {}).get("format", "json")
+        return await self._off_loop(self._sample_metrics, self._tick,
+                                    fmt)
+
+    def _sample_metrics(self, tick: int, fmt: str) -> Dict:
+        # the queue-depth gauge and the snapshot read the database
+        self.metrics.on_cycle(tick)
         if fmt == "prometheus":
             return {"v": schema.PROTOCOL_VERSION, "ok": True,
                     "format": "prometheus",
                     "text": self._prometheus_text()}
-        if fmt != "json":
-            return self._error("bad-request",
-                               f"unknown metrics format {fmt!r} "
-                               f"(known: json, prometheus)")
         return {"v": schema.PROTOCOL_VERSION, "ok": True,
                 "snapshot": self.scheduler.snapshot(),
                 "latency": self.scheduler.latency_summary(),
@@ -331,15 +341,17 @@ class ServeServer:
             counters=counters, gauges=gauges,
             summaries=self.scheduler.latency_summary())
 
-    def _jobs(self) -> Dict:
-        jobs = [job.to_dict() for job in self.scheduler.store.jobs()]
+    async def _jobs(self, _request: Dict) -> Dict:
+        store = self.scheduler.store
+        jobs = await self._off_loop(store.jobs)
         return {"v": schema.PROTOCOL_VERSION, "ok": True,
-                "jobs": jobs,
-                "counts": self.scheduler.store.counts(),
+                "jobs": [job.to_dict() for job in jobs],
+                "counts": await self._off_loop(store.counts),
                 "latency": self.scheduler.latency_summary()}
 
-    def _status(self, request: Dict) -> Dict:
-        job = self.scheduler.store.get(str(request.get("job_id")))
+    async def _status(self, request: Dict) -> Dict:
+        job = await self._off_loop(self.scheduler.store.get,
+                                   str(request.get("job_id")))
         if job is None:
             return self._error("not-found",
                                f"no job {request.get('job_id')!r}")
@@ -373,10 +385,8 @@ class ServeServer:
         if self.draining:
             return self._error("draining", "server is draining",
                                retry_after=self.scheduler.retry_after)
-        # leasing touches the journal and may read the result store;
-        # keep that off the event loop
-        job = await asyncio.get_running_loop().run_in_executor(
-            None, self.scheduler.lease, worker, duration)
+        job = await self._off_loop(self.scheduler.lease, worker,
+                                   duration)
         if job is not None:
             self.collector.add("serve_leases")
         return {"v": schema.PROTOCOL_VERSION, "ok": True,
@@ -401,11 +411,9 @@ class ServeServer:
             return self._error("bad-request",
                                "wall_time_s must be a number")
         try:
-            # publishing writes the store (and possibly the DB);
-            # keep it off the event loop too
-            fresh = await asyncio.get_running_loop().run_in_executor(
-                None, self.scheduler.complete, job_id, worker, stats,
-                wall_time)
+            fresh = await self._off_loop(self.scheduler.complete,
+                                         job_id, worker, stats,
+                                         wall_time)
         except KeyError:
             return self._error("not-found", f"no job {job_id!r}")
         self.collector.add("serve_remote_results")
@@ -415,27 +423,29 @@ class ServeServer:
                 "kind": "completed", "job_id": job_id,
                 "fresh": fresh}
 
-    def _fail(self, request: Dict) -> Dict:
+    async def _fail(self, request: Dict) -> Dict:
         worker, _, bad = self._fleet_identity(request)
         if bad is not None:
             return bad
         job_id = str(request.get("job_id"))
         message = str(request.get("message", "worker-reported failure"))
         try:
-            applied = self.scheduler.fail(job_id, worker, message)
+            applied = await self._off_loop(self.scheduler.fail, job_id,
+                                           worker, message)
         except KeyError:
             return self._error("not-found", f"no job {job_id!r}")
         return {"v": schema.PROTOCOL_VERSION, "ok": True,
                 "kind": "failed", "job_id": job_id,
                 "applied": applied}
 
-    def _heartbeat(self, request: Dict) -> Dict:
+    async def _heartbeat(self, request: Dict) -> Dict:
         worker, duration, bad = self._fleet_identity(request)
         if bad is not None:
             return bad
         job_id = str(request.get("job_id"))
         try:
-            job = self.scheduler.heartbeat(job_id, worker, duration)
+            job = await self._off_loop(self.scheduler.heartbeat, job_id,
+                                       worker, duration)
         except KeyError:
             return self._error("not-found", f"no job {job_id!r}")
         except ValueError as error:

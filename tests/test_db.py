@@ -246,7 +246,6 @@ def test_wal_switch_gives_up_after_the_timeout(tmp_path):
 
 def test_runner_and_serve_write_identical_stats_rows(tmp_path):
     from repro.serve import schema
-    from repro.serve.jobs import JobStore
     from repro.serve.scheduler import Scheduler
 
     runner = ExperimentRunner(preset="tiny", scale=0.3, seed=7,
@@ -258,9 +257,7 @@ def test_runner_and_serve_write_identical_stats_rows(tmp_path):
     spec = schema.validate_spec(json.loads(row["spec"]))
     assert schema.spec_key(spec) == key
 
-    store = JobStore(str(tmp_path / "jobs.jsonl"))
-    scheduler = Scheduler(store, jobs=1,
-                          db=str(tmp_path / "serve.db"))
+    scheduler = Scheduler(jobs=1, db=str(tmp_path / "serve.db"))
     scheduler.start()
     try:
         scheduler.submit(spec).future.result(timeout=120)
@@ -283,11 +280,10 @@ def test_runner_and_scheduler_answer_from_one_store(tmp_path):
     """A point served by the scheduler costs a runner sharing its
     database no simulation, and a point the runner recorded is
     answered from the database with no job."""
-    from repro.serve import JobStore, Scheduler, make_spec
+    from repro.serve import Scheduler, make_spec
 
     path = str(tmp_path / "repro.db")
-    store = JobStore(str(tmp_path / "jobs.jsonl"))
-    scheduler = Scheduler(store, jobs=1, db=path)
+    scheduler = Scheduler(jobs=1, db=path)
     scheduler.start()
     try:
         served = scheduler.submit(make_spec(
@@ -303,13 +299,13 @@ def test_runner_and_scheduler_answer_from_one_store(tmp_path):
     assert runner.simulations_run == 1
 
     # no workers: only the database can answer
-    scheduler = Scheduler(store, jobs=0, db=path)
+    scheduler = Scheduler(jobs=0, db=path)
     submission = scheduler.submit(
         make_spec("KM", preset="tiny", scale=0.1, seed=7))
     assert submission.cached and submission.job_id is None
     assert submission.future.result(timeout=1) == recorded
-    assert store.counts()["pending"] == 0
-    store.close()
+    assert scheduler.store.counts()["pending"] == 0
+    scheduler.store.close()
 
 
 def test_run_key_memo_hit_is_recorded_like_a_disk_cache_hit(tmp_path):
@@ -341,25 +337,32 @@ def test_db_failure_never_breaks_the_run(tmp_path):
     assert stats.cycles > 0
 
 
-def test_db_failure_never_fails_a_served_job(tmp_path):
-    from repro.serve import JobStore, Scheduler, make_spec
+def test_db_failure_never_fails_a_served_job(tmp_path, monkeypatch):
+    """A result the database cannot take still reaches its waiter; the
+    job stays LEASED with no row until its lease expires.  A submit the
+    database cannot take raises instead of queueing nowhere."""
+    from repro.serve import Scheduler, make_spec
 
-    db = ResultsDB(str(tmp_path / "dead.db"))
+    db = ResultsDB(str(tmp_path / "failing.db"))
+    scheduler = Scheduler(jobs=0, db=db)
+    submission = scheduler.submit(make_spec("HS", preset="tiny",
+                                            scale=0.1))
+    job = scheduler.lease("w0", 60)
+
+    def full_disk(*args, **kwargs):
+        raise sqlite3.OperationalError("database or disk is full")
+
+    monkeypatch.setattr(db, "record", full_disk)
+    with pytest.warns(RuntimeWarning, match="results-db record"):
+        assert scheduler.complete(job.id, "w0", make_stats()) is False
+    assert submission.future.result(timeout=1).cycles == 1234
+    assert scheduler.store.get(job.id).state == "leased"
+    assert db.get_run(submission.key) is None
+
     db._conn.close()  # simulate a dead database
-    store = JobStore(str(tmp_path / "jobs.jsonl"))
-    scheduler = Scheduler(store, jobs=1, db=db,
-                          execute=lambda spec: make_stats())
-    scheduler.start()
-    try:
-        with pytest.warns(RuntimeWarning, match="results-db record"):
-            submission = scheduler.submit(
-                make_spec("HS", preset="tiny", scale=0.1))
-            stats = submission.future.result(timeout=30)
-    finally:
-        scheduler.stop()
-    assert stats.cycles == 1234
-    assert store.get(submission.job_id).state == "done"
-    store.close()
+    with pytest.warns(RuntimeWarning, match="results-db read"), \
+            pytest.raises(sqlite3.ProgrammingError):
+        scheduler.submit(make_spec("KM", preset="tiny", scale=0.1))
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +494,6 @@ def test_cli_exits_with_one_line_on_a_junk_database(tmp_path, argv):
     from repro.cli import main
 
     junk = _junk_file(tmp_path)
-    if argv[0] == "serve":
-        argv = argv + ["--state-dir", str(tmp_path / "state")]
     # a sqlite3 error escaping main() fails the test as an error
     with pytest.raises(SystemExit) as exit_info:
         main(argv + ["--db", str(junk)])
@@ -521,3 +522,82 @@ def test_schema_version_is_stamped(tmp_path):
     assert conn.execute("PRAGMA user_version").fetchone()[0] == \
         SCHEMA_VERSION
     conn.close()
+
+
+#: the schema-1 tables as earlier versions created them: ``runs`` has
+#: the ``sim_backend`` column (before ``n_gpus``) and there is no
+#: ``jobs`` table
+SCHEMA_1 = """
+PRAGMA user_version = 1;
+CREATE TABLE runs (
+    run_key TEXT PRIMARY KEY, workload TEXT NOT NULL DEFAULT '',
+    protocol TEXT NOT NULL DEFAULT '', consistency TEXT NOT NULL DEFAULT '',
+    preset TEXT NOT NULL DEFAULT '', scale REAL, seed INTEGER, spec TEXT,
+    config_desc TEXT NOT NULL DEFAULT '', config_hash TEXT NOT NULL DEFAULT '',
+    git_commit TEXT NOT NULL DEFAULT '', repro_version TEXT NOT NULL DEFAULT '',
+    host TEXT NOT NULL DEFAULT '', source TEXT NOT NULL DEFAULT '',
+    status TEXT NOT NULL DEFAULT 'done', wall_time_s REAL,
+    cycles INTEGER NOT NULL, timeseries_meta TEXT NOT NULL DEFAULT '',
+    created_at REAL NOT NULL, updated_at REAL NOT NULL,
+    sim_backend TEXT NOT NULL DEFAULT '', n_gpus INTEGER NOT NULL DEFAULT 1
+);
+CREATE INDEX idx_runs_point ON runs(workload, protocol, consistency);
+CREATE INDEX idx_runs_commit ON runs(git_commit);
+CREATE TABLE stats (
+    run_key TEXT NOT NULL, kind TEXT NOT NULL, name TEXT NOT NULL,
+    value NUMERIC, payload TEXT, PRIMARY KEY (run_key, kind, name)
+) WITHOUT ROWID;
+CREATE TABLE timeseries (
+    run_key TEXT NOT NULL, sample INTEGER NOT NULL, cycle INTEGER NOT NULL,
+    name TEXT NOT NULL, value NUMERIC NOT NULL,
+    PRIMARY KEY (run_key, sample, name)
+) WITHOUT ROWID;
+"""
+
+
+def test_schema_1_file_opens_as_schema_2_with_its_rows(tmp_path):
+    hist = Histogram("lat")
+    for value in (1, 5, 5, 40):
+        hist.add(value)
+    expected = make_stats(counters={"l1_hit": 7, "instructions": 90},
+                          energy={"l1": 0.25}, histograms={"lat": hist},
+                          timeseries={"interval": 10,
+                                      "columns": ["ipc"],
+                                      "samples": [{"cycle": 10, "ipc": 2},
+                                                  {"cycle": 20, "ipc": 3}]})
+    path = str(tmp_path / "old.db")
+    conn = sqlite3.connect(path)
+    conn.executescript(SCHEMA_1)
+    conn.execute(
+        "INSERT INTO runs VALUES (?, 'BFS', 'gtsc', 'rc', 'tiny', 0.3, 7,"
+        " NULL, ?, 'h', 'c0ffee', '0.1', 'box', 'runner', 'done', 1.5,"
+        " ?, ?, 1.0, 2.0, 'pure', 1)",
+        (KEY_A, expected.config_desc, expected.cycles,
+         json.dumps({"interval": 10, "columns": ["ipc"]},
+                    sort_keys=True)))
+    conn.executemany(
+        "INSERT INTO stats VALUES (?, ?, ?, ?, ?)",
+        [(KEY_A, "counter", "l1_hit", 7, None),
+         (KEY_A, "counter", "instructions", 90, None),
+         (KEY_A, "energy", "l1", 0.25, None),
+         (KEY_A, "histogram", "lat", None,
+          json.dumps(hist.to_dict(), sort_keys=True))])
+    conn.executemany(
+        "INSERT INTO timeseries VALUES (?, ?, ?, ?, ?)",
+        [(KEY_A, 0, 10, "ipc", 2), (KEY_A, 1, 20, "ipc", 3)])
+    conn.commit()
+    conn.close()
+
+    db = ResultsDB(path)
+    assert db.get_stats(KEY_A) == expected
+    run = db.get_run(KEY_A)
+    assert "sim_backend" not in run
+    assert (run["workload"], run["source"], run["wall_time_s"],
+            run["n_gpus"], run["created_at"]) == \
+        ("BFS", "runner", 1.5, 1, 1.0)
+    columns = [row[1] for row in db.query("PRAGMA table_info(runs)")]
+    assert "sim_backend" not in columns
+    assert db.query("PRAGMA user_version")[0][0] == 2
+    # the queue's table came with the bump
+    assert db.query("SELECT COUNT(*) FROM jobs")[0][0] == 0
+    db.close()

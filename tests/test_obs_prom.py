@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 
 from repro.obs.prom import render_prometheus, split_snapshot
-from repro.serve import JobStore, Scheduler, ServeClient, make_spec
+from repro.serve import Scheduler, ServeClient, make_spec
 from tests.test_serve_server import fake_stats, serve_test
 
 #: the exposition-format grammar a sample line must match
@@ -67,8 +67,7 @@ def test_split_snapshot_classifies_queue_state_as_gauges():
 # ---------------------------------------------------------------------------
 
 def test_pool_records_latency_per_job(tmp_path):
-    store = JobStore(str(tmp_path / "jobs.jsonl"))
-    scheduler = Scheduler(store, jobs=1, execute=lambda s: fake_stats(),
+    scheduler = Scheduler(jobs=1, execute=lambda s: fake_stats(),
                           poll_interval=0.01)
     scheduler.start()
     try:
@@ -79,7 +78,6 @@ def test_pool_records_latency_per_job(tmp_path):
             submission.future.result(timeout=10)
     finally:
         scheduler.stop()
-        store.close()
     summary = scheduler.latency_summary()
     assert set(summary) == {"job_queue_wait_ms", "job_simulate_ms"}
     for entry in summary.values():

@@ -18,9 +18,8 @@ import time
 
 import pytest
 
-from repro.serve import (FleetWorker, JobStore, Scheduler, ServeClient,
-                         ServeError, ServeServer, execute_spec,
-                         make_spec)
+from repro.serve import (FleetWorker, Scheduler, ServeClient, ServeError,
+                         ServeServer, execute_spec, make_spec)
 from repro.stats.collector import RunStats
 
 TINY = make_spec("HS", preset="tiny", scale=0.1, seed=7)
@@ -41,8 +40,7 @@ def fleet_test(tmp_path, body, *, jobs=0, queue_limit=64,
     the event loop.
     """
     async def main():
-        store = JobStore(str(tmp_path / "jobs.jsonl"))
-        scheduler = Scheduler(store, db=str(tmp_path / "repro.db"),
+        scheduler = Scheduler(db=str(tmp_path / "repro.db"),
                               jobs=jobs,
                               queue_limit=queue_limit,
                               poll_interval=0.01,
@@ -341,7 +339,7 @@ def test_worker_killed_mid_lease_rerun_is_bit_identical(tmp_path):
 
 
 def test_dispatcher_restart_requeues_remote_leases(tmp_path):
-    """Kill-and-resume with a remote lease in flight: the journal
+    """Kill-and-resume with a remote lease in flight: the queue
     requeues it on reopen and a fresh fleet finishes it, bit-identical
     to the direct run."""
     direct = execute_spec(dict(TINY)).to_dict()

@@ -1,11 +1,14 @@
-"""The durable job store: journal, leases, expiry, crash replay."""
+"""The durable job store: the jobs table, leases, expiry, reopen.
+
+What a process killed mid-transition leaves behind is checked by
+``tests/test_serve_crash.py``.
+"""
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
+from repro.db.store import ResultsDB
 from repro.serve.jobs import (DONE, FAILED, LEASED, PENDING, JobStore)
 
 SPEC = {"workload": "HS", "protocol": "gtsc", "consistency": "rc",
@@ -28,9 +31,13 @@ def clock():
     return FakeClock()
 
 
+def open_store(path, clock) -> JobStore:
+    return JobStore(ResultsDB(str(path)), clock=clock)
+
+
 @pytest.fixture
 def store(tmp_path, clock):
-    s = JobStore(str(tmp_path / "jobs.jsonl"), clock=clock)
+    s = open_store(tmp_path / "repro.db", clock)
     yield s
     s.close()
 
@@ -45,7 +52,7 @@ def test_submit_lease_complete(store):
     leased = store.lease("w0", duration=60)
     assert leased.id == job.id
     assert leased.state == LEASED and leased.attempts == 1
-    store.complete(job.id)
+    assert store.complete(job.id, "w0")
     assert store.get(job.id).state == DONE
     assert store.counts() == {"pending": 0, "leased": 0,
                               "done": 1, "failed": 0}
@@ -58,7 +65,7 @@ def test_submit_deduplicates_active_key(store):
     assert store.active_count() == 1
     # a *finished* job no longer blocks a resubmit
     store.lease("w0", duration=60)
-    store.complete(first.id)
+    store.complete(first.id, "w0")
     third = store.submit(SPEC, "key-a")
     assert third.id != first.id
 
@@ -74,7 +81,7 @@ def test_lease_order_is_submission_order(store):
 def test_fail_is_terminal_and_frees_the_key(store):
     job = store.submit(SPEC, "key-a")
     store.lease("w0", duration=60)
-    store.fail(job.id, "boom")
+    assert store.fail(job.id, "w0", "boom")
     failed = store.get(job.id)
     assert failed.state == FAILED and failed.error == "boom"
     assert store.active_for("key-a") is None
@@ -83,7 +90,7 @@ def test_fail_is_terminal_and_frees_the_key(store):
 def test_requeue_honours_not_before(store, clock):
     job = store.submit(SPEC, "key-a")
     store.lease("w0", duration=60)
-    store.requeue(job.id, not_before=clock.now + 30)
+    assert store.requeue(job.id, "w0", not_before=clock.now + 30)
     assert store.lease("w0", duration=60) is None     # backing off
     clock.advance(31)
     assert store.lease("w0", duration=60).id == job.id
@@ -91,10 +98,13 @@ def test_requeue_honours_not_before(store, clock):
 
 def test_finish_requires_a_lease(store):
     job = store.submit(SPEC, "key-a")
-    with pytest.raises(ValueError):
-        store.complete(job.id)
-    with pytest.raises(ValueError):
-        store.fail(job.id, "nope")
+    assert not store.complete(job.id, "w0")
+    assert not store.fail(job.id, "w0", "nope")
+    assert not store.requeue(job.id, "w0")
+    assert store.get(job.id).state == PENDING
+    store.lease("w0", duration=60)
+    assert not store.complete(job.id, "w1")   # not the holder
+    assert store.get(job.id).state == LEASED
 
 
 # ---------------------------------------------------------------------------
@@ -118,35 +128,35 @@ def test_completing_after_expiry_reassignment_is_refused(store, clock):
     store.lease("w0", duration=10)
     clock.advance(11)
     store.lease("w1", duration=60)
-    store.complete(job.id)            # w1's completion wins
+    assert not store.complete(job.id, "w0")   # w0 lost the lease
+    assert store.complete(job.id, "w1")       # w1's completion wins
     assert store.get(job.id).state == DONE
-    with pytest.raises(ValueError):
-        store.complete(job.id)        # w0 waking up late
+    assert not store.complete(job.id, "w1")   # a second report
 
 
 # ---------------------------------------------------------------------------
-# durability: journal replay
+# durability: reopening the database
 # ---------------------------------------------------------------------------
 
 def test_replay_restores_every_state(tmp_path, clock):
-    path = str(tmp_path / "jobs.jsonl")
-    store = JobStore(path, clock=clock)
+    path = tmp_path / "repro.db"
+    store = open_store(path, clock)
     done = store.submit(SPEC, "key-done")
     store.lease("w0", duration=60)
-    store.complete(done.id)
+    store.complete(done.id, "w0")
     failed = store.submit(SPEC, "key-failed")
     store.lease("w0", duration=60)
-    store.fail(failed.id, "exploded")
+    store.fail(failed.id, "w0", "exploded")
     pending = store.submit(SPEC, "key-pending")
     store.close()
 
-    reopened = JobStore(path, clock=clock)
+    reopened = open_store(path, clock)
     assert reopened.get(done.id).state == DONE
     assert reopened.get(failed.id).state == FAILED
     assert reopened.get(failed.id).error == "exploded"
     assert reopened.get(pending.id).state == PENDING
     assert reopened.get(pending.id).spec == SPEC
-    # ids keep counting from where the journal left off
+    # ids keep counting from where the queue left off
     assert reopened.submit(SPEC, "key-new").id == "j000004"
     reopened.close()
 
@@ -154,80 +164,32 @@ def test_replay_restores_every_state(tmp_path, clock):
 def test_killed_workers_job_is_requeued_on_reopen(tmp_path, clock):
     """A process killed mid-execution loses no jobs: the LEASED entry
     is requeued at the next open, even before its deadline."""
-    path = str(tmp_path / "jobs.jsonl")
-    store = JobStore(path, clock=clock)
+    path = tmp_path / "repro.db"
+    store = open_store(path, clock)
     job = store.submit(SPEC, "key-a")
     store.lease("w0", duration=3600)
     store.close()                      # "kill -9" between lease+done
 
-    reopened = JobStore(path, clock=clock)
+    reopened = open_store(path, clock)
     recovered = reopened.get(job.id)
     assert recovered.state == PENDING
     assert reopened.lease("w1", duration=60).id == job.id
     reopened.close()
 
 
-def test_torn_trailing_line_is_tolerated(tmp_path, clock):
-    path = str(tmp_path / "jobs.jsonl")
-    store = JobStore(path, clock=clock)
+def test_database_refuses_a_second_active_job_per_key(store):
+    """The partial unique index holds the dedup invariant even against
+    a write that skips :meth:`JobStore.submit`'s own check."""
+    import sqlite3
+
     job = store.submit(SPEC, "key-a")
-    store.close()
-    with open(path, "a") as handle:
-        handle.write('{"op": "lease", "id": "j0000')   # torn write
-    with pytest.warns(RuntimeWarning, match="unreadable record"):
-        reopened = JobStore(path, clock=clock)
-    assert reopened.get(job.id).state == PENDING
-    reopened.close()
-
-
-def test_replay_loses_and_duplicates_nothing(tmp_path, clock):
-    """Crash-at-any-point invariant, exhaustively over journal
-    prefixes: replaying the first N lines always yields a queue whose
-    jobs are exactly the submitted ones (no loss, no duplicates) in a
-    legal state."""
-    path = str(tmp_path / "jobs.jsonl")
-    store = JobStore(path, clock=clock)
-    for index in range(4):
-        store.submit(SPEC, f"key-{index}")
-    for _ in range(3):
-        job = store.lease("w0", duration=60)
-        store.complete(job.id)
-    store.close()
-    lines = open(path).read().splitlines()
-
-    for cut in range(len(lines) + 1):
-        partial = tmp_path / f"cut-{cut}.jsonl"
-        partial.write_text("\n".join(lines[:cut]) + "\n")
-        replayed = JobStore(str(partial), clock=clock)
-        jobs = replayed.jobs()
-        assert len(jobs) == len({j.id for j in jobs})   # no dupes
-        submitted = sum(1 for line in lines[:cut]
-                        if json.loads(line)["op"] == "submit")
-        assert len(jobs) == submitted                   # no loss
-        assert all(j.state in (PENDING, DONE) for j in jobs)
-        replayed.close()
-
-
-def test_compact_shrinks_and_preserves(tmp_path, clock):
-    path = str(tmp_path / "jobs.jsonl")
-    store = JobStore(path, clock=clock)
-    for index in range(5):
-        store.submit(SPEC, f"key-{index}")
-        job = store.lease("w0", duration=60)
-        store.complete(job.id)
-    before = store.jobs()
-    lines_before = len(open(path).read().splitlines())
-    store.compact()
-    lines_after = len(open(path).read().splitlines())
-    assert lines_after == 5 < lines_before
-    assert [j.to_dict() for j in store.jobs()] == \
-        [j.to_dict() for j in before]
-    # the compacted journal replays identically
-    store.close()
-    reopened = JobStore(path, clock=clock)
-    assert [j.to_dict() for j in reopened.jobs()] == \
-        [j.to_dict() for j in before]
-    reopened.close()
+    with pytest.raises(sqlite3.IntegrityError):
+        with store.db.transaction() as conn:
+            conn.execute("INSERT INTO jobs (key, spec, submitted_at, "
+                         "updated_at) VALUES ('key-a', '{}', 0, 0)")
+    store.lease("w0", duration=60)
+    store.complete(job.id, "w0")
+    assert store.submit(SPEC, "key-a").id == "j000002"
 
 
 # ---------------------------------------------------------------------------
@@ -258,21 +220,6 @@ def test_heartbeat_rejects_lost_or_foreign_leases(store, clock):
         store.heartbeat("j999999", "w0", duration=10)
 
 
-def test_heartbeats_are_not_journalled(tmp_path, clock):
-    """A dispatcher restart requeues leases regardless, so deadline
-    extensions have nothing to survive into — and the journal should
-    not grow by one line per heartbeat of a long simulation."""
-    path = str(tmp_path / "jobs.jsonl")
-    store = JobStore(path, clock=clock)
-    job = store.submit(SPEC, "key-a")
-    store.lease("w0", duration=60)
-    lines_before = len(open(path).read().splitlines())
-    for _ in range(100):
-        store.heartbeat(job.id, "w0", duration=60)
-    assert len(open(path).read().splitlines()) == lines_before
-    store.close()
-
-
 # ---------------------------------------------------------------------------
 # atomic backpressure
 # ---------------------------------------------------------------------------
@@ -285,40 +232,5 @@ def test_submit_limit_refuses_then_admits(store):
     assert store.submit(SPEC, "key-a", limit=2).id == "j000001"
     # finishing a job frees its slot
     job = store.lease("w0", duration=60)
-    store.complete(job.id)
+    store.complete(job.id, "w0")
     assert store.submit(SPEC, "key-c", limit=2) is not None
-
-
-# ---------------------------------------------------------------------------
-# startup auto-compaction
-# ---------------------------------------------------------------------------
-
-def _churn(path, clock, jobs: int) -> None:
-    store = JobStore(path, clock=clock, compact_threshold=None)
-    for index in range(jobs):
-        store.submit(SPEC, f"key-{index}")
-        job = store.lease("w0", duration=60)
-        store.complete(job.id)
-    store.close()
-
-
-def test_startup_compaction_over_threshold(tmp_path, clock, capsys):
-    path = str(tmp_path / "jobs.jsonl")
-    _churn(path, clock, jobs=6)            # 18 records, 6 live jobs
-    reopened = JobStore(path, clock=clock, compact_threshold=10)
-    message = capsys.readouterr().err
-    assert "compacted" in message and "12 stale record(s)" in message
-    assert len(open(path).read().splitlines()) == 6
-    assert len(reopened.jobs()) == 6       # nothing lost
-    reopened.close()
-
-
-def test_startup_compaction_below_threshold_is_skipped(tmp_path,
-                                                       clock, capsys):
-    path = str(tmp_path / "jobs.jsonl")
-    _churn(path, clock, jobs=2)            # only 4 stale records
-    lines = len(open(path).read().splitlines())
-    reopened = JobStore(path, clock=clock, compact_threshold=10)
-    assert "compacted" not in capsys.readouterr().err
-    assert len(open(path).read().splitlines()) == lines
-    reopened.close()

@@ -14,8 +14,8 @@ import time
 
 import pytest
 
-from repro.serve import (Busy, JobStore, Quarantined, Scheduler,
-                         execute_spec, make_spec, spec_key)
+from repro.serve import (Busy, Quarantined, Scheduler, execute_spec,
+                         make_spec, spec_key)
 from repro.stats.collector import RunStats
 
 TINY = make_spec("HS", preset="tiny", scale=0.1, seed=7)
@@ -26,17 +26,10 @@ def fake_stats(cycles: int = 42) -> RunStats:
                     counters={"instructions": 1})
 
 
-@pytest.fixture
-def store(tmp_path):
-    s = JobStore(str(tmp_path / "jobs.jsonl"))
-    yield s
-    s.close()
-
-
-def make_scheduler(store, tmp_path=None, **kwargs):
+def make_scheduler(tmp_path=None, **kwargs):
     db = str(tmp_path / "repro.db") if tmp_path is not None else None
     kwargs.setdefault("poll_interval", 0.01)
-    return Scheduler(store, db=db, **kwargs)
+    return Scheduler(db=db, **kwargs)
 
 
 def wait_for(predicate, timeout=10.0):
@@ -51,7 +44,7 @@ def wait_for(predicate, timeout=10.0):
 # single-flight dedup
 # ---------------------------------------------------------------------------
 
-def test_concurrent_identical_submits_execute_once(store):
+def test_concurrent_identical_submits_execute_once():
     """Eight racing submissions of one point -> exactly one execution,
     and every caller receives the same result object."""
     gate = threading.Event()
@@ -62,7 +55,7 @@ def test_concurrent_identical_submits_execute_once(store):
         gate.wait(5)
         return fake_stats()
 
-    scheduler = make_scheduler(store, execute=execute, jobs=2)
+    scheduler = make_scheduler(execute=execute, jobs=2)
     scheduler.start()
     try:
         submissions = []
@@ -85,20 +78,20 @@ def test_concurrent_identical_submits_execute_once(store):
         assert len(executions) == 1
         assert all(r is results[0] for r in results)
         assert sum(1 for s in submissions if s.coalesced) == 7
-        assert store.counts()["done"] == 1
+        assert scheduler.store.counts()["done"] == 1
     finally:
         gate.set()
         scheduler.stop()
 
 
-def test_distinct_specs_do_not_coalesce(store):
+def test_distinct_specs_do_not_coalesce():
     executed = []
 
     def execute(spec):
         executed.append(spec["workload"])
         return fake_stats()
 
-    scheduler = make_scheduler(store, execute=execute, jobs=1)
+    scheduler = make_scheduler(execute=execute, jobs=1)
     scheduler.start()
     try:
         a = scheduler.submit(make_spec("HS", preset="tiny", scale=0.1))
@@ -110,8 +103,8 @@ def test_distinct_specs_do_not_coalesce(store):
         scheduler.stop()
 
 
-def test_cache_hit_skips_the_queue(store, tmp_path):
-    scheduler = make_scheduler(store, tmp_path=tmp_path,
+def test_cache_hit_skips_the_queue(tmp_path):
+    scheduler = make_scheduler(tmp_path=tmp_path,
                                execute=lambda spec: fake_stats(),
                                jobs=1)
     scheduler.start()
@@ -122,7 +115,7 @@ def test_cache_hit_skips_the_queue(store, tmp_path):
         assert warm.cached and warm.job_id is None
         assert warm.future.result(timeout=1) is not None
         assert scheduler.cache_hits == 1
-        assert store.counts()["done"] == 1      # no second job
+        assert scheduler.store.counts()["done"] == 1      # no second job
     finally:
         scheduler.stop()
 
@@ -131,7 +124,7 @@ def test_cache_hit_skips_the_queue(store, tmp_path):
 # retry, quarantine, timeout
 # ---------------------------------------------------------------------------
 
-def test_flaky_execution_retries_then_succeeds(store):
+def test_flaky_execution_retries_then_succeeds():
     attempts = []
 
     def execute(spec):
@@ -140,7 +133,7 @@ def test_flaky_execution_retries_then_succeeds(store):
             raise RuntimeError("transient")
         return fake_stats()
 
-    scheduler = make_scheduler(store, execute=execute, jobs=1,
+    scheduler = make_scheduler(execute=execute, jobs=1,
                                max_attempts=3, backoff_base=0.01,
                                rng=random.Random(7))
     scheduler.start()
@@ -150,17 +143,17 @@ def test_flaky_execution_retries_then_succeeds(store):
         assert stats.cycles == 42
         assert len(attempts) == 3
         assert scheduler.retried == 2
-        job = store.get(submission.job_id)
+        job = scheduler.store.get(submission.job_id)
         assert job.state == "done" and job.attempts == 3
     finally:
         scheduler.stop()
 
 
-def test_exhausted_retries_quarantine_the_key(store):
+def test_exhausted_retries_quarantine_the_key():
     def execute(spec):
         raise RuntimeError("deterministic crash")
 
-    scheduler = make_scheduler(store, execute=execute, jobs=1,
+    scheduler = make_scheduler(execute=execute, jobs=1,
                                max_attempts=2, backoff_base=0.01,
                                quarantine_ttl=60,
                                rng=random.Random(7))
@@ -169,23 +162,23 @@ def test_exhausted_retries_quarantine_the_key(store):
         submission = scheduler.submit(dict(TINY))
         with pytest.raises(Quarantined, match="deterministic crash"):
             submission.future.result(timeout=10)
-        assert store.get(submission.job_id).state == "failed"
+        assert scheduler.store.get(submission.job_id).state == "failed"
         # an immediate resubmit fails fast, without a new job
         with pytest.raises(Quarantined):
             scheduler.submit(dict(TINY))
-        assert store.counts()["failed"] == 1
-        assert store.active_count() == 0
+        assert scheduler.store.counts()["failed"] == 1
+        assert scheduler.store.active_count() == 0
     finally:
         scheduler.stop()
 
 
-def test_quarantine_expires(store):
+def test_quarantine_expires():
     clock = [1000.0]
 
     def execute(spec):
         raise RuntimeError("crash")
 
-    scheduler = make_scheduler(store, execute=execute, jobs=1,
+    scheduler = make_scheduler(execute=execute, jobs=1,
                                max_attempts=1, quarantine_ttl=30,
                                clock=lambda: clock[0])
     scheduler.start()
@@ -203,7 +196,7 @@ def test_quarantine_expires(store):
         scheduler.stop()
 
 
-def test_per_job_timeout_counts_and_retries(store):
+def test_per_job_timeout_counts_and_retries():
     stalls = []
 
     def execute(spec):
@@ -212,7 +205,7 @@ def test_per_job_timeout_counts_and_retries(store):
             time.sleep(5)              # first attempt wedges
         return fake_stats()
 
-    scheduler = make_scheduler(store, execute=execute, jobs=1,
+    scheduler = make_scheduler(execute=execute, jobs=1,
                                timeout=0.1, max_attempts=2,
                                backoff_base=0.01,
                                rng=random.Random(7))
@@ -227,7 +220,7 @@ def test_per_job_timeout_counts_and_retries(store):
         scheduler.stop()
 
 
-def test_local_job_outliving_its_lease_runs_once(store, monkeypatch):
+def test_local_job_outliving_its_lease_runs_once(monkeypatch):
     """An in-process worker heartbeats its lease like a remote one, so
     a job that runs past ``lease_duration`` is not handed to the other
     thread, and no worker thread dies on the way."""
@@ -240,7 +233,7 @@ def test_local_job_outliving_its_lease_runs_once(store, monkeypatch):
         time.sleep(0.4)
         return fake_stats()
 
-    scheduler = make_scheduler(store, execute=execute, jobs=2,
+    scheduler = make_scheduler(execute=execute, jobs=2,
                                lease_duration=0.1)
     scheduler.start()
     try:
@@ -255,13 +248,13 @@ def test_local_job_outliving_its_lease_runs_once(store, monkeypatch):
         scheduler.stop()
 
 
-def test_local_workers_count_every_execution_once(store):
+def test_local_workers_count_every_execution_once():
     """More in-process workers than cores, switching threads as often
     as the interpreter allows: the counters and histograms the workers
     share lose no update."""
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
-    scheduler = make_scheduler(store, execute=lambda spec: fake_stats(),
+    scheduler = make_scheduler(execute=lambda spec: fake_stats(),
                                jobs=4, queue_limit=128)
     scheduler.start()
     try:
@@ -283,14 +276,14 @@ def test_local_workers_count_every_execution_once(store):
 # backpressure
 # ---------------------------------------------------------------------------
 
-def test_full_queue_raises_busy(store):
+def test_full_queue_raises_busy():
     gate = threading.Event()
 
     def execute(spec):
         gate.wait(10)
         return fake_stats()
 
-    scheduler = make_scheduler(store, execute=execute, jobs=1,
+    scheduler = make_scheduler(execute=execute, jobs=1,
                                queue_limit=2, retry_after=3.5)
     scheduler.start()
     try:
@@ -314,8 +307,8 @@ def test_full_queue_raises_busy(store):
 # acceptance: real simulations through the service path
 # ---------------------------------------------------------------------------
 
-def test_served_result_is_bit_identical_to_direct_run(store, tmp_path):
-    scheduler = make_scheduler(store, tmp_path=tmp_path, jobs=1)
+def test_served_result_is_bit_identical_to_direct_run(tmp_path):
+    scheduler = make_scheduler(tmp_path=tmp_path, jobs=1)
     scheduler.start()
     try:
         submissions = []
@@ -338,37 +331,33 @@ def test_served_result_is_bit_identical_to_direct_run(store, tmp_path):
 
 
 def test_pending_jobs_resume_after_restart(tmp_path):
-    """A sweep interrupted by a crash resumes from the journal: no job
-    is lost, none runs twice, and results land in the shared db."""
-    path = str(tmp_path / "jobs.jsonl")
+    """A sweep interrupted by a crash resumes from the database: no
+    job is lost, none runs twice, and results land beside the queue."""
     specs = [make_spec(w, preset="tiny", scale=0.1)
              for w in ("HS", "KM", "BP")]
 
-    store = JobStore(path)
-    scheduler = make_scheduler(store, tmp_path=tmp_path,
+    scheduler = make_scheduler(tmp_path=tmp_path,
                                execute=lambda spec: fake_stats(),
                                jobs=1)
     # enqueue WITHOUT starting workers, then "crash"
     for spec in specs:
         scheduler.submit(spec)
-    store.close()
+    scheduler.store.close()
 
-    reopened = JobStore(path)
     executed = []
 
     def execute(spec):
         executed.append(spec["workload"])
         return fake_stats()
 
-    resumed = make_scheduler(reopened, tmp_path=tmp_path,
-                             execute=execute, jobs=1)
+    resumed = make_scheduler(tmp_path=tmp_path, execute=execute, jobs=1)
     resumed.start()
     try:
-        wait_for(lambda: reopened.counts()["done"] == 3)
+        wait_for(lambda: resumed.store.counts()["done"] == 3)
         assert sorted(executed) == ["BP", "HS", "KM"]
         assert resumed.db is not None
         for spec in specs:
             assert resumed.db.get_stats(spec_key(spec)) is not None
     finally:
         resumed.stop()
-        reopened.close()
+        resumed.store.close()

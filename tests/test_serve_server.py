@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import asyncio
 import json
+import sqlite3
 import threading
 
 import pytest
 
-from repro.serve import (JobStore, Scheduler, ServeClient, ServeError,
-                         ServeServer, make_spec)
+from repro.db.store import ResultsDB
+from repro.serve import (Scheduler, ServeClient, ServeError, ServeServer,
+                         make_spec)
+from repro.serve.jobs import JobStore
 from repro.stats.collector import RunStats
 
 TINY = make_spec("HS", preset="tiny", scale=0.1, seed=7)
@@ -33,12 +36,11 @@ def serve_test(tmp_path, body, *, execute=None, jobs=1,
     ``call(fn, *args)`` runs a blocking client call off the loop.
     """
     async def main():
-        store = JobStore(str(tmp_path / "jobs.jsonl"))
         options = dict(scheduler_options)
         options.setdefault("poll_interval", 0.01)
         if execute is not None:
             options["execute"] = execute
-        scheduler = Scheduler(store, db=str(tmp_path / "repro.db"),
+        scheduler = Scheduler(db=str(tmp_path / "repro.db"),
                               jobs=jobs,
                               queue_limit=queue_limit, **options)
         server = ServeServer(scheduler, port=0, quiet=True,
@@ -180,6 +182,23 @@ def test_malformed_requests_get_structured_errors(tmp_path):
     serve_test(tmp_path, body, execute=lambda spec: fake_stats())
 
 
+def test_submit_the_database_cannot_take_is_refused(tmp_path):
+    """With the queue in the database, a submit it cannot write gets a
+    structured refusal, and the connection serves the next request."""
+    async def body(server, call):
+        def locked(*args, **kwargs):
+            raise sqlite3.OperationalError("database is locked")
+
+        server.scheduler.store.submit = locked
+        client = ServeClient(port=server.port, retries=1)
+        with pytest.raises(ServeError, match="store-error.*locked"):
+            await call(client.submit, dict(TINY))
+        health = await call(client.healthz)
+        assert health["ok"] and health["jobs"]["pending"] == 0
+
+    serve_test(tmp_path, body, execute=lambda spec: fake_stats())
+
+
 def test_client_raises_on_quarantined_failure(tmp_path):
     def execute(spec):
         raise RuntimeError("always broken")
@@ -230,14 +249,17 @@ def test_drain_finishes_inflight_then_refuses(tmp_path):
         result = await pending
         assert result["ok"] and result["stats"]["cycles"] == 42
         await drainer
-        assert server.scheduler.store.counts()["done"] == 1
 
     serve_test(tmp_path, body, execute=execute)
+    # the drain closed the server's handle on the database
+    store = JobStore(ResultsDB(str(tmp_path / "repro.db")))
+    assert store.counts()["done"] == 1
+    store.close()
 
 
 def test_drain_journals_pending_jobs_for_the_next_process(tmp_path):
     """SIGTERM mid-sweep loses nothing: jobs not yet executed stay
-    PENDING in the journal, a fresh server picks them up, and no job
+    PENDING in the database, a fresh server picks them up, and no job
     runs twice across the two processes."""
     import time as _time
 
@@ -257,12 +279,12 @@ def test_drain_journals_pending_jobs_for_the_next_process(tmp_path):
             assert reply["ok"]
         # drain immediately: the tiny drain_timeout abandons the
         # waiters, the single worker finishes at most its current
-        # job, and the rest must survive as journalled PENDING
+        # job, and the rest must survive as PENDING rows
         await server.drain()
 
     serve_test(tmp_path, body, execute=execute, jobs=1,
                drain_timeout=0.05)
-    store = JobStore(str(tmp_path / "jobs.jsonl"))
+    store = JobStore(ResultsDB(str(tmp_path / "repro.db")))
     counts = store.counts()
     assert counts["done"] + counts["pending"] == 3     # zero lost
     assert counts["done"] == len(executed)
@@ -280,7 +302,7 @@ def test_drain_journals_pending_jobs_for_the_next_process(tmp_path):
         return fake_stats()
 
     serve_test(tmp_path, resume, execute=finish)
-    final = JobStore(str(tmp_path / "jobs.jsonl"))
+    final = JobStore(ResultsDB(str(tmp_path / "repro.db")))
     assert final.counts()["done"] == 3
     # each workload simulated exactly once across both processes
     assert sorted(executed) == ["BP", "HS", "KM"]
