@@ -54,6 +54,7 @@ blocking the event loop.
 from __future__ import annotations
 
 import random
+import sqlite3
 import threading
 import time
 import warnings
@@ -96,16 +97,30 @@ class Submission:
 class LocalLink:
     """The :class:`ServeClient` ops a :class:`FleetWorker` uses, as
     calls on the scheduler; ``lease`` long-polls on its wake event so
-    an idle in-process worker starts a new submit at once."""
+    an idle in-process worker starts a new submit at once.  A database
+    error reaches the worker as the ``store-error`` a remote worker is
+    answered with, so it retries instead of dying."""
 
     host, port = "in-process", 0
 
     def __init__(self, scheduler: "Scheduler") -> None:
         self.scheduler = scheduler
 
+    @staticmethod
+    def _call(fn, *args):
+        try:
+            return fn(*args)
+        except sqlite3.Error as error:
+            raise ServeError({"error": "store-error",
+                              "message": f"{type(error).__name__}: "
+                                         f"{error}"}) from error
+
     def lease(self, worker: str, duration: float) -> Optional[Dict]:
         scheduler = self.scheduler
-        job = scheduler.lease(worker, duration)
+        try:
+            job = self._call(scheduler.lease, worker, duration)
+        except ServeError:
+            job = None          # wait as on an empty queue, then retry
         if job is None:
             scheduler._wake.wait(scheduler.poll_interval)
             scheduler._wake.clear()
@@ -115,19 +130,19 @@ class LocalLink:
     def heartbeat(self, job_id: str, worker: str,
                   duration: float) -> float:
         try:
-            return self.scheduler.heartbeat(job_id, worker,
-                                            duration).deadline
+            return self._call(self.scheduler.heartbeat, job_id, worker,
+                              duration).deadline
         except ValueError as error:
             raise ServeError({"error": "lease-lost",
                               "message": str(error)}) from error
 
     def complete(self, job_id: str, worker: str, stats: RunStats,
                  wall_time_s: Optional[float] = None) -> bool:
-        return self.scheduler.complete(job_id, worker, stats,
-                                       wall_time_s)
+        return self._call(self.scheduler.complete, job_id, worker,
+                          stats, wall_time_s)
 
     def fail(self, job_id: str, worker: str, message: str) -> bool:
-        return self.scheduler.fail(job_id, worker, message)
+        return self._call(self.scheduler.fail, job_id, worker, message)
 
     def close(self) -> None:
         pass

@@ -272,6 +272,25 @@ def test_local_workers_count_every_execution_once():
     assert latency["job_queue_wait_ms"]["count"] == 100
 
 
+def test_local_workers_outlive_a_failing_database(tmp_path,
+                                                  monkeypatch):
+    """A database error reaches an in-process worker as the store-error
+    a remote worker is answered with: it keeps polling, and no worker
+    thread dies."""
+    crashes = []
+    monkeypatch.setattr(threading, "excepthook", crashes.append)
+    scheduler = make_scheduler(tmp_path=tmp_path,
+                               execute=lambda spec: fake_stats(), jobs=2)
+    scheduler.start()
+    try:
+        scheduler.db._conn.close()       # a dead database
+        time.sleep(0.2)                  # many lease attempts
+        assert crashes == []
+        assert all(thread.is_alive() for thread in scheduler._threads)
+    finally:
+        scheduler.stop()
+
+
 # ---------------------------------------------------------------------------
 # backpressure
 # ---------------------------------------------------------------------------
