@@ -235,10 +235,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
 #: controllers (the L1 hit probe is inlined in ``GTSCL1Controller.load``).
 #: ``--cprofile`` prints a focused self-time table restricted to these
 #: files after the overall cumulative view, so the named hot symbols
-#: (``Engine.run`` / ``_next_cycle`` / ``_advance_window`` /
-#: ``SM._issue`` / ``ready_mask`` / ``GTSCL1Controller.load`` /
-#: ``GTSCL2Bank._read``) are readable without scrolling past harness
-#: frames.
+#: (``Engine.run`` / ``Engine.post`` / ``SM._issue`` / ``ready_mask`` /
+#: ``GTSCL1Controller.load`` / ``GTSCL2Bank._read``) are readable
+#: without scrolling past harness frames.
 _HOT_MODULES = (r"repro/(sim/engine|gpu/sm|gpu/warp|mem/cache"
                 r"|core/l1|core/l2)\.py")
 
@@ -273,12 +272,9 @@ def _cprofile_run(args: argparse.Namespace, workload: str) -> int:
     profile.sort_stats("tottime").print_stats(_HOT_MODULES, 15)
     # the engine's own instrumentation: how events were dispatched
     counters = gpu.machine.engine.counters()
-    scheduled = counters.get("engine_events_scheduled", 0) or 1
     print("engine hot loop:")
     for name in sorted(counters):
         print(f"  {name:28s} {counters[name]:>12d}")
-    print(f"  {'bucket-direct share':28s} "
-          f"{counters.get('engine_bucket_direct', 0) / scheduled:>11.1%}")
     return 0
 
 
@@ -315,16 +311,13 @@ def cmd_profile(args: argparse.Namespace) -> int:
           f"({runner.simulations_run} simulated, "
           f"{len(points) - runner.simulations_run} from cache)")
     if runner.engine_counters:
-        # where dispatch time went: bucket-direct vs heap-deferred
-        # events, and how much of the queue was cancelled work
+        # how much of the event stream was cancelled work
         totals = runner.engine_counters
         scheduled = totals.get("engine_events_scheduled", 0) or 1
         print("\nengine hot loop (summed over fresh simulations):")
         for name in sorted(totals):
             print(f"  {name:28s} {totals[name]:>12d}")
-        print(f"  {'bucket-direct share':28s} "
-              f"{totals.get('engine_bucket_direct', 0) / scheduled:>11.1%}")
-        print(f"  {'stale-cancel ratio':28s} "
+        print(f"  {'cancel ratio':28s} "
               f"{totals.get('engine_cancelled', 0) / scheduled:>11.1%}")
     return 0
 

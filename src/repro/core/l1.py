@@ -26,7 +26,6 @@ Implements, per the paper:
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappush
 from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Set
 
 from repro.config import CombiningPolicy, VisibilityPolicy
@@ -135,18 +134,7 @@ class GTSCL1Controller(L1ControllerBase):
                                       warp.ts, self.epoch, warp.uid)
                 self._record_load(warp, addr, line.version, engine.now,
                                   hit=True)
-                # Engine.post, inlined (one completion per L1 hit)
-                time = engine.now + self._l1_latency
-                seq = engine._seq
-                engine._seq = seq + 1
-                event = [time, seq, on_done, ()]
-                if time < engine._limit:
-                    bucket = time & engine._mask
-                    engine._buckets[bucket].append(event)
-                    engine._filled[bucket] = 1
-                else:
-                    heappush(engine._heap, event)
-                    engine.heap_deferred += 1
+                engine.post(engine.now + self._l1_latency, on_done)
                 return True
 
         # miss: cold (no tag) or coherence (lease behind warp_ts)

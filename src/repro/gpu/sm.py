@@ -221,7 +221,7 @@ class SM:
             engine = self.engine
             now = engine.now
             event = self._issue_event
-            if event is not None and event[2] is not None:
+            if event is not None and event[1] is not None:
                 if event[0] <= now:
                     return
                 engine.cancel(event)
@@ -232,7 +232,7 @@ class SM:
         # a cancelled or already-fired handle (callback slot nulled) is
         # absent, whatever stale fire time it still carries — it must
         # never suppress a needed issue event
-        if event is not None and event[2] is not None:
+        if event is not None and event[1] is not None:
             if event[0] <= self.engine.now + delay:  # [0] is fire time
                 return
             self.engine.cancel(event)
@@ -531,7 +531,7 @@ class SM:
             engine = self.engine
             target = now + 1
             event = self._issue_event
-            if event is not None and event[2] is not None:
+            if event is not None and event[1] is not None:
                 if event[0] <= target:
                     return
                 engine.cancel(event)

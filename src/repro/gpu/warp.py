@@ -102,7 +102,7 @@ class Warp:
             engine = sm.engine
             now = engine.now
             event = sm._issue_event
-            if event is not None and event[2] is not None:
+            if event is not None and event[1] is not None:
                 if event[0] <= now:
                     return
                 engine.cancel(event)
@@ -119,7 +119,7 @@ class Warp:
             engine = sm.engine
             now = engine.now
             event = sm._issue_event
-            if event is not None and event[2] is not None:
+            if event is not None and event[1] is not None:
                 if event[0] <= now:
                     return
                 engine.cancel(event)

@@ -15,7 +15,6 @@ regenerated directly from the counters.
 
 from __future__ import annotations
 
-from heapq import heappush
 from typing import Any, Callable, Hashable
 
 from repro.sim.engine import Engine
@@ -101,20 +100,7 @@ class Network:
                 now, arrival, "noc", f"{kind}:{src}->{dst}",
                 {"bytes": size})
 
-        # Engine.post, inlined: every message crosses this line, and
-        # arrival >= now by construction, so the fast path applies.
-        # Mirrors the engine's bucket/heap split: in-window arrivals
-        # are a plain list append plus the occupancy-byte set.
-        seq = engine._seq
-        engine._seq = seq + 1
-        event = [arrival, seq, deliver, args]
-        if arrival < engine._limit:
-            slot = arrival & engine._mask
-            engine._buckets[slot].append(event)
-            engine._filled[slot] = 1
-        else:
-            heappush(engine._heap, event)
-            engine.heap_deferred += 1
+        engine.post(arrival, deliver, args)
         return arrival
 
     @property
@@ -225,17 +211,7 @@ class MeshNetwork:
                 now, arrival, "noc", f"{kind}:{src}->{dst}",
                 {"bytes": size, "hops": hops})
 
-        # Engine.post, inlined (see Network.send)
-        seq = engine._seq
-        engine._seq = seq + 1
-        event = [arrival, seq, deliver, args]
-        if arrival < engine._limit:
-            slot = arrival & engine._mask
-            engine._buckets[slot].append(event)
-            engine._filled[slot] = 1
-        else:
-            heappush(engine._heap, event)
-            engine.heap_deferred += 1
+        engine.post(arrival, deliver, args)
         return arrival
 
     @property

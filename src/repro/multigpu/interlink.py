@@ -18,7 +18,6 @@ NoC, not in addition to it.
 
 from __future__ import annotations
 
-from heapq import heappush
 from typing import Any, Callable, Hashable
 
 from repro.sim.engine import Engine
@@ -95,17 +94,7 @@ class Interlink:
                 now, arrival, "interlink", f"{kind}:{src}->{dst}",
                 {"bytes": size})
 
-        # Engine.post, inlined (see repro.mem.noc.Network.send)
-        seq = engine._seq
-        engine._seq = seq + 1
-        event = [arrival, seq, deliver, args]
-        if arrival < engine._limit:
-            slot = arrival & engine._mask
-            engine._buckets[slot].append(event)
-            engine._filled[slot] = 1
-        else:
-            heappush(engine._heap, event)
-            engine.heap_deferred += 1
+        engine.post(arrival, deliver, args)
         return arrival
 
     @property

@@ -107,15 +107,6 @@ class Observability:
         if metrics is not None:
             metrics.bind(gpu.machine.stats, tracer=tracer)
             metrics.add_gauge("engine_pending", engine.pending)
-            # hot-loop counters (see stats.names.ENGINE_COUNTERS):
-            # sampled as gauges because they are cumulative engine
-            # state, not RunStats counters
-            metrics.add_gauge("engine_heap_deferred",
-                              lambda: engine.heap_deferred)
-            metrics.add_gauge("engine_heap_migrated",
-                              lambda: engine.heap_migrated)
-            metrics.add_gauge("engine_stale_reclaimed",
-                              lambda: engine.stale_reclaimed)
             metrics.add_gauge(
                 "l1_mshr_occupancy",
                 lambda: sum(len(l1.mshr)

@@ -22,7 +22,6 @@ remove are modelled faithfully:
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappush
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Deque, Dict, Optional
 
@@ -184,18 +183,7 @@ class TCL1Controller(L1ControllerBase):
             if now < line.expiry:
                 counters["l1_hit"] += 1
                 self._record_load(warp, addr, line.version, now, hit=True)
-                # Engine.post, inlined (one completion per L1 hit)
-                time = now + self._l1_latency
-                seq = engine._seq
-                engine._seq = seq + 1
-                event = [time, seq, on_done, ()]
-                if time < engine._limit:
-                    bucket = time & engine._mask
-                    engine._buckets[bucket].append(event)
-                    engine._filled[bucket] = 1
-                else:
-                    heappush(engine._heap, event)
-                    engine.heap_deferred += 1
+                engine.post(now + self._l1_latency, on_done)
                 return True
 
         counters["l1_miss"] += 1
@@ -570,24 +558,14 @@ class TCL2Bank(L2BankBase):
                             break
             if pinned:
                 # still pinned: book one stall interval and re-enter.
-                # engine.schedule, inlined — this is the hottest
-                # reschedule in TC runs (one event per interval per
-                # stalled fill; the grid cannot be skipped ahead
-                # because each retry's slot in its cycle's FIFO bucket
-                # is part of the bit-identical event order)
+                # This is the hottest reschedule in TC runs (one event
+                # per interval per stalled fill); the grid cannot be
+                # skipped ahead because each retry's place in its
+                # cycle's FIFO list is part of the bit-identical event
+                # order
                 self._counters["l2_evict_stall"] += 1
-                engine = self.engine
-                time = now + self._retry_interval
-                seq = engine._seq
-                engine._seq = seq + 1
-                event = [time, seq, self._retry_fill, (addr,)]
-                if time < engine._limit:
-                    slot = time & engine._mask
-                    engine._buckets[slot].append(event)
-                    engine._filled[slot] = 1
-                else:
-                    heappush(engine._heap, event)
-                    engine.heap_deferred += 1
+                self.engine.post(now + self._retry_interval,
+                                 self._retry_fill, (addr,))
                 return
         line = self._install_fill(addr)
         for msg in self.mshr.drain(addr):

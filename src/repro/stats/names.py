@@ -77,21 +77,16 @@ COUNTERS = frozenset({
     "kernel_ts_resets",
 })
 
-#: Engine hot-loop counters, reported by ``Engine.counters()``.  They
-#: describe the calendar-queue implementation (bucket vs heap traffic,
-#: stale-cancel reclamation), not the simulated machine, so they never
-#: enter ``RunStats.counters`` — the golden fixtures prove simulated
-#: outcomes are independent of them.  ``repro profile`` prints the
-#: aggregate, and the observability layer samples them as live gauges.
+#: Engine dispatch counters, reported by ``Engine.counters()``: events
+#: scheduled, fired and cancelled.  They count the event stream, not
+#: the simulated machine, so they never enter ``RunStats.counters``.
+#: ``repro profile`` prints their sum over fresh simulations, and the
+#: benchmark derives ``engine.events_fired`` and ``engine.cancel_ratio``
+#: from the runner's ``engine_counters``.
 ENGINE_COUNTERS = frozenset({
     "engine_events_scheduled",
     "engine_events_fired",
-    "engine_bucket_direct",
-    "engine_heap_deferred",
-    "engine_heap_migrated",
     "engine_cancelled",
-    "engine_stale_reclaimed",
-    "engine_compactions",
 })
 
 #: Latency distributions recorded via ``stats.hist.add``.

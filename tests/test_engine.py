@@ -1,8 +1,12 @@
 """Unit tests for the event engine."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim.engine import Engine
+from repro.stats.names import ENGINE_COUNTERS
 
 
 def test_clock_starts_at_zero():
@@ -134,22 +138,113 @@ def test_pending_counts_live_events():
     assert Engine.cancelled(drop) and not Engine.cancelled(keep)
 
 
+class _Token:
+    """A weakly referenceable event argument."""
+
+
 def test_mass_cancellation_compacts_the_heap():
-    """Cancelled entries must be reclaimed, not accumulate forever."""
+    """No entry, cancelled or fired, is left once run() has passed its
+    cycle."""
     engine = Engine()
     fired = []
-    doomed = [engine.schedule(i + 1, fired.append, i) for i in range(10_000)]
+    tokens = [_Token() for _ in range(10_001)]
+    refs = [weakref.ref(token) for token in tokens]
+    doomed = [engine.schedule(i + 1, fired.append, token)
+              for i, token in enumerate(tokens[1:])]
+    engine.schedule(20_000, lambda token: None, tokens[0])
     keep = engine.schedule(50_000, fired.append, "keep")
     for event in doomed:
         engine.cancel(event)
-    # compaction kicked in: far fewer entries than were scheduled
-    assert len(engine._heap) < 1_000
-    assert engine.pending() == 1
+    del doomed, tokens, event
+    assert engine.pending() == 2
     engine.run()
+    gc.collect()
     assert fired == ["keep"]
     assert engine.now == 50_000
-    assert not engine._heap
+    assert [ref for ref in refs if ref() is not None] == []
     assert Engine.cancelled(keep)  # fired events read as no-longer-pending
+
+
+def test_cancelled_last_event_leaves_the_clock_at_the_last_fired():
+    """``GPU.finish`` reports ``engine.now`` as the run's cycles."""
+    engine = Engine()
+    engine.schedule(3, lambda: None)
+    engine.cancel(engine.schedule(7, lambda: None))
+    assert engine.run() == 3
+    assert engine.now == 3
+    # nor does a bounded run that meets only cancelled events move it
+    engine.cancel(engine.schedule(20, lambda: None))
+    assert engine.run(until=10) == 3
+    assert engine.pending() == 0
+
+
+def test_run_after_max_events_fires_the_rest_of_the_cycle_in_order():
+    engine = Engine()
+    fired = []
+
+    def record(tag):
+        fired.append((engine.now, tag))
+        if tag == 1:
+            engine.schedule(0, record, "zero-delay")
+
+    engine.schedule(1, record, "first")
+    for tag in range(5):
+        engine.schedule(2, record, tag)
+    engine.schedule(4, record, "last")
+    with pytest.raises(RuntimeError, match="exceeded 3 events"):
+        engine.run(max_events=3)
+    assert fired == [(1, "first"), (2, 0), (2, 1)]
+    engine.run()
+    assert fired == [(1, "first"), (2, 0), (2, 1), (2, 2), (2, 3),
+                     (2, 4), (2, "zero-delay"), (4, "last")]
+    assert engine.pending() == 0
+
+
+def test_run_resumes_after_a_callback_raises():
+    engine = Engine()
+    fired = []
+
+    def record(tag):
+        fired.append(tag)
+        if tag == "boom":
+            raise ValueError(tag)
+
+    for tag in ("a", "boom", "b"):
+        engine.schedule(2, record, tag)
+    engine.schedule(3, record, "c")
+    with pytest.raises(ValueError):
+        engine.run()
+    assert engine.pending() == 2        # the raising event fired
+    engine.run()
+    assert fired == ["a", "boom", "b", "c"]
+    assert engine.pending() == 0
+
+
+def test_hook_reads_an_exact_pending_count():
+    """The observability gauges call pending() from inside the hook."""
+    engine = Engine()
+    seen = []
+    engine.hook = lambda time, callback: seen.append(
+        (time, engine.pending()))
+    for delay in (1, 1, 2, 5):
+        engine.schedule(delay, lambda: None)
+    engine.cancel(engine.schedule(3, lambda: None))
+    engine.run()
+    assert seen == [(1, 3), (1, 2), (2, 1), (5, 0)]
+
+
+def test_counters_count_scheduled_fired_and_cancelled():
+    engine = Engine()
+    engine.schedule(1, lambda: None)
+    engine.at(1000, lambda: None)
+    engine.cancel(engine.schedule(2, lambda: None))
+    engine.run()
+    assert engine.counters() == {
+        "engine_events_scheduled": 3,
+        "engine_events_fired": 2,
+        "engine_cancelled": 1,
+    }
+    assert set(engine.counters()) == ENGINE_COUNTERS
 
 
 def test_cancel_after_fire_is_a_noop():

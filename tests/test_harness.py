@@ -39,6 +39,19 @@ def test_runner_distinguishes_overrides(runner):
     assert a is not b
 
 
+def test_runner_engine_counters_balance():
+    """The benchmark's ``engine.events_fired`` and
+    ``engine.cancel_ratio`` are read from these three counters."""
+    runner = ExperimentRunner(preset="tiny", scale=0.15, seed=3)
+    runner.run("BFS", Protocol.GTSC, Consistency.RC)
+    counters = runner.engine_counters
+    assert set(counters) == {"engine_events_scheduled",
+                             "engine_events_fired", "engine_cancelled"}
+    assert counters["engine_events_fired"] > 0
+    assert counters["engine_events_scheduled"] == \
+        counters["engine_events_fired"] + counters["engine_cancelled"]
+
+
 def test_runner_rejects_bad_preset():
     with pytest.raises(ValueError):
         ExperimentRunner(preset="huge")

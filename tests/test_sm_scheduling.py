@@ -3,6 +3,7 @@ occupancy waves."""
 
 from repro.config import Consistency, GPUConfig, Protocol
 from repro.gpu.gpu import GPU, SimulationHang
+from repro.sim.engine import Engine
 from repro.trace import Kernel, compute, fence, load, store
 
 import pytest
@@ -149,7 +150,7 @@ def test_schedule_issue_treats_dead_handle_as_absent():
     sm._issue_event = dead
     sm._schedule_issue(5)
     assert sm._issue_event is not dead    # fresh event was scheduled
-    assert sm._issue_event[2] is not None
+    assert not Engine.cancelled(sm._issue_event)
     assert sm._issue_event[0] == engine.now + 5
 
 
@@ -162,4 +163,4 @@ def test_schedule_issue_keeps_a_live_earlier_event():
     assert sm._issue_event is live
     sm._schedule_issue(1)                 # earlier: reschedules
     assert sm._issue_event is not live
-    assert live[2] is None                # old handle was cancelled
+    assert Engine.cancelled(live)         # old handle was cancelled
