@@ -47,12 +47,12 @@ def test_event_engine_throughput(benchmark):
 
 
 def test_engine_schedule_cancel_churn(benchmark):
-    """Scheduling plus heavy cancellation: the compaction path.
+    """Scheduling plus heavy cancellation.
 
     Half the scheduled events are cancelled before firing, the way SM
-    issue-event rescheduling behaves under MSHR pressure; the lazy
-    cancel + periodic compaction must keep this near the pure-fire
-    cost rather than degrading with heap garbage.
+    issue-event rescheduling behaves under MSHR pressure, each in a
+    cycle of its own; skipping those all-cancelled cycles must keep
+    this near the pure-fire cost.
     """
     from repro.sim.engine import Engine
 

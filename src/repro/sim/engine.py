@@ -190,24 +190,16 @@ class Engine:
             while cycles:
                 c = cycles[0]
                 bucket = queue[c]
-                if bucket[0][1] is None:
-                    # skip a cycle whose entries were all cancelled
-                    # without touching the clock
-                    for event in bucket:
-                        if event[1] is not None:
-                            break
-                    else:
-                        heappop(cycles)
-                        del queue[c]
-                        continue
-                self.now = c
                 # a list iterator re-reads the length on every step, so
-                # events the callbacks post for this cycle fire here too
+                # events the callbacks post for this cycle fire here
+                # too; the clock moves only when an event fires, so a
+                # cycle whose entries were all cancelled leaves it alone
                 if hook is None:
                     for event in bucket:
                         callback = event[1]
                         if callback is not None:
                             event[1] = None
+                            self.now = c
                             fired += 1
                             callback(*event[2])
                 else:
@@ -216,6 +208,7 @@ class Engine:
                         callback = event[1]
                         if callback is not None:
                             event[1] = None
+                            self.now = c
                             self.events_fired += 1
                             hook(c, callback)
                             callback(*event[2])

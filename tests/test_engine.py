@@ -178,6 +178,17 @@ def test_cancelled_last_event_leaves_the_clock_at_the_last_fired():
     assert engine.pending() == 0
 
 
+def test_bounded_run_fires_far_events_on_time_after_a_cancelled_cycle():
+    """A skipped all-cancelled cycle must not pull a far event early."""
+    engine = Engine()
+    fired = []
+    engine.cancel(engine.schedule(100, lambda: None))
+    engine.schedule(550, lambda: fired.append(("far", engine.now)))
+    engine.schedule(300, lambda: fired.append(("near", engine.now)))
+    engine.run(until=1000)
+    assert fired == [("near", 300), ("far", 550)]
+
+
 def test_run_after_max_events_fires_the_rest_of_the_cycle_in_order():
     engine = Engine()
     fired = []
