@@ -2,8 +2,9 @@
 
 Tracks the cost of the scale-out machine (:mod:`repro.multigpu`): one
 representative inter-GPU workload simulated at 2 and 4 GPUs under
-G-TSC, so regressions in the interlink, the shared home directory, or
-the cross-GPU routing mixins show up in the CI bench gate.  Each run
+G-TSC, so regressions in the inter-GPU link, the shared home
+directory, or the route tables of the controllers' one routing path
+show up in the CI bench gate.  Each run
 also asserts the traffic actually crossed the link — a cluster that
 silently stopped exchanging would otherwise look "fast".
 """

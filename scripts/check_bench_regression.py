@@ -1,14 +1,21 @@
 #!/usr/bin/env python
-"""Compare a pytest-benchmark JSON result against a baseline result.
+"""Compare pytest-benchmark JSON results against baseline results.
 
 Usage:
-    python scripts/check_bench_regression.py RESULT.json BASELINE.json
+    python scripts/check_bench_regression.py \
+        --result RESULT.json [RESULT.json ...] \
+        --baseline BASELINE.json [BASELINE.json ...]
 
-CI produces both files on one runner: ``BASELINE.json`` from the base
-commit's copies of the benchmark files, checked out in a git worktree,
-and ``RESULT.json`` from the change, so the two are comparable.
+CI produces both sides on one runner, alternately, three runs each:
+the baseline files from the base commit's copies of the benchmark
+files, checked out in a git worktree, and the result files from the
+change, so the two are comparable.  Each side's time for a benchmark
+is its best (min) time over all of that side's files: on a shared
+host one run per side reports noise as a regression, and the minimum
+over several interleaved runs separates the change from the host, as
+``bench/ab.py`` does for the end-to-end metrics.
 
-Exits non-zero when any benchmark's best (min) time regressed by more
+Exits non-zero when any benchmark's best time regressed by more
 than its tolerance over the baseline's best time.  Tolerances are
 per-benchmark (``TOLERANCES`` below): long, simulation-dominated
 benchmarks have stable minima and get a tight bound, while
@@ -19,15 +26,17 @@ listed get 30%.
 Minimum-of-rounds is compared rather than the mean because it is the
 most noise-robust statistic a short benchmark produces; the
 tolerances absorb the run-to-run noise that remains between two runs
-on one host.  Benchmarks present in only one file are reported but do
+on one host.  Benchmarks present in only one side are reported but do
 not fail the check, so a change may add or retire a benchmark.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Iterable
 
 #: Per-benchmark regression tolerance (fraction over baseline min).
 TOLERANCES = {
@@ -64,21 +73,33 @@ TOLERANCES = {
 }
 
 
-def load_mins(path: Path) -> dict[str, float]:
-    with open(path) as handle:
-        data = json.load(handle)
-    return {bench["name"]: bench["stats"]["min"]
-            for bench in data["benchmarks"]}
+def load_mins(paths: Iterable[Path]) -> dict[str, float]:
+    """Each benchmark's best (min) time over every file in ``paths``."""
+    mins: dict[str, float] = {}
+    for path in paths:
+        with open(path) as handle:
+            data = json.load(handle)
+        for bench in data["benchmarks"]:
+            name = bench["name"]
+            best = bench["stats"]["min"]
+            if name not in mins or best < mins[name]:
+                mins[name] = best
+    return mins
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 3:
-        print(__doc__)
-        return 2
-    result_path = Path(argv[1])
-    baseline_path = Path(argv[2])
-    result = load_mins(result_path)
-    baseline = load_mins(baseline_path)
+    parser = argparse.ArgumentParser(
+        prog=Path(argv[0]).name,
+        description="Fail when a benchmark's best time regressed past "
+                    "its tolerance over the baseline's best time.")
+    parser.add_argument("--result", nargs="+", type=Path, required=True,
+                        help="the change's pytest-benchmark JSON files")
+    parser.add_argument("--baseline", nargs="+", type=Path, required=True,
+                        help="the base commit's pytest-benchmark JSON "
+                             "files")
+    args = parser.parse_args(argv[1:])
+    result = load_mins(args.result)
+    baseline = load_mins(args.baseline)
 
     failed = []
     for name in sorted(set(result) | set(baseline)):

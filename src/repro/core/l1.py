@@ -44,7 +44,6 @@ from repro.protocols.base import (
     L1ControllerBase,
     LoadWaiter,
     Message,
-    PendingAtomic,
     PendingStore,
     pop_pending,
 )
@@ -86,7 +85,7 @@ class GTSCL1Controller(L1ControllerBase):
         # FIFO of unacknowledged stores per line (acks return in order)
         self._pending_stores: Dict[int, Deque[PendingStore]] = {}
         # FIFO of unacknowledged atomics per line
-        self._pending_atomics: Dict[int, Deque[PendingAtomic]] = {}
+        self._pending_atomics: Dict[int, Deque[PendingStore]] = {}
         # loads delayed by the update-visibility rule, per line
         self._locked_waiters: Dict[int, List[tuple]] = {}
         # warps with a pending store per line (for the OLD_COPY policy)
@@ -205,8 +204,8 @@ class GTSCL1Controller(L1ControllerBase):
         if writers is None:
             writers = self._pending_writers[addr] = set()
         writers.add(warp.uid)
-        pending = PendingAtomic(warp, addr, version, on_done,
-                                self.engine.now)
+        pending = PendingStore(warp, addr, version, on_done,
+                               self.engine.now)
         queue = self._pending_atomics.get(addr)
         if queue is None:
             queue = self._pending_atomics[addr] = deque()

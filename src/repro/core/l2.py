@@ -7,7 +7,10 @@ TC — there is no waiting for physical lease expiry, no inclusive-L2
 requirement, and no delayed eviction.  Evictions fold the victim's
 ``rts`` into the bank's single ``mem_ts`` (Fig. 6), which is all the
 state needed to stay correct without per-block lease tracking in
-memory (Section V-C).
+memory (Section V-C).  In a multi-GPU cluster the fold goes to the
+cluster's shared per-address home directory instead
+(:class:`repro.multigpu.home.HomeDirectory`), chosen when the bank is
+built.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ if TYPE_CHECKING:  # pragma: no cover
 class GTSCL2Bank(L2BankBase):
     """One bank of the shared cache under G-TSC."""
 
-    __slots__ = ("domain", "mem_ts", "_fixed_lease", "_lease", "_ts_max")
+    __slots__ = ("domain", "home", "mem_ts", "_fixed_lease", "_lease",
+                 "_ts_max")
 
     # request dispatch by concrete class (same idiom as the L1)
     _handler_names = {
@@ -45,10 +49,16 @@ class GTSCL2Bank(L2BankBase):
         BusAtm: "_atomic",
     }
 
-    def __init__(self, bank_id: int, machine: "Machine",
-                 domain: TimestampDomain) -> None:
+    def __init__(self, bank_id: int, machine: "Machine") -> None:
         super().__init__(bank_id, machine)
+        # the logical time this bank stamps leases in (one domain for
+        # every bank of the machine, or of the cluster)
+        domain: TimestampDomain = machine.timestamp_domain
         self.domain = domain
+        # where evictions fold and fills start (Fig. 6): the bank's
+        # scalar mem_ts when home is None (one GPU), else the
+        # cluster's shared per-address home directory
+        self.home = machine.home
         self.mem_ts = 1
         # under the paper's fixed policy the lease grant is a constant;
         # precompute it so _read skips the _lease_for call
@@ -226,11 +236,14 @@ class GTSCL2Bank(L2BankBase):
             return None
         if evicted is not None:
             self._evict(evicted)
-        if self.domain.clamp(self.mem_ts + self.config.lease) < 0:
-            # overflow on refill: mem_ts was reset to 1 by the handler
-            pass
-        line.wts = self.mem_ts
-        line.rts = self.mem_ts + self.config.lease
+        home = self.home
+        mem_ts = self.mem_ts if home is None else home.mem_ts_of(addr)
+        if self.domain.clamp(mem_ts + self.config.lease) < 0:
+            # overflow on refill: the reset listeners put the bank's
+            # mem_ts, or the home directory's floor, back to 1
+            mem_ts = 1
+        line.wts = mem_ts
+        line.rts = mem_ts + self.config.lease
         line.version = self._memory_version(addr)
         line.dirty = False
         line.epoch = self.domain.epoch
@@ -247,13 +260,17 @@ class GTSCL2Bank(L2BankBase):
             self.audit.record(self.engine.now, "evict", self.track,
                               evicted.addr, evicted.wts, evicted.rts,
                               0, self.domain.epoch)
-        self.mem_ts = max(self.mem_ts, evicted.rts)
+        if self.home is None:
+            self.mem_ts = max(self.mem_ts, evicted.rts)
+        else:
+            self.home.fold(evicted.addr, evicted.rts)
         self._writeback(evicted)
         if self.config.l2_inclusive:
-            # ablation only: classic inclusive back-invalidation with
-            # its recall traffic (G-TSC does not need this)
-            for sm_id in range(self.config.num_sms):
-                self._reply(sm_id, BusInv(evicted.addr, sm_id))
+            # ablation only: classic inclusive back-invalidation of
+            # every L1 of every GPU, with its recall traffic (G-TSC
+            # does not need this)
+            for sm_uid in range(self.config.num_sms * self.config.n_gpus):
+                self._reply(sm_uid, BusInv(evicted.addr, sm_uid))
 
     # ------------------------------------------------------------------
     # timestamp overflow (Section V-D)

@@ -10,6 +10,7 @@ from repro.energy.model import EnergyModel, EnergyParams
 from repro.gpu.machine import Machine
 from repro.gpu.sm import SM
 from repro.gpu.warp import Warp
+from repro.mem.noc import Network
 from repro.protocols.factory import build_protocol
 from repro.sim.engine import Engine
 from repro.stats.collector import RunStats, StatsCollector
@@ -31,11 +32,13 @@ class GPU:
     Builds ``config.n_gpus`` machines (one for the paper's machine) on
     one event engine, one statistics collector, one version store and
     one access log.  Only a cluster (HALCONE-style, see
-    :mod:`repro.multigpu`) adds the inter-GPU interlink, the shared
-    home directory and, under G-TSC, one timestamp domain for every
-    bank; its machines carry ``machine.cluster`` (this object) and take
-    the cross-GPU controller variants.  ``machine`` is GPU 0, which
-    holds the shared engine, statistics, access log and version store.
+    :mod:`repro.multigpu`) adds the inter-GPU link (a second
+    :class:`~repro.mem.noc.Network`, ``interlink``), the shared home
+    directory and, under G-TSC, one timestamp domain for every bank,
+    and connects each machine's route tables to the others; the
+    controllers are the same on one GPU and in a cluster.  ``machine``
+    is GPU 0, which holds the shared engine, statistics, access log
+    and version store.
 
     Kernels run to completion; between kernels the L1s are flushed and
     logical timestamps reset while the L2 keeps its data (the paper's
@@ -61,16 +64,14 @@ class GPU:
         # the cluster's shared G-TSC domain; a lone machine's comes
         # from build_protocol
         self.timestamp_domain = None
-        cluster = None
         if config.n_gpus > 1:
             from repro.core.timestamps import TimestampDomain
-            from repro.multigpu import HomeDirectory, Interlink
+            from repro.multigpu import HomeDirectory
 
-            cluster = self
-            self.interlink = Interlink(engine, stats,
-                                       config.interlink_latency,
-                                       config.interlink_bandwidth)
-            self.gpu_ports = [("gpu", g) for g in range(config.n_gpus)]
+            self.interlink = Network(engine, stats,
+                                     config.interlink_latency,
+                                     config.interlink_bandwidth,
+                                     family="interlink")
             self.home = HomeDirectory(config.home_ts_entries, stats)
             if config.protocol is Protocol.GTSC:
                 # the home directory resets with the domain (registered
@@ -81,9 +82,13 @@ class GPU:
                 self.timestamp_domain = domain
         self.machines = [
             Machine(config, engine=engine, stats=stats, versions=versions,
-                    log=log, gpu_id=g, cluster=cluster)
+                    log=log, timestamp_domain=self.timestamp_domain,
+                    home=self.home, gpu_id=g)
             for g in range(config.n_gpus)
         ]
+        if self.interlink is not None:
+            for machine in self.machines:
+                machine.connect(self.machines, self.interlink)
         self.machine = self.machines[0]
         if obs is not None:
             # before build_protocol: the controllers read machine.obs
@@ -261,14 +266,15 @@ class GPU:
         """Unlink the machine so that reference counting frees it.
 
         Some links are cyclic by design: each controller points at its
-        machine, which lists it; a cluster's machines point at this
-        GPU, which lists them; the G-TSC banks and a cluster's home
-        directory listen on a timestamp domain the banks point at; and
-        an observability bundle's engine hook and gauges reach the
-        machines, which point at the bundle.  Closing drops one side
-        of each, so the whole machine goes as soon as the last outside
-        reference to this GPU does, instead of waiting for the cyclic
-        collector.  A new back-reference must be dropped here too
+        machine, which lists it; each machine's route tables name the
+        machine itself and, in a cluster, every other machine; the
+        G-TSC banks and a cluster's home directory listen on a
+        timestamp domain the banks point at; and an observability
+        bundle's engine hook and gauges reach the machines, which
+        point at the bundle.  Closing drops one side of each, so the
+        whole machine goes as soon as the last outside reference to
+        this GPU does, instead of waiting for the cyclic collector.  A
+        new back-reference must be dropped here too
         (``tests/test_request_state.py`` checks that nothing is left).
         Read what is still needed (engine counters, the access log)
         first.  Idempotent; a closed GPU cannot run.
@@ -278,7 +284,8 @@ class GPU:
         for machine in self.machines:
             machine.l1s = []
             machine.l2_banks = []
-            machine.cluster = None
+            machine.bank_routes = []
+            machine.sm_routes = []
             machine.obs = None
             if machine.timestamp_domain is not None:
                 machine.timestamp_domain.clear_listeners()

@@ -8,7 +8,8 @@ engine, statistics, version store and access log it runs on.
 shared engine/statistics/log set into all of them; a lone machine
 built directly (as unit tests do) makes its own.  Routing is done by
 the controllers themselves (``L1ControllerBase._send`` and
-``L2BankBase._reply``): requests go to the home bank of their line
+``L2BankBase._reply``) through the machine's route tables (see
+:meth:`Machine.connect`): requests go to the home bank of their line
 address, replies to the requesting SM.
 """
 
@@ -25,6 +26,7 @@ from repro.validate.versions import AccessLog, VersionStore
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.timestamps import TimestampDomain
+    from repro.multigpu.home import HomeDirectory
     from repro.protocols.base import L1ControllerBase, L2BankBase, Message
 
 
@@ -35,7 +37,9 @@ class Machine:
                  record_accesses: bool = True,
                  *,
                  engine=None, stats=None, versions=None, log=None,
-                 gpu_id: int = 0, cluster=None) -> None:
+                 timestamp_domain: Optional["TimestampDomain"] = None,
+                 home: Optional["HomeDirectory"] = None,
+                 gpu_id: int = 0) -> None:
         self.config = config
         # the GPU injects engine/stats/versions/log so that all of its
         # machines share one event timeline and one statistics
@@ -46,15 +50,18 @@ class Machine:
             record_writes=record_accesses)
         self.log = log if log is not None else AccessLog(
             enabled=record_accesses)
-        # multi-GPU identity: cluster is None for a standalone machine;
-        # when set, controllers address SMs by the global uid
-        # ``sm_uid_base + local_sm`` and route home misses off-GPU
-        self.cluster = cluster
+        # the logical time the G-TSC banks stamp leases in: a cluster
+        # injects one domain for every GPU, build_protocol gives a
+        # lone G-TSC machine its own; None under other protocols
+        self.timestamp_domain = timestamp_domain
+        # a cluster's shared mem_ts directory, which its G-TSC banks
+        # fold evictions into; None on one GPU, whose banks each keep
+        # a scalar mem_ts
+        self.home = home
         self.gpu_id = gpu_id
-        self.sm_uid_base = gpu_id * config.num_sms
         # audit-unit prefix: empty for single-GPU runs (bit-identity
         # with pre-multigpu logs), "g<i>:" inside a cluster
-        self.unit_prefix = f"g{gpu_id}:" if cluster is not None else ""
+        self.unit_prefix = f"g{gpu_id}:" if config.n_gpus > 1 else ""
         # line address -> version currently resident in DRAM
         self.memory_image: Dict[int, int] = {}
         if config.noc_topology is NocTopology.MESH:
@@ -75,19 +82,57 @@ class Machine:
         # populated by repro.protocols.build_protocol
         self.l1s: List["L1ControllerBase"] = []
         self.l2_banks: List["L2BankBase"] = []
-        self.timestamp_domain: Optional["TimestampDomain"] = None
         # per-class on-wire message sizes: every concrete message's
         # size depends only on the config, so routing computes it once
         # per class instead of twice per message
         self._msg_sizes: Dict[type, int] = {}
-        # endpoint tuples, preallocated: they key the NoC's port dicts
-        # and every message send needs a src and dst pair
-        self._sm_ports = [("sm", i) for i in range(config.num_sms)]
-        self._bank_ports = [("l2", j) for j in range(config.num_l2_banks)]
+        # this GPU's endpoint on the inter-GPU link
+        self.link_port = ("gpu", gpu_id)
+        # route tables (see connect): a lone GPU's every home is its
+        # own; GPU.__init__ connects the machines of a cluster
+        self.bank_routes: List[tuple] = []
+        self.sm_routes: List[tuple] = []
+        if config.n_gpus == 1:
+            self.connect([self])
         # observability bundle: None (zero-cost) unless
         # Observability.attach sets it; the controllers read it at
         # their own construction
         self.obs = None
+
+    # -- routing -----------------------------------------------------------------
+    def connect(self, machines: List["Machine"],
+                link: Optional[Network] = None) -> None:
+        """Build the route tables to ``machines``, every GPU's machine
+        in ``gpu_id`` order (this one included).
+
+        An entry is ``(network, via, endpoint, machine, index)``: the
+        message crosses ``network`` to ``endpoint`` and is delivered to
+        ``machine``'s controller ``index``, looked up at send time.
+        ``via`` picks the sender's injection port: 0 for its own NoC
+        port, 1 for its GPU's port on ``link``.  A controller on a
+        remote GPU is reached over ``link`` alone, whose latency covers
+        the whole off-die path, not over the NoC as well.
+
+        ``bank_routes`` has one entry per line address modulo
+        ``num_l2_banks * n_gpus``, filled from ``config.bank_of`` and
+        ``config.home_gpu_of``; ``sm_routes`` one per global SM uid
+        ``gpu_id * num_sms + sm_id``.
+        """
+        config = self.config
+
+        def route(target, endpoint, index):
+            if target is self:
+                return (self.noc, 0, endpoint, target, index)
+            return (link, 1, target.link_port, target, index)
+
+        self.bank_routes = []
+        for line in range(config.num_l2_banks * config.n_gpus):
+            bank = config.bank_of(line)
+            self.bank_routes.append(route(
+                machines[config.home_gpu_of(line)], ("l2", bank), bank))
+        self.sm_routes = [
+            route(target, ("sm", sm_id), sm_id)
+            for target in machines for sm_id in range(config.num_sms)]
 
     # -- message sizes -----------------------------------------------------------
     def _size_of(self, msg: "Message") -> int:

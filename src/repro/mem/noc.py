@@ -10,7 +10,11 @@ congestion effects the paper discusses (e.g. the CC benchmark where SC
 beats RC because it injects fewer requests).
 
 Traffic is accounted in bytes per message class so Figure 15 can be
-regenerated directly from the counters.
+regenerated directly from the counters.  A multi-GPU cluster links its
+GPUs with a second :class:`Network` whose endpoints are the GPUs, with
+the slower ``interlink_latency``/``interlink_bandwidth`` knobs and the
+``interlink`` counter family, so cross-GPU traffic stays separable
+from on-die traffic in every report.
 """
 
 from __future__ import annotations
@@ -31,21 +35,31 @@ class _Port:
 
 
 class Network:
-    """Request/response fabric with per-port serialization delay."""
+    """Request/response fabric with per-port serialization delay.
+
+    ``family`` names its counters (``<family>_bytes``,
+    ``<family>_bytes_<kind>``, ``<family>_messages``) and its trace
+    track: ``noc`` for a GPU's on-die network, ``interlink`` for the
+    link between the GPUs of a cluster.
+    """
 
     def __init__(self, engine: Engine, stats: StatsCollector,
-                 base_latency: int, port_bandwidth: int) -> None:
+                 base_latency: int, port_bandwidth: int,
+                 family: str = "noc") -> None:
         if port_bandwidth <= 0:
-            raise ValueError("port bandwidth must be positive")
+            raise ValueError(f"{family} port bandwidth must be positive")
         self.engine = engine
         self.stats = stats
         self.base_latency = base_latency
         self.port_bandwidth = port_bandwidth
+        self.family = family
         self._ports: dict[Hashable, _Port] = {}
         # hot-path caches: the raw counter mapping (send() increments
         # it directly, skipping a method call per counter) and the
-        # interned per-class byte-counter names
+        # interned counter names
         self._counters = stats.counters
+        self._bytes_key = family + "_bytes"
+        self._messages_key = family + "_messages"
         self._kind_keys: dict[str, str] = {}
         # accumulated (latency, messages) for average-latency reporting
         self.total_latency = 0
@@ -87,17 +101,17 @@ class Network:
         arrival = depart + self.base_latency
 
         counters = self._counters
-        counters["noc_bytes"] += size
+        counters[self._bytes_key] += size
         key = self._kind_keys.get(kind)
         if key is None:
-            key = self._kind_keys[kind] = "noc_bytes_" + kind
+            key = self._kind_keys[kind] = self._bytes_key + "_" + kind
         counters[key] += size
-        counters["noc_messages"] += 1
+        counters[self._messages_key] += 1
         self.total_latency += arrival - now
         self.total_messages += 1
         if self.trace is not None:
             self.trace.complete(
-                now, arrival, "noc", f"{kind}:{src}->{dst}",
+                now, arrival, self.family, f"{kind}:{src}->{dst}",
                 {"bytes": size})
 
         engine.post(arrival, deliver, args)

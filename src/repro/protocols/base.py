@@ -72,21 +72,8 @@ class LoadWaiter:
 
 
 class PendingStore:
-    """A store issued by the SM, awaiting its L2 acknowledgment."""
-
-    __slots__ = ("warp", "addr", "version", "on_done", "issue_cycle")
-
-    def __init__(self, warp: "Warp", addr: int, version: int,
-                 on_done: Callable[[], None], issue_cycle: int) -> None:
-        self.warp = warp
-        self.addr = addr
-        self.version = version
-        self.on_done = on_done
-        self.issue_cycle = issue_cycle
-
-
-class PendingAtomic:
-    """An atomic RMW issued by the SM, awaiting the L2's old value."""
+    """A store or atomic RMW issued by the SM, awaiting its L2
+    acknowledgment (an atomic's carries the old value)."""
 
     __slots__ = ("warp", "addr", "version", "on_done", "issue_cycle")
 
@@ -165,14 +152,17 @@ class L1ControllerBase(_Dispatch):
     through the ``on_done`` callback.
     """
 
-    __slots__ = ("sm_id", "machine", "config", "engine", "stats",
+    __slots__ = ("sm_id", "uid", "machine", "config", "engine", "stats",
                  "_counters", "_l1_latency", "_load_hist", "_store_hist",
-                 "_atomic_hist", "_num_banks", "_port", "mshr", "trace",
+                 "_atomic_hist", "_num_homes", "_src", "mshr", "trace",
                  "audit", "track")
 
     def __init__(self, sm_id: int, machine: "Machine") -> None:
         super().__init__()
         self.sm_id = sm_id
+        # the global SM uid requests carry and replies route back by;
+        # sm_id itself on one GPU
+        self.uid = machine.gpu_id * machine.config.num_sms + sm_id
         self.machine = machine
         self.config = machine.config
         self.engine = machine.engine
@@ -187,9 +177,12 @@ class L1ControllerBase(_Dispatch):
         self._load_hist = None
         self._store_hist = None
         self._atomic_hist = None
-        # request-routing caches for the inlined _send below
-        self._num_banks = machine.config.num_l2_banks
-        self._port = ("sm", sm_id)
+        # request-routing caches for the inlined _send below: the
+        # length of the machine's bank_routes, and the injection port
+        # each route's ``via`` picks
+        self._num_homes = (machine.config.num_l2_banks
+                           * machine.config.n_gpus)
+        self._src = (("sm", sm_id), machine.link_port)
         self.mshr = MSHRTable(machine.config.l1_mshr_entries)
         # observability refs, cached once; None keeps the hot paths to
         # a single identity check per instrumentation point
@@ -225,17 +218,24 @@ class L1ControllerBase(_Dispatch):
     def _send(self, msg: Message) -> None:
         """Route a request to the home L2 bank of ``msg.addr``.
 
-        Every request crosses this method, so the routing is written
-        out here rather than behind a machine-level helper, whose
-        extra frame showed up in profiles.
+        The machine's ``bank_routes`` (see
+        :meth:`repro.gpu.machine.Machine.connect`) send it over the
+        NoC to a bank of this GPU, or over the inter-GPU link to
+        another GPU's.  ``msg.sm`` becomes this SM's global uid, which
+        the bank replies to and, under MESI, records as sharer or
+        owner.  Every request crosses this method, so the routing is
+        written out here rather than behind a machine-level helper,
+        whose extra frame showed up in profiles.
         """
         machine = self.machine
-        bank_id = msg.addr % self._num_banks
+        msg.sm = self.uid
+        network, via, dst, home, bank = machine.bank_routes[
+            msg.addr % self._num_homes]
         size = machine._msg_sizes.get(type(msg))
         if size is None:
             size = machine._size_of(msg)
-        machine.noc.send(self._port, machine._bank_ports[bank_id], size,
-                         msg.kind, machine.l2_banks[bank_id].receive, msg)
+        network.send(self._src[via], dst, size, msg.kind,
+                     home.l2_banks[bank].receive, msg)
 
     def _complete(self, callback: Callable[[], None],
                   delay: int = 0) -> None:
@@ -259,7 +259,7 @@ class L2BankBase(_Dispatch):
     """
 
     __slots__ = ("bank_id", "machine", "config", "engine", "stats",
-                 "_counters", "_port", "cache", "mshr", "dram", "_ready_at",
+                 "_counters", "_src", "cache", "mshr", "dram", "_ready_at",
                  "_l2_service", "_l2_latency", "_retry_interval",
                  "trace", "audit", "track")
 
@@ -274,7 +274,7 @@ class L2BankBase(_Dispatch):
         self._l2_service = machine.config.l2_service
         self._l2_latency = machine.config.l2_latency
         self._retry_interval = machine.config.mshr_retry_interval
-        self._port = ("l2", bank_id)
+        self._src = (("l2", bank_id), machine.link_port)
         self.cache = CacheArray(machine.config.l2_sets,
                                 machine.config.l2_assoc)
         self.mshr = MSHRTable(machine.config.l2_mshr_entries)
@@ -369,11 +369,13 @@ class L2BankBase(_Dispatch):
         return self.machine.memory_image.get(addr, 0)
 
     # -- response path -----------------------------------------------------------
-    def _reply(self, sm_id: int, msg: Message) -> None:
-        # route back to the requesting SM (see L1ControllerBase._send)
+    def _reply(self, sm_uid: int, msg: Message) -> None:
+        # route back to the requesting SM by its global uid, through
+        # the machine's sm_routes (see L1ControllerBase._send)
         machine = self.machine
+        network, via, dst, target, sm_id = machine.sm_routes[sm_uid]
         size = machine._msg_sizes.get(type(msg))
         if size is None:
             size = machine._size_of(msg)
-        machine.noc.send(self._port, machine._sm_ports[sm_id], size,
-                         msg.kind, machine.l1s[sm_id].receive, msg)
+        network.send(self._src[via], dst, size, msg.kind,
+                     target.l1s[sm_id].receive, msg)

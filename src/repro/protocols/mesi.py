@@ -40,7 +40,6 @@ from repro.protocols.base import (
     L2BankBase,
     LoadWaiter,
     Message,
-    PendingAtomic,
     PendingStore,
     pop_pending,
 )
@@ -178,7 +177,7 @@ class MESIL1Controller(L1ControllerBase):
         self.cache = CacheArray(config.l1_sets, config.l1_assoc)
         # stores waiting for ownership, FIFO per line
         self._pending_stores: Dict[int, Deque[PendingStore]] = {}
-        self._pending_atomics: Dict[int, Deque[PendingAtomic]] = {}
+        self._pending_atomics: Dict[int, Deque[PendingStore]] = {}
         # lines with a GetM in flight (avoid duplicate requests)
         self._m_requested: Set[int] = set()
         # loads merged into an in-flight GetM: issuing a GetS while our
@@ -258,8 +257,8 @@ class MESIL1Controller(L1ControllerBase):
         version = self.machine.versions.new_version(addr)
         # atomics are performed at the directory; drop the local copy
         self._invalidate_local(addr)
-        pending = PendingAtomic(warp, addr, version, on_done,
-                                self.engine.now)
+        pending = PendingStore(warp, addr, version, on_done,
+                               self.engine.now)
         queue = self._pending_atomics.get(addr)
         if queue is None:
             queue = self._pending_atomics[addr] = deque()

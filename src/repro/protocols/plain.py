@@ -24,7 +24,6 @@ from repro.protocols.base import (
     L2BankBase,
     LoadWaiter,
     Message,
-    PendingAtomic,
     PendingStore,
     pop_pending,
 )
@@ -40,7 +39,7 @@ class _AtomicMixin:
     __slots__ = ()
 
     def _init_atomics(self) -> None:
-        self._pending_atomics: Dict[int, Deque[PendingAtomic]] = {}
+        self._pending_atomics: Dict[int, Deque[PendingStore]] = {}
 
     def atomic(self, warp, addr: int,
                on_done: Callable[[], None]) -> bool:
@@ -51,8 +50,8 @@ class _AtomicMixin:
             counters["l1_atomic"] += 1
             cache.invalidate(addr)
         version = self.machine.versions.new_version(addr)
-        pending = PendingAtomic(warp, addr, version, on_done,
-                                self.engine.now)
+        pending = PendingStore(warp, addr, version, on_done,
+                               self.engine.now)
         queue = self._pending_atomics.get(addr)
         if queue is None:
             queue = self._pending_atomics[addr] = deque()

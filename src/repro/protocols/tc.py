@@ -32,7 +32,6 @@ from repro.protocols.base import (
     L2BankBase,
     LoadWaiter,
     Message,
-    PendingAtomic,
     PendingStore,
     pop_pending,
 )
@@ -165,7 +164,7 @@ class TCL1Controller(L1ControllerBase):
         config = machine.config
         self.cache = CacheArray(config.l1_sets, config.l1_assoc)
         self._pending_stores: Dict[int, Deque[PendingStore]] = {}
-        self._pending_atomics: Dict[int, Deque[PendingAtomic]] = {}
+        self._pending_atomics: Dict[int, Deque[PendingStore]] = {}
         self._combine = config.combining is CombiningPolicy.MSHR
 
     def load(self, warp: "Warp", addr: int,
@@ -233,8 +232,8 @@ class TCL1Controller(L1ControllerBase):
         version = self.machine.versions.new_version(addr)
         # like stores: performed at L2, local copy dropped
         self.cache.invalidate(addr)
-        pending = PendingAtomic(warp, addr, version, on_done,
-                                self.engine.now)
+        pending = PendingStore(warp, addr, version, on_done,
+                               self.engine.now)
         queue = self._pending_atomics.get(addr)
         if queue is None:
             queue = self._pending_atomics[addr] = deque()

@@ -179,7 +179,12 @@ class Engine:
         Stops when the queue is empty, when the clock would pass
         ``until``, or after ``max_events`` events (a safety valve for
         tests against livelock).  Returns the final clock value.
+        ``until`` below the clock raises ``ValueError``: the clock
+        never moves back.
         """
+        if until is not None and until < self.now:
+            raise ValueError(
+                f"run(until={until}) is below the clock ({self.now})")
         if until is not None or max_events is not None:
             return self._run_bounded(until, max_events)
         queue = self._queue

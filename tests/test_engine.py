@@ -83,6 +83,23 @@ def test_run_until_stops_before_later_events():
     assert fired == ["early", "late"]
 
 
+def test_run_until_below_the_clock_raises_and_keeps_the_clock():
+    """Setting the clock back would let a later zero-delay event fire
+    at a cycle before events that already fired."""
+    engine = Engine()
+    fired = []
+    engine.schedule(10, lambda: fired.append(("a", engine.now)))
+    engine.schedule(20, lambda: fired.append(("b", engine.now)))
+    engine.run(until=15)
+    assert engine.now == 15
+    with pytest.raises(ValueError, match="below the clock"):
+        engine.run(until=5)
+    assert engine.now == 15
+    engine.schedule(0, lambda: fired.append(("zero", engine.now)))
+    engine.run()
+    assert fired == [("a", 10), ("zero", 15), ("b", 20)]
+
+
 def test_at_schedules_absolute_time():
     engine = Engine()
     times = []

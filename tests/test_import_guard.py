@@ -9,8 +9,9 @@ numpy were absent.  Trapping the attempt (rather than inspecting
 ``sys.modules`` afterwards) catches an optional ``try: import numpy``
 too, whether or not numpy is installed.
 
-A single-GPU run imports no cluster module (``repro.multigpu``,
-``repro.protocols.xgpu``) and, unless it simulates MESI, not
+A single-GPU run imports no cluster module (``repro.multigpu``, the
+home directory; the controllers and the ``Network`` are the same on
+one GPU and in a cluster) and, unless it simulates MESI, not
 ``repro.protocols.mesi`` either: ``GPU`` and ``build_protocol`` load
 them only when a config asks for them.
 """

@@ -235,7 +235,8 @@ def test_single_gpu_config_builds_the_plain_machine():
     assert isinstance(gpu, GPU)
     assert gpu.machines == [gpu.machine]
     assert gpu.interlink is None and gpu.home is None
-    assert gpu.machine.cluster is None
+    routes = gpu.machine.bank_routes + gpu.machine.sm_routes
+    assert {route[0] for route in routes} == {gpu.machine.noc}
     assert {type(l1) for l1 in gpu.machine.l1s} == {GTSCL1Controller}
     assert {type(bank) for bank in gpu.machine.l2_banks} == {GTSCL2Bank}
 
