@@ -143,11 +143,10 @@ class GTSCL1Controller(L1ControllerBase):
             counters["l1_expired_miss"] += 1
             stale_wts = line.wts
 
-        waiter = LoadWaiter(warp, on_done, self.engine.now)
         entry = self.mshr.get(addr)
         combine = self.config.combining is CombiningPolicy.MSHR
         if entry is not None and combine:
-            entry.waiters.append(waiter)
+            entry.waiters.append(LoadWaiter(warp, on_done, self.engine.now))
             return True
         if entry is None:
             if self.mshr.full:
@@ -157,7 +156,7 @@ class GTSCL1Controller(L1ControllerBase):
                                        "mshr_stall", {"addr": addr})
                 return False
             entry = self.mshr.allocate(addr)
-        entry.waiters.append(waiter)
+        entry.waiters.append(LoadWaiter(warp, on_done, self.engine.now))
         self._send(BusRd(addr, self.sm_id, stale_wts, warp.ts, self.epoch))
         entry.issued = True
         return True

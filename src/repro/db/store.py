@@ -119,6 +119,13 @@ _SCHEMA = (
     # queries on one state can scan it instead of the whole table
     "CREATE UNIQUE INDEX IF NOT EXISTS idx_jobs_active ON jobs(key) "
     "WHERE state = 'pending' OR state = 'leased'",
+    # what JobStore.lease seeks: the oldest pending job whose backoff
+    # has passed (not_before is covered, so no table row is read until
+    # one qualifies), and the leases past their deadline
+    "CREATE INDEX IF NOT EXISTS idx_jobs_pending ON jobs(seq, not_before) "
+    "WHERE state = 'pending'",
+    "CREATE INDEX IF NOT EXISTS idx_jobs_leased ON jobs(deadline) "
+    "WHERE state = 'leased'",
 )
 
 #: columns of the ``runs`` table.  Rows are read by naming them, so a

@@ -19,7 +19,9 @@ Hot-path invariants (this is the single most-executed code in a run):
 
 * Warps execute packed traces (:mod:`repro.trace.compiled`):
   instruction dispatch is small-int comparison on ``warp.ops[pc]``,
-  never a field lookup or string compare.
+  never a field lookup or string compare, and a memory instruction's
+  addresses are ``warp.operands[warp.args[pc]]``, issued from that
+  shared tuple without a copy.
 * Memory issue allocates nothing per access — completions ride the
   warp's prebound ``load_cb``/``store_cb`` (see :meth:`Warp.bind`).
 * ``active`` is uid-ordered by construction (warps arrive in uid
@@ -37,7 +39,7 @@ Hot-path invariants (this is the single most-executed code in a run):
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Deque, List, Optional
+from typing import TYPE_CHECKING, Deque, List, Optional, Tuple
 
 from repro.config import Consistency, SchedulerPolicy
 from repro.trace.compiled import (
@@ -110,8 +112,9 @@ class SM:
         #            -1 = rebuild from _cls via ready_mask() at the
         #            next scan (set when slots are added or renumbered,
         #            since -1 absorbs the |= bit updates in between)
-        #   _timed — bitmask of slots blocked with a wake time (may
-        #            carry stale bits; the scan drops them lazily)
+        #   _timed — bitmask holding every slot blocked with a wake
+        #            time (may carry stale bits; the scan drops them
+        #            lazily)
         #   _min_wake — lower bound on the earliest wake time among
         #            _timed slots; the scan only walks _timed once the
         #            clock reaches it
@@ -242,23 +245,6 @@ class SM:
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
-    def _classify(self, warp: Warp) -> int:
-        """The warp's packed (state, wake_time) classification.
-
-        Served from the ``_cls`` cache unless the warp was mutated
-        since the last computation (entry -1) or its cached wake time
-        has been reached (a time-blocked warp becomes ready by the
-        clock alone).  States without a wake time can only change
-        through a mutation, which always marks the entry dirty.
-        """
-        cls = self._cls[warp.slot]
-        if cls >= 0 and (cls < 8 or self.engine.now < (cls >> 3) - 1):
-            return cls
-        cls = self._classify_fresh(warp)
-        self._cls[warp.slot] = cls
-        self._cand = -1       # cold path: let the next scan resync
-        return cls
-
     def _classify_fresh(self, warp: Warp) -> int:
         now = self.engine.now
         if warp.done:
@@ -305,8 +291,8 @@ class SM:
     # _issue is the single most-fired event callback in a run.  The
     # warp-selection scan and the instruction-issue switch are inlined
     # into its body (rather than living in _pick_warp/_issue_instr
-    # helpers), and the scans inline _classify's cache check (dirty
-    # flag, or a cached wake time the clock has reached): the
+    # helpers), and the scans inline the classification cache check
+    # (dirty flag, or a cached wake time the clock has reached): the
     # method-call overhead alone dominated the scan in profiles.
     def _issue(self) -> None:
         self._issue_event = None
@@ -465,26 +451,32 @@ class SM:
             # no warp can issue: record why and arrange a wake-up.  The
             # failed scan above visited every candidate and everything
             # else was cached-blocked, so the cls values are all fresh
-            # at `now` — read them directly instead of re-deriving.
-            wake: Optional[int] = None
-            any_mem = False
-            timed = 0
-            bit = 1
-            for cls in cls_arr:
-                if cls & 7 == _BLOCKED_MEM:
-                    any_mem = True
+            # at `now`.  Every slot with a wake time has its bit in
+            # `timed` (a rebuild starts exact and the scans add each
+            # slot they classify), so walk those bits alone, dropping
+            # the stale ones; a memory block without a wake time is
+            # the bare value _BLOCKED_MEM.
+            wake = _NO_WAKE
+            any_mem = _BLOCKED_MEM in cls_arr
+            t = timed
+            while t:
+                low = t & -t
+                t -= low
+                cls = cls_arr[low.bit_length() - 1]
                 if cls >= 8:
-                    timed |= bit
+                    if cls & 7 == _BLOCKED_MEM:
+                        any_mem = True
                     wake_time = (cls >> 3) - 1
-                    if wake is None or wake_time < wake:
+                    if wake_time < wake:
                         wake = wake_time
-                bit <<= 1
+                else:
+                    timed -= low
             self._cand = cand
             self._timed = timed
-            self._min_wake = wake if wake is not None else _NO_WAKE
+            self._min_wake = wake
             self._sleep_start = now
             self._sleep_mem = any_mem
-            if wake is not None:
+            if wake != _NO_WAKE:
                 self._schedule_issue(wake - now)
             # otherwise a completion callback will notify() us
             return
@@ -496,8 +488,11 @@ class SM:
         self._cand = cand | (1 << warp.slot)
         self._timed = timed
         self._min_wake = min_wake
-        if warp.pending_addrs is not None:
-            self._issue_mem_accesses(warp)
+        pending = warp.pending_addrs
+        if pending is not None:
+            # retry what the L1 refused of a memory instruction
+            warp.pending_addrs = None
+            self._issue_mem_accesses(warp, warp.pending_op, pending)
         else:
             pc = warp.pc
             op = warp.ops[pc]
@@ -509,9 +504,8 @@ class SM:
             elif op <= OP_ATOMIC:      # LOAD, STORE or ATOMIC
                 counters["mem_instructions"] += 1
                 warp.pc = pc + 1
-                warp.pending_op = op
-                warp.pending_addrs = list(warp.args[pc])
-                self._issue_mem_accesses(warp)
+                self._issue_mem_accesses(
+                    warp, op, warp.operands[warp.args[pc]])
             elif op == OP_FENCE:
                 counters["fences"] += 1
                 if warp.fence_wait_start is not None:
@@ -540,11 +534,15 @@ class SM:
     # ------------------------------------------------------------------
     # instruction issue
     # ------------------------------------------------------------------
-    def _issue_mem_accesses(self, warp: Warp) -> None:
-        self._cls[warp.slot] = -1
-        self._cand |= 1 << warp.slot
-        pending = warp.pending_addrs
-        op = warp.pending_op
+    def _issue_mem_accesses(self, warp: Warp, op: int,
+                            addrs: Tuple[int, ...]) -> None:
+        """Hand ``addrs`` to the L1 in order, up to the first one it
+        refuses (MSHR back-pressure).
+
+        The rest is parked on the warp with a retry time, which the
+        next scan reads as the warp's wake time; the issue event that
+        :meth:`_issue` posts for the next cycle runs that scan.
+        """
         l1 = self.l1
         # hoist the per-op dispatch out of the per-address loop
         if op == OP_LOAD:
@@ -555,8 +553,7 @@ class SM:
             issue, callback, store = l1.atomic, warp.load_cb, False
         else:
             issue, callback, store = l1.store, warp.store_cb, True
-        remaining: Optional[List[int]] = None
-        for index, addr in enumerate(pending):
+        for index, addr in enumerate(addrs):
             if issue(warp, addr, callback):
                 if store:
                     warp.outstanding_stores += 1
@@ -564,15 +561,11 @@ class SM:
                     warp.outstanding_loads += 1
             else:
                 # structural hazard: park the rest and retry later
-                remaining = pending[index:]
-                break
-        if remaining:
-            warp.pending_addrs = remaining
-            warp.retry_at = self.engine.now + self.config.mshr_retry_interval
-            self._schedule_issue(self.config.mshr_retry_interval)
-        else:
-            warp.pending_addrs = None
-            warp.pending_op = None
+                warp.pending_op = op
+                warp.pending_addrs = addrs[index:]
+                warp.retry_at = \
+                    self.engine.now + self.config.mshr_retry_interval
+                return
 
     # ------------------------------------------------------------------
     # intra-CTA barriers

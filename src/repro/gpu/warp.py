@@ -6,9 +6,11 @@ hide latency across warps, not within one).  Stores block only under
 SC; under RC they are tracked as outstanding and drained by fences.
 
 The trace is a packed :class:`~repro.trace.compiled.CompiledTrace`:
-``ops``/``args`` are the per-instruction lists the SM hot path indexes
-directly.  Unit tests build a warp's trace from rows with
-:func:`~repro.trace.compiled.pack_trace`.
+``ops`` (one opcode byte per instruction) and ``args`` (one 32-bit
+operand each) are what the SM hot path indexes directly, and a memory
+instruction's address tuple is ``operands[args[pc]]``, from the
+kernel's shared operand list.  Unit tests build a warp's trace from
+rows with :func:`~repro.trace.compiled.pack_trace`.
 
 Two pieces of scheduler plumbing also live here because they are
 per-warp state:
@@ -28,7 +30,7 @@ per-warp state:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional, Tuple
 
 from repro.trace.compiled import OP_FENCE, CompiledTrace
 
@@ -37,7 +39,7 @@ class Warp:
     """One warp's architectural and scheduling state."""
 
     __slots__ = (
-        "uid", "cta_id", "ops", "args", "length", "pc",
+        "uid", "cta_id", "ops", "args", "operands", "length", "pc",
         "ts", "epoch", "gwct",
         "outstanding_loads", "outstanding_stores",
         "pending_addrs", "pending_op", "retry_at",
@@ -53,6 +55,7 @@ class Warp:
         self.cta_id = cta_id if cta_id >= 0 else uid
         self.ops = trace.ops
         self.args = trace.args
+        self.operands = trace.operands
         self.length = trace.length
         self.pc = 0
         # logical clock (G-TSC); all warp timestamps start at 1
@@ -63,8 +66,8 @@ class Warp:
         self.outstanding_loads = 0
         self.outstanding_stores = 0
         # line addresses of the current memory instruction not yet
-        # accepted by the L1 (MSHR back-pressure)
-        self.pending_addrs: Optional[List[int]] = None
+        # accepted by the L1 (MSHR back-pressure), and its opcode
+        self.pending_addrs: Optional[Tuple[int, ...]] = None
         self.pending_op: Optional[int] = None
         self.retry_at = 0
         # compute-blocked until this cycle

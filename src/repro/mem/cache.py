@@ -147,6 +147,11 @@ class CacheArray:
         Preference order: the first invalid way, else the LRU way among
         those for which ``evictable`` returns True.  Returns -1 when
         every way is pinned (TC's lease-blocked replacement, II-D3).
+
+        Every way of a full set was installed or touched at its own
+        tick, so its ages are distinct and the LRU way is the minimum;
+        with a predicate, the ways are tried in age order until one
+        passes.
         """
         assoc = self.assoc
         set_index = addr % self.num_sets
@@ -154,24 +159,14 @@ class CacheArray:
         end = base + assoc
         if self._free[set_index]:
             return self._tags.index(-1, base, end)
-        lru = self._lru
-        best = -1
-        best_age = -1
+        age = self._lru.__getitem__
         if evictable is None:
-            for slot in range(base, end):
-                age = lru[slot]
-                if best < 0 or age < best_age:
-                    best = slot
-                    best_age = age
-        else:
-            lines = self._lines
-            for slot in range(base, end):
-                if evictable(lines[slot]):
-                    age = lru[slot]
-                    if best < 0 or age < best_age:
-                        best = slot
-                        best_age = age
-        return best
+            return min(range(base, end), key=age)
+        lines = self._lines
+        for slot in sorted(range(base, end), key=age):
+            if evictable(lines[slot]):
+                return slot
+        return -1
 
     def allocate(
         self,

@@ -198,26 +198,25 @@ class MESIL1Controller(L1ControllerBase):
             self._complete(on_done, self.config.l1_latency)
             return True
         self._counters["l1_miss"] += 1
-        waiter = LoadWaiter(warp, on_done, self.engine.now)
         if addr in self._m_requested:
             # merge into the outstanding write miss; the ownership
             # grant will satisfy this read with the newest data
             merged = self._loads_after_getm.get(addr)
             if merged is None:
                 merged = self._loads_after_getm[addr] = []
-            merged.append(waiter)
+            merged.append(LoadWaiter(warp, on_done, self.engine.now))
             return True
         entry = self.mshr.get(addr)
         if entry is not None and \
                 self.config.combining is CombiningPolicy.MSHR:
-            entry.waiters.append(waiter)
+            entry.waiters.append(LoadWaiter(warp, on_done, self.engine.now))
             return True
         if entry is None:
             if self.mshr.full:
                 self._counters["l1_mshr_stall"] += 1
                 return False
             entry = self.mshr.allocate(addr)
-        entry.waiters.append(waiter)
+        entry.waiters.append(LoadWaiter(warp, on_done, self.engine.now))
         self._send(GetS(addr, self.sm_id))
         entry.issued = True
         return True

@@ -283,16 +283,15 @@ class NonCoherentL1Controller(_AtomicMixin, L1ControllerBase):
             engine.post(engine.now + self._l1_latency, on_done)
             return True
         counters["l1_miss"] += 1
-        waiter = LoadWaiter(warp, on_done, self.engine.now)
         entry = self.mshr.get(addr)
         if entry is not None:
-            entry.waiters.append(waiter)
+            entry.waiters.append(LoadWaiter(warp, on_done, self.engine.now))
             return True
         if self.mshr.full:
             counters["l1_mshr_stall"] += 1
             return False
         entry = self.mshr.allocate(addr)
-        entry.waiters.append(waiter)
+        entry.waiters.append(LoadWaiter(warp, on_done, self.engine.now))
         self._send(MemRd(addr, self.sm_id))
         entry.issued = True
         return True

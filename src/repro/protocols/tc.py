@@ -191,17 +191,16 @@ class TCL1Controller(L1ControllerBase):
             # ("coherence") miss that physical time forces on TC
             counters["l1_expired_miss"] += 1
 
-        waiter = LoadWaiter(warp, on_done, now)
         entry = self.mshr.get(addr)
         if entry is not None and self._combine:
-            entry.waiters.append(waiter)
+            entry.waiters.append(LoadWaiter(warp, on_done, now))
             return True
         if entry is None:
             if self.mshr.full:
                 counters["l1_mshr_stall"] += 1
                 return False
             entry = self.mshr.allocate(addr)
-        entry.waiters.append(waiter)
+        entry.waiters.append(LoadWaiter(warp, on_done, now))
         self._send(TCRd(addr, self.sm_id))
         entry.issued = True
         return True

@@ -167,12 +167,13 @@ class JobStore:
             row = conn.execute(
                 "UPDATE jobs SET state = 'leased', worker = ?, "
                 "deadline = ?, attempts = attempts + 1, updated_at = ? "
-                # the active index holds the queue alone, while the
-                # table's oldest rows are finished jobs
-                "WHERE seq = (SELECT MIN(seq) FROM jobs "
-                "INDEXED BY idx_jobs_active "
-                "WHERE state = 'pending' AND not_before <= ?) "
-                f"RETURNING {_COLUMNS}",
+                # the pending index holds the waiting jobs alone, in
+                # seq order, while the table's oldest rows are
+                # finished jobs
+                "WHERE seq = (SELECT seq FROM jobs "
+                "INDEXED BY idx_jobs_pending "
+                "WHERE state = 'pending' AND not_before <= ? "
+                f"ORDER BY seq LIMIT 1) RETURNING {_COLUMNS}",
                 (worker, now + duration, now, now)).fetchone()
         return _job(row) if row is not None else None
 

@@ -8,9 +8,10 @@ warp's 32 threads typically coalesce into (Section II-A).
 
 There is one trace format, the packed :class:`CompiledTrace`, and one
 kernel class, :class:`Kernel` (see :mod:`repro.trace.compiled`).  The
-workload generators write traces through :class:`TraceBuilder`;
-hand-written kernels list rows made by :func:`load`, :func:`store`,
-:func:`atomic`, :func:`compute`, :func:`fence` and :func:`barrier`.
+workload generators write traces through :class:`TraceBuilder`, one
+:class:`TraceTable` per kernel; hand-written kernels list rows made by
+:func:`load`, :func:`store`, :func:`atomic`, :func:`compute`,
+:func:`fence` and :func:`barrier`.
 """
 
 from repro.trace.compiled import (
@@ -23,6 +24,7 @@ from repro.trace.compiled import (
     CompiledTrace,
     Kernel,
     TraceBuilder,
+    TraceTable,
     atomic,
     barrier,
     compile_kernel,
@@ -35,7 +37,7 @@ from repro.trace.compiled import (
 
 __all__ = [
     "OP_ATOMIC", "OP_BARRIER", "OP_COMPUTE", "OP_FENCE", "OP_LOAD",
-    "OP_STORE", "CompiledTrace", "Kernel", "TraceBuilder", "atomic",
-    "barrier", "compile_kernel", "compute", "fence", "load",
+    "OP_STORE", "CompiledTrace", "Kernel", "TraceBuilder", "TraceTable",
+    "atomic", "barrier", "compile_kernel", "compute", "fence", "load",
     "pack_trace", "store",
 ]

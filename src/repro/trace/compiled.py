@@ -1,34 +1,39 @@
 """Kernels and their packed warp traces — the simulator's one format.
 
-The simulator executes every warp trace as two parallel plain lists —
-an integer opcode per instruction and a pre-decoded operand (the
-coalesced address tuple of a memory instruction, or the cycle count of
-a compute instruction).  The SM hot path then dispatches on small-int
-comparisons with no field lookups, no string compares and no per-step
-allocation.
+The simulator executes every warp trace as two compact parallel
+sequences: ``ops``, one opcode byte per instruction, and ``args``, a
+32-bit unsigned ``array`` holding each instruction's pre-decoded
+operand — the cycle count of a compute, the index of a memory
+instruction's coalesced address tuple in the kernel's operand list,
+and 0 for a fence or a barrier.  The SM hot path then dispatches on
+small-int comparisons with no field lookups and no string compares,
+and a memory instruction reads its addresses as
+``operands[args[pc]]``.
 
 Two ways of writing a trace meet in that format:
 
-* the workload generators append straight into the packed lists
-  through :class:`TraceBuilder`, so no per-instruction object is ever
+* the workload generators append straight into a
+  :class:`TraceBuilder`, so no per-instruction object is ever
   allocated;
 * hand-written kernels (tests, examples, the litmus shapes) spell each
   instruction with the row functions :func:`load`, :func:`store`,
   :func:`atomic`, :func:`compute`, :func:`fence` and :func:`barrier`.
-  Each returns its packed ``(opcode, operand)`` row, and the
-  :class:`Kernel` constructor packs a warp given as a list of rows
-  through :func:`pack_trace`.  Iterating a :class:`CompiledTrace`
-  yields the same rows back.
+  Each returns its ``(opcode, operand)`` row, and the :class:`Kernel`
+  constructor packs a warp given as a list of rows through
+  :func:`pack_trace`.  Iterating a :class:`CompiledTrace` yields the
+  same rows back.
 
-Either way a kernel holds each distinct address tuple once.  Every
-memory operand is stored through an *operand table* (a dict mapping an
-address tuple to the one instance the kernel keeps) as its instruction
-is written: a generator hands one table to all of a kernel's builders,
-:class:`Kernel` makes one for the row lists it packs, and
-:meth:`Kernel.from_dict` one for the rows it parses.  The table lives
-only while the kernel is built.  A paper-scale kernel repeats a few
-thousand address sets across tens of thousands of memory
-instructions, so the traces shrink by about two thirds.
+Either way the traces of one kernel are written through one
+:class:`TraceTable`, which holds what they share.  Each distinct
+address tuple is stored once, in the table's operand list, as its
+instruction is written: a generator hands one table to all of a
+kernel's builders, :class:`Kernel` makes one for the row lists it
+packs, and :meth:`Kernel.from_dict` one for the rows it parses.  The
+traces reference that list, so it lives as long as the kernel.  The
+table also interns each warp's opcode string, so warps that run the
+same program — every warp of most kernels — share one ``bytes``
+object.  A trace then costs about 5 bytes per instruction, against 16
+for two lists of pointers.
 
 Opcode numbering is part of the format: the three memory opcodes are
 contiguous (``OP_LOAD..OP_ATOMIC``) so "is this a memory access" is a
@@ -44,6 +49,9 @@ are taken over::
 
 from __future__ import annotations
 
+from array import array
+from collections import defaultdict
+from itertools import chain, count, islice
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 # integer opcodes; OP_LOAD..OP_ATOMIC are contiguous on purpose
@@ -66,12 +74,12 @@ OP_NAME = {
 
 FORMAT_VERSION = 1
 
-#: one packed instruction: ``(opcode, operand)``
-Row = Tuple[int, object]
+#: the largest value an ``args`` entry holds: a trace keeps its
+#: operands in an ``array('I')``, 32 bits each
+ARG_MAX = 2**32 - 1
 
-#: a kernel build's operand table: address tuple -> the kernel's one
-#: instance of it
-Operands = Dict[Tuple[int, ...], Tuple[int, ...]]
+#: one instruction as the row functions write it: ``(opcode, operand)``
+Row = Tuple[int, object]
 
 
 # ---------------------------------------------------------------------------
@@ -86,12 +94,20 @@ def _malformed(name: str, operands: tuple) -> ValueError:
                       f"{name}({', '.join(map(repr, operands))})")
 
 
+def _too_long(cycles: int) -> ValueError:
+    """The error for a compute count a packed trace cannot hold."""
+    return ValueError(f"compute({cycles}) does not fit in a trace: a "
+                      f"cycle count must be below 2**32")
+
+
 def compute(cycles: int) -> Row:
     """``cycles`` of non-memory work (models ALU instructions)."""
     if type(cycles) is not int:
         raise _malformed("compute", (cycles,))
     if cycles <= 0:
         raise ValueError("compute needs a positive cycle count")
+    if cycles > ARG_MAX:
+        raise _too_long(cycles)
     return (OP_COMPUTE, cycles)
 
 
@@ -184,118 +200,193 @@ def _row_from_obj(obj) -> Row:
 class CompiledTrace:
     """One warp's packed instruction stream.
 
-    ``ops[i]`` is the integer opcode; ``args[i]`` is the pre-decoded
-    operand: a tuple of line addresses for memory instructions, the
-    cycle count for compute, ``None`` for fences and barriers.  The
-    two lists are read-only once built, so a packed trace can be
-    shared between runs (and between warps, if a generator emits
-    identical traces).  So are the address tuples, which the traces
-    of one kernel share: equal operands anywhere in the kernel are
-    one tuple (see the module docstring).  Iterating a trace yields
-    ``(opcode, operand)`` rows.
+    ``ops`` is a ``bytes`` holding one opcode per instruction.
+    ``args`` is an ``array('I')`` holding its pre-decoded operand: the
+    cycle count of a compute, the index into ``operands`` of a memory
+    instruction's tuple of line addresses, 0 for a fence or a barrier.
+    ``operands`` is the operand list of the kernel's
+    :class:`TraceTable`, shared by all of its traces.  Everything is
+    read-only once built, so a packed trace can be shared between runs,
+    and warps that run the same program share one ``ops`` object.
+    Iterating a trace yields the ``(opcode, operand)`` rows the row
+    functions write.
     """
 
-    __slots__ = ("ops", "args", "length")
+    __slots__ = ("ops", "args", "operands", "length")
 
-    def __init__(self, ops: List[int], args: List) -> None:
+    def __init__(self, ops: bytes, args: array,
+                 operands: List[Tuple[int, ...]]) -> None:
         self.ops = ops
         self.args = args
+        self.operands = operands
         self.length = len(ops)
 
     def __len__(self) -> int:
         return self.length
 
     def __iter__(self) -> Iterator[Row]:
-        return zip(self.ops, self.args)
+        operands = self.operands
+        for op, arg in zip(self.ops, self.args):
+            if op == OP_COMPUTE:
+                yield op, arg
+            elif op <= OP_ATOMIC:
+                yield op, operands[arg]
+            else:
+                yield op, None
+
+
+def _numbers() -> Iterator[int]:
+    """0, 1, 2, ... from C-level iterators, made 1024 ints at a time.
+
+    A :class:`TraceTable` numbers each new operand with the next of
+    these and drops them, with its index, once the kernel is built.
+    Made one per new operand, they would sit in the allocator's pools
+    between the address ints a generator makes meanwhile, which the
+    kernel keeps, so dropping them would free no whole pool.  On the
+    paper-scale private kernels those holes kept about 0.8 MB more
+    resident at the peak of ``bench/run.py``'s sim-private workload.
+    """
+    blocks = map(range, count(0, 1024), count(1024, 1024))
+    return chain.from_iterable(map(list, blocks))
+
+
+class TraceTable:
+    """What the traces of one kernel share.
+
+    ``operands`` lists each distinct memory operand, a tuple of line
+    addresses, once; a memory instruction's ``args`` entry is its index
+    there.  ``index`` maps a tuple to that index.  Looking a tuple up
+    in it interns it: a tuple not yet there takes the next number from
+    a C-level iterator, so writing a memory instruction costs one dict
+    subscript and no Python-level call.  The tuples ``index`` numbers reach
+    ``operands`` when the next trace is built.  A paper-scale kernel
+    repeats a few thousand address sets across tens of thousands of
+    memory instructions, and never comes near the 2**32 tuples an
+    index could not hold.
+
+    :meth:`trace` also keeps one ``bytes`` per distinct opcode
+    sequence, so the warps of a kernel that run the same program share
+    one ``ops`` object.
+    """
+
+    __slots__ = ("operands", "index", "_programs")
+
+    def __init__(self) -> None:
+        self.operands: List[Tuple[int, ...]] = []
+        self.index: Dict[Tuple[int, ...], int] = \
+            defaultdict(_numbers().__next__)
+        self._programs: Dict[bytes, bytes] = {}
+
+    def trace(self, ops: bytearray, args: array) -> CompiledTrace:
+        """One warp's packed trace: its opcodes, and its ``args`` with
+        each memory operand an index from :attr:`index`."""
+        operands = self.operands
+        fresh = len(self.index) - len(operands)
+        if fresh:
+            # the index numbers tuples in insertion order, so the
+            # tuples not listed yet are its newest keys
+            newest = list(islice(reversed(self.index), fresh))
+            newest.reverse()
+            operands += newest
+        program = bytes(ops)
+        return CompiledTrace(self._programs.setdefault(program, program),
+                             args, operands)
 
 
 def pack_trace(rows: Iterable[Row],
-               operands: Optional[Operands] = None) -> CompiledTrace:
+               table: Optional[TraceTable] = None) -> CompiledTrace:
     """Pack one warp's rows, as the row functions return them.
 
-    Each memory operand is stored through ``operands``, the kernel
-    build's operand table (a table of this trace's own when none is
+    Each memory operand is stored through ``table``, the kernel's
+    :class:`TraceTable` (a table of this trace's own when none is
     given), as its row is read; ``rows`` may be a lazy iterable.
     """
-    if operands is None:
-        operands = {}
-    intern = operands.setdefault
-    ops: List[int] = []
-    args: List = []
+    builder = TraceBuilder(table)
+    ops, args, index = builder.ops, builder.args, builder._index
     for op, arg in rows:
         ops.append(op)
-        args.append(intern(arg, arg) if OP_LOAD <= op <= OP_ATOMIC
-                    else arg)
-    return CompiledTrace(ops, args)
+        if OP_LOAD <= op <= OP_ATOMIC:
+            args.append(index[arg])
+        else:
+            args.append(0 if arg is None else arg)
+    return builder.build()
 
 
 class TraceBuilder:
     """Packs one warp's trace as it is written.
 
     The methods mirror the row functions, but append straight into the
-    ``ops`` and ``args`` lists that :meth:`build` hands to a
-    :class:`CompiledTrace`, with no row allocated.  They make only the
-    row functions' value checks — a memory instruction needs an
-    address, a compute a positive cycle count — and not their type
-    checks: the builder serves the workload generators, which pass
-    the ints they computed.
+    ``ops`` bytearray and the ``args`` array that :meth:`build` hands
+    to a :class:`CompiledTrace`, with no row allocated.  They make only
+    the row functions' value checks — a memory instruction needs an
+    address, a compute a cycle count from 1 to :data:`ARG_MAX` — and
+    not their type checks: the builder serves the workload generators,
+    which pass the ints they computed.
 
-    The address tuple of ``load(*addrs)`` is stored through
-    ``operands``, the kernel build's operand table: a generator makes
-    one dict per kernel and hands it to every builder of that kernel,
-    so each distinct address set is one tuple kernel-wide.  Without
-    one, the builder interns within its own warp.
+    The address tuple of ``load(*addrs)`` is stored through ``table``,
+    the kernel's :class:`TraceTable`: a generator makes one per kernel
+    and hands it to every builder of that kernel, so each distinct
+    address set is one tuple kernel-wide, and warps that write the
+    same opcodes share one ``ops`` string.  Without one, the builder
+    interns within its own warp.
     """
 
-    __slots__ = ("ops", "args", "_intern")
+    __slots__ = ("ops", "args", "_table", "_index")
 
-    def __init__(self, operands: Optional[Operands] = None) -> None:
-        self.ops: List[int] = []
-        self.args: List = []
-        self._intern = (operands if operands is not None
-                        else {}).setdefault
+    def __init__(self, table: Optional[TraceTable] = None) -> None:
+        if table is None:
+            table = TraceTable()
+        self._table = table
+        self._index = table.index
+        self.ops = bytearray()
+        self.args = array("I")
 
     def compute(self, cycles: int) -> None:
         """``cycles`` of non-memory work."""
         if cycles <= 0:
             raise ValueError("compute needs a positive cycle count")
+        # the array range-checks the count; writing it first leaves a
+        # refused compute unwritten
+        try:
+            self.args.append(cycles)
+        except OverflowError:
+            raise _too_long(cycles) from None
         self.ops.append(OP_COMPUTE)
-        self.args.append(cycles)
 
     def load(self, *addrs: int) -> None:
         """A coalesced load of the given line addresses."""
         if not addrs:
             raise ValueError("load needs at least one address")
         self.ops.append(OP_LOAD)
-        self.args.append(self._intern(addrs, addrs))
+        self.args.append(self._index[addrs])
 
     def store(self, *addrs: int) -> None:
         """A coalesced store to the given line addresses."""
         if not addrs:
             raise ValueError("store needs at least one address")
         self.ops.append(OP_STORE)
-        self.args.append(self._intern(addrs, addrs))
+        self.args.append(self._index[addrs])
 
     def atomic(self, *addrs: int) -> None:
         """An atomic read-modify-write on the given lines."""
         if not addrs:
             raise ValueError("atomic needs at least one address")
         self.ops.append(OP_ATOMIC)
-        self.args.append(self._intern(addrs, addrs))
+        self.args.append(self._index[addrs])
 
     def fence(self) -> None:
         """A memory fence."""
         self.ops.append(OP_FENCE)
-        self.args.append(None)
+        self.args.append(0)
 
     def barrier(self) -> None:
         """An intra-CTA barrier."""
         self.ops.append(OP_BARRIER)
-        self.args.append(None)
+        self.args.append(0)
 
     def build(self) -> CompiledTrace:
         """The packed trace written so far."""
-        return CompiledTrace(self.ops, self.args)
+        return self._table.trace(self.ops, self.args)
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +399,8 @@ class Kernel:
     What the workload generators return and what the simulator
     executes.  Each warp is a :class:`CompiledTrace` or a list of rows
     (``Kernel("mp", [[store(X), fence()], [load(Y)]])``), which is
-    packed here; the row lists share one operand table, so they hold
-    each distinct address tuple once.
+    packed here through one :class:`TraceTable`, so the row lists hold
+    each distinct address tuple once and share their opcode strings.
 
     ``cta_size`` groups consecutive warps into Cooperative Thread
     Arrays: all warps of a CTA are placed on the *same* SM (the
@@ -325,10 +416,10 @@ class Kernel:
     def __init__(self, name: str, traces: Iterable,
                  cta_size: int = 1) -> None:
         self.name = name
-        operands: Operands = {}
+        table = TraceTable()
         self.traces: List[CompiledTrace] = [
             trace if isinstance(trace, CompiledTrace)
-            else pack_trace(trace, operands)
+            else pack_trace(trace, table)
             for trace in traces
         ]
         self.cta_size = cta_size
@@ -409,7 +500,7 @@ class Kernel:
         malformed document: not an object, no string ``name``, no list
         of row lists as ``warps``, or a ``cta_size`` that is not an
         integer.  Rows are packed as they are parsed, through one
-        operand table for the whole document.
+        :class:`TraceTable` for the whole document.
         """
         if not isinstance(data, dict):
             raise ValueError(
@@ -431,10 +522,7 @@ class Kernel:
         if type(cta_size) is not int:
             raise ValueError(f"kernel {name!r}: 'cta_size' must be an "
                              f"integer, got {cta_size!r}")
-        operands: Operands = {}
-        kernel = cls(name,
-                     [pack_trace(map(_row_from_obj, rows), operands)
-                      for rows in warps],
+        kernel = cls(name, [map(_row_from_obj, rows) for rows in warps],
                      cta_size=cta_size)
         kernel.validate()
         return kernel

@@ -17,9 +17,10 @@ iterations, footprints); ``seed`` makes the trace deterministic.
 The generators write each warp's packed trace through
 :class:`repro.trace.TraceBuilder`, so the :class:`repro.trace.Kernel`
 that comes back is what the simulator executes — no per-instruction
-objects, no compile pass at launch.  Each generator hands one operand
-table to all of its kernel's builders, so the kernel holds each
-distinct address set once.
+objects, no compile pass at launch.  Each generator hands one
+:class:`repro.trace.TraceTable` to all of its kernel's builders, so
+the kernel holds each distinct address set once and its warps that
+run the same program share one opcode string.
 """
 
 from __future__ import annotations

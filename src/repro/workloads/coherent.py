@@ -17,7 +17,12 @@ from __future__ import annotations
 
 import random
 
-from repro.trace.compiled import Kernel, CompiledTrace, TraceBuilder
+from repro.trace.compiled import (
+    CompiledTrace,
+    Kernel,
+    TraceBuilder,
+    TraceTable,
+)
 from repro.workloads.patterns import AddressSpace, scaled
 
 
@@ -43,9 +48,9 @@ def barnes_hut(rng: random.Random, scale: float) -> Kernel:
     steps = scaled(24, scale)
 
     traces = []
-    operands = {}
+    trace_table = TraceTable()
     for w in range(num_warps):
-        trace = TraceBuilder(operands)
+        trace = TraceBuilder(trace_table)
         for s in range(steps):
             # walk from the root: the hot upper levels, twice per walk
             trace.load(top.line(0), top.line(1 + (s % 3)))
@@ -84,11 +89,11 @@ def connected_components(rng: random.Random, scale: float) -> Kernel:
     iterations = scaled(12, scale)
 
     traces = []
-    operands = {}
+    trace_table = TraceTable()
     for w in range(num_warps):
         own = [labels.line(w * 4 + k) for k in range(4)]
         neighbours = [labels.random_line(rng) for _ in range(8)]
-        trace = TraceBuilder(operands)
+        trace = TraceBuilder(trace_table)
         for _ in range(iterations):
             for n in neighbours:
                 trace.load(n)
@@ -121,9 +126,9 @@ def dynamic_load_balancing(rng: random.Random, scale: float) -> Kernel:
     rounds = scaled(20, scale)
 
     traces = []
-    operands = {}
+    trace_table = TraceTable()
     for w in range(num_warps):
-        trace = TraceBuilder(operands)
+        trace = TraceBuilder(trace_table)
         for r in range(rounds):
             head = heads.random_line(rng)
             trace.load(head)             # inspect a queue head
@@ -158,10 +163,10 @@ def vpr(rng: random.Random, scale: float) -> Kernel:
     hood = 16                                 # neighbourhood size (lines)
 
     traces = []
-    operands = {}
+    trace_table = TraceTable()
     for w in range(num_warps):
         base = (w * hood) % max(1, grid.lines - hood)
-        trace = TraceBuilder(operands)
+        trace = TraceBuilder(trace_table)
         for _ in range(moves):
             a = grid.line(base + rng.randrange(hood))
             b = grid.line(base + rng.randrange(hood))
@@ -196,12 +201,12 @@ def stencil(rng: random.Random, scale: float) -> Kernel:
     iterations = scaled(10, scale)
 
     traces = []
-    operands = {}
+    trace_table = TraceTable()
     for w in range(num_warps):
         mine = w * tile_lines
         left = ((w - 1) % num_warps) * tile_lines
         right = ((w + 1) % num_warps) * tile_lines
-        trace = TraceBuilder(operands)
+        trace = TraceBuilder(trace_table)
         for it in range(iterations):
             # interior reads (reused every iteration, never written by
             # other warps)
@@ -241,10 +246,10 @@ def bfs(rng: random.Random, scale: float) -> Kernel:
     edges_per_level = 5
 
     traces = []
-    operands = {}
+    trace_table = TraceTable()
     for w in range(num_warps):
         writer = w % 2 == 0
-        trace = TraceBuilder(operands)
+        trace = TraceBuilder(trace_table)
         cursor = w * 17
         for _level in range(levels):
             for _ in range(edges_per_level):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 
-from repro.trace.compiled import Kernel, TraceBuilder
+from repro.trace.compiled import Kernel, TraceBuilder, TraceTable
 from repro.workloads.patterns import AddressSpace, scaled
 
 
@@ -33,9 +33,9 @@ def cutcp(rng: random.Random, scale: float) -> Kernel:
     steps = scaled(18, scale)
 
     traces = []
-    operands = {}
+    trace_table = TraceTable()
     for w in range(num_warps):
-        trace = TraceBuilder(operands)
+        trace = TraceBuilder(trace_table)
         for s in range(steps):
             trace.load(lattice.line(w + s))
             trace.compute(40)
@@ -60,9 +60,9 @@ def gaussian(rng: random.Random, scale: float) -> Kernel:
     steps = scaled(16, scale)
 
     traces = []
-    operands = {}
+    trace_table = TraceTable()
     for w in range(num_warps):
-        trace = TraceBuilder(operands)
+        trace = TraceBuilder(trace_table)
         for s in range(steps):
             mine = w * steps + s
             # the pivot row is re-read for every column block
@@ -94,10 +94,10 @@ def hotspot(rng: random.Random, scale: float) -> Kernel:
     iterations = scaled(12, scale)
 
     traces = []
-    operands = {}
+    trace_table = TraceTable()
     for w in range(num_warps):
         base = w * tile_lines
-        trace = TraceBuilder(operands)
+        trace = TraceBuilder(trace_table)
         for it in range(iterations):
             # ping-pong grids: reads never touch the written copy, so
             # the input tile stays cacheable for the whole kernel
@@ -127,9 +127,9 @@ def kmeans(rng: random.Random, scale: float) -> Kernel:
     chunk = scaled(36, scale)
 
     traces = []
-    operands = {}
+    trace_table = TraceTable()
     for w in range(num_warps):
-        trace = TraceBuilder(operands)
+        trace = TraceBuilder(trace_table)
         cursor = w * chunk
         for s in range(chunk):
             trace.load(points.line(cursor + s))
@@ -155,9 +155,9 @@ def backprop(rng: random.Random, scale: float) -> Kernel:
     steps = scaled(22, scale)
 
     traces = []
-    operands = {}
+    trace_table = TraceTable()
     for w in range(num_warps):
-        trace = TraceBuilder(operands)
+        trace = TraceBuilder(trace_table)
         for s in range(steps):
             # each weight-row block is reused for three consecutive
             # input elements before the stream moves on
@@ -184,9 +184,9 @@ def sgm(rng: random.Random, scale: float) -> Kernel:
     steps = scaled(26, scale)
 
     traces = []
-    operands = {}
+    trace_table = TraceTable()
     for w in range(num_warps):
-        trace = TraceBuilder(operands)
+        trace = TraceBuilder(trace_table)
         row = w * 11
         for s in range(steps):
             # window slides by one line per step: 3 reads, 2 reused

@@ -28,7 +28,12 @@ from __future__ import annotations
 
 import random
 
-from repro.trace.compiled import Kernel, CompiledTrace, TraceBuilder
+from repro.trace.compiled import (
+    CompiledTrace,
+    Kernel,
+    TraceBuilder,
+    TraceTable,
+)
 from repro.workloads.patterns import AddressSpace, scaled
 
 
@@ -47,10 +52,10 @@ def producer_consumer(rng: random.Random, scale: float) -> Kernel:
     flags = space.region(num_warps)
 
     traces = []
-    operands = {}
+    trace_table = TraceTable()
     for w in range(num_warps):
         neighbour = (w + 1) % num_warps      # next CTA = next GPU
-        trace = TraceBuilder(operands)
+        trace = TraceBuilder(trace_table)
         for _ in range(rounds):
             # produce this warp's chunk, then publish the flag
             for k in range(chunk):
@@ -77,9 +82,9 @@ def all_reduce(rng: random.Random, scale: float) -> Kernel:
     repeats = scaled(6, scale, minimum=2)
 
     traces = []
-    operands = {}
+    trace_table = TraceTable()
     for w in range(num_warps):
-        trace = TraceBuilder(operands)
+        trace = TraceBuilder(trace_table)
         for _ in range(repeats):
             # publish this warp's partial
             trace.store(partials.line(w))
@@ -112,9 +117,9 @@ def numa_zipf(rng: random.Random, scale: float) -> Kernel:
     steps = scaled(30, scale, minimum=5)
 
     traces = []
-    operands = {}
+    trace_table = TraceTable()
     for w in range(num_warps):
-        trace = TraceBuilder(operands)
+        trace = TraceBuilder(trace_table)
         for s in range(steps):
             trace.load(shared.powerlaw_line(rng))
             trace.load(shared.powerlaw_line(rng))

@@ -234,3 +234,34 @@ def test_submit_limit_refuses_then_admits(store):
     job = store.lease("w0", duration=60)
     store.complete(job.id, "w0")
     assert store.submit(SPEC, "key-c", limit=2) is not None
+
+
+# ---------------------------------------------------------------------------
+# lease cost
+# ---------------------------------------------------------------------------
+
+def test_lease_statements_seek_the_partial_indexes(store, clock):
+    """Both statements of a lease read a partial index rather than
+    every active row: the expiry seeks leases by deadline, and the
+    grant walks the pending jobs in seq order with ``not_before`` in
+    the index.  So a lease costs about the same however many jobs
+    wait."""
+    store.submit(SPEC, "key-a")
+    store.submit(SPEC, "key-b")
+    store.lease("w0", duration=60)
+    clock.advance(120)
+    statements = []
+    conn = store.db._conn
+    conn.set_trace_callback(statements.append)
+    try:
+        assert store.lease("w1", duration=60) is not None
+    finally:
+        conn.set_trace_callback(None)
+    expire, grant = [sql for sql in statements if sql.startswith("UPDATE")]
+    plans = [" / ".join(row[3] for row in
+                        store.db.query(f"EXPLAIN QUERY PLAN {sql}"))
+             for sql in (expire, grant)]
+    assert "SEARCH jobs USING INDEX idx_jobs_leased (deadline<?)" \
+        in plans[0]
+    assert "USING INDEX idx_jobs_pending" in plans[1]
+    assert "idx_jobs_active" not in plans[0] + plans[1]

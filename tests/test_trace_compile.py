@@ -12,6 +12,7 @@ byte-identical to the original's, under every protocol.
 import hashlib
 import json
 import os
+import sys
 
 import pytest
 
@@ -73,15 +74,44 @@ def test_opcode_range_check_invariant():
 def test_compile_trace_packs_every_instruction_kind():
     trace = pack_trace([compute(3), load(64, 128), store(64),
                         atomic(192), fence(), barrier()])
-    assert trace.ops == [OP_COMPUTE, OP_LOAD, OP_STORE, OP_ATOMIC,
-                         OP_FENCE, OP_BARRIER]
-    assert trace.args == [3, (64, 128), (64,), (192,), None, None]
+    assert trace.ops == bytes([OP_COMPUTE, OP_LOAD, OP_STORE, OP_ATOMIC,
+                               OP_FENCE, OP_BARRIER])
+    assert trace.args.tolist() == [3, 0, 1, 2, 0, 0]
+    assert trace.operands == [(64, 128), (64,), (192,)]
     assert len(trace) == 6
 
 
 def test_compiled_trace_decompiles_to_the_same_instructions():
-    warp = [load(64), compute(2), fence()]
-    assert list(pack_trace(warp)) == warp
+    """Iterating a trace and ``to_dict`` give back the rows written,
+    the largest compute count a trace holds included."""
+    warps = [[load(64), compute(2), store(64, 65), fence()],
+             [compute(2**32 - 1), atomic(64), load(64), barrier()]]
+    kernel = Kernel("rows", warps, cta_size=2)
+    assert [list(trace) for trace in kernel.traces] == warps
+    assert kernel.to_dict()["warps"] == [
+        [["load", [64]], ["compute", 2], ["store", [64, 65]], ["fence"]],
+        [["compute", 2**32 - 1], ["atomic", [64]], ["load", [64]],
+         ["barrier"]]]
+    assert list(pack_trace(warps[0])) == warps[0]
+
+
+@pytest.mark.parametrize("name", ["CCP", "GE", "HS", "KM", "BP", "SGM"])
+def test_warps_running_one_program_share_one_opcode_string(name):
+    """Every warp of a paper-preset independent kernel runs the same
+    program, so the kernel holds one ``ops`` object."""
+    kernel = build_workload(name, scale=3.0, seed=SEED)
+    assert len({id(trace.ops) for trace in kernel.traces}) == 1
+
+
+@pytest.mark.parametrize("name", ["BFS", "DLP", "KM"])
+def test_packed_trace_takes_under_6_bytes_per_instruction(name):
+    """Opcode strings counted once per object, and one 32-bit operand
+    an instruction: under 6 bytes, where two lists took about 17."""
+    kernel = build_workload(name, scale=3.0, seed=SEED)
+    ops = {id(trace.ops): sys.getsizeof(trace.ops)
+           for trace in kernel.traces}
+    args = sum(sys.getsizeof(trace.args) for trace in kernel.traces)
+    assert (sum(ops.values()) + args) / kernel.total_instructions < 6
 
 
 def test_rows_and_trace_builder_write_one_format():
@@ -144,11 +174,13 @@ def test_from_dict_rejects_unknown_format_and_opcodes():
 
 @pytest.mark.parametrize("op, args", [
     ("load", ()), ("store", ()), ("atomic", ()),
-    ("compute", (0,)), ("compute", (-1,)),
+    ("compute", (0,)), ("compute", (-1,)), ("compute", (2**32,)),
 ])
 def test_trace_builder_raises_what_instr_raises(op, args):
     """The builder, the row function and the JSON reader refuse the
-    same instruction with the same message."""
+    same instruction with the same message, and the builder writes
+    nothing of it: a cycle count of 2**32 or more does not fit in a
+    trace's 32-bit ``args`` entry."""
     builder = TraceBuilder()
     with pytest.raises(ValueError) as packed:
         getattr(builder, op)(*args)
@@ -158,7 +190,7 @@ def test_trace_builder_raises_what_instr_raises(op, args):
     with pytest.raises(ValueError) as read:
         Kernel.from_dict({"name": "x", "warps": [[[op, operand]]]})
     assert str(packed.value) == str(by_row.value) == str(read.value)
-    assert builder.ops == [] and builder.args == []
+    assert not builder.ops and not builder.args
 
 
 @pytest.mark.parametrize("op, args", [
@@ -222,7 +254,7 @@ def test_hand_written_kernel_holds_each_operand_once():
     _assert_one_tuple_per_value(kernel)
     assert len({id(arg) for arg in _operand_tuples(kernel)}) == 2
     alone = pack_trace([load(5), load(5), store(5)])
-    assert alone.args[0] is alone.args[1] is alone.args[2]
+    assert alone.args.tolist() == [0, 0, 0] and alone.operands == [(5,)]
 
 
 def test_compile_kernel_returns_a_compiled_kernel_validated():

@@ -16,7 +16,8 @@ def test_initial_state():
 
 def test_pc_indexes_the_packed_rows_until_finished():
     warp = Warp(0, pack_trace([load(0), fence()]))
-    assert (warp.ops[warp.pc], warp.args[warp.pc]) == load(0)
+    assert (warp.ops[warp.pc],
+            warp.operands[warp.args[warp.pc]]) == load(0)
     warp.pc = 1
     assert warp.at_fence()
     warp.pc = 2
