@@ -229,6 +229,9 @@ class GPUConfig:
             raise ValueError("ts_max too small for the configured lease")
         if self.n_gpus < 1:
             raise ValueError("n_gpus must be at least 1")
+        if self.mshr_retry_interval < 1:
+            # a retry in the refusing cycle finds the MSHR still full
+            raise ValueError("mshr_retry_interval must be at least 1")
         if self.n_gpus > 1:
             if self.interlink_latency < 1:
                 raise ValueError("interlink_latency must be positive")

@@ -119,13 +119,13 @@ _SCHEMA = (
     # queries on one state can scan it instead of the whole table
     "CREATE UNIQUE INDEX IF NOT EXISTS idx_jobs_active ON jobs(key) "
     "WHERE state = 'pending' OR state = 'leased'",
-    # what JobStore.lease seeks: the oldest pending job whose backoff
-    # has passed (not_before is covered, so no table row is read until
-    # one qualifies), and the leases past their deadline
-    "CREATE INDEX IF NOT EXISTS idx_jobs_pending ON jobs(seq, not_before) "
-    "WHERE state = 'pending'",
-    "CREATE INDEX IF NOT EXISTS idx_jobs_leased ON jobs(deadline) "
-    "WHERE state = 'leased'",
+    # what JobStore.lease seeks: the leases alone, to expire them, and
+    # the pending jobs in seq order with not_before covered, so no
+    # table row is read until one qualifies.  A heartbeat changes no
+    # column of it.
+    "CREATE INDEX IF NOT EXISTS idx_jobs_queue "
+    "ON jobs(state, seq, not_before) "
+    "WHERE state = 'pending' OR state = 'leased'",
 )
 
 #: columns of the ``runs`` table.  Rows are read by naming them, so a

@@ -167,11 +167,11 @@ class JobStore:
             row = conn.execute(
                 "UPDATE jobs SET state = 'leased', worker = ?, "
                 "deadline = ?, attempts = attempts + 1, updated_at = ? "
-                # the pending index holds the waiting jobs alone, in
+                # the queue index holds the waiting jobs together, in
                 # seq order, while the table's oldest rows are
                 # finished jobs
                 "WHERE seq = (SELECT seq FROM jobs "
-                "INDEXED BY idx_jobs_pending "
+                "INDEXED BY idx_jobs_queue "
                 "WHERE state = 'pending' AND not_before <= ? "
                 f"ORDER BY seq LIMIT 1) RETURNING {_COLUMNS}",
                 (worker, now + duration, now, now)).fetchone()

@@ -243,8 +243,9 @@ def _numbers() -> Iterator[int]:
     Made one per new operand, they would sit in the allocator's pools
     between the address ints a generator makes meanwhile, which the
     kernel keeps, so dropping them would free no whole pool.  On the
-    paper-scale private kernels those holes kept about 0.8 MB more
-    resident at the peak of ``bench/run.py``'s sim-private workload.
+    paper-scale private kernels those holes kept about 0.6 MB more
+    resident at the peak of ``bench/run.py``'s sim-private workload
+    (median of 10 runs alternating with a plain ``count()``).
     """
     blocks = map(range, count(0, 1024), count(1024, 1024))
     return chain.from_iterable(map(list, blocks))

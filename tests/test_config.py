@@ -67,6 +67,14 @@ def test_ts_max_must_exceed_lease():
         GPUConfig(lease=100, ts_max=150)
 
 
+@pytest.mark.parametrize("interval", [0, -1])
+def test_mshr_retry_interval_below_one_rejected(interval):
+    # 0 would retry a refused access in the cycle that refused it, and
+    # a negative delay would fail part-way through a run
+    with pytest.raises(ValueError, match="mshr_retry_interval"):
+        GPUConfig(mshr_retry_interval=interval)
+
+
 def test_with_changes_returns_new_frozen_instance():
     base = GPUConfig.small()
     changed = base.with_changes(lease=16)

@@ -137,6 +137,37 @@ def test_instructions_counted_once_despite_retries():
     assert stats.counter("instructions") == 2
 
 
+@pytest.mark.parametrize("interval", [1, 4])
+def test_refused_access_is_retried_every_mshr_retry_interval(interval):
+    """What the L1 refuses of an instruction is offered again
+    ``mshr_retry_interval`` cycles later, and only that rest is."""
+    gpu = GPU(GPUConfig.tiny(mshr_retry_interval=interval))
+    engine = gpu.machine.engine
+    offers = []
+
+    class RefusingL1:
+        """Refuses the first three offers of line 1."""
+
+        def __init__(self, inner):
+            self._inner = inner
+
+        def load(self, warp, addr, cb):
+            offers.append((engine.now, addr))
+            if addr == 1 and len(offers) <= 4:
+                return False
+            return self._inner.load(warp, addr, cb)
+
+        def __getattr__(self, name):
+            return getattr(self._inner, name)
+
+    gpu.sms[0].l1 = RefusingL1(gpu.machine.l1s[0])
+    stats = gpu.run(Kernel("retry", [[load(0, 1), fence()]]))
+    issued = offers[0][0]
+    assert offers == [(issued, 0)] + [(issued + k * interval, 1)
+                                      for k in range(4)]
+    assert stats.counter("instructions") == 2
+
+
 def test_schedule_issue_treats_dead_handle_as_absent():
     """A cancelled or already-fired issue-event handle (callback slot
     nulled) must never suppress scheduling a needed issue event, no
