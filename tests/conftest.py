@@ -8,7 +8,7 @@ import pytest
 
 from repro.config import Consistency, GPUConfig, Protocol
 from repro.gpu.gpu import make_gpu
-from repro.trace import Kernel, compute, fence, load, store
+from repro.trace import Kernel, atomic, compute, fence, load, store
 from repro.validate.checker import (
     check_atomicity,
     check_gtsc_log,
@@ -75,3 +75,25 @@ def random_kernel(seed: int, warps: int = 4, **kwargs) -> Kernel:
     rng = random.Random(seed)
     return Kernel(f"rand-{seed}",
                   [random_trace(rng, **kwargs) for _ in range(warps)])
+
+
+def racing_atomics() -> Kernel:
+    """Loads, stores and atomics racing on six shared lines: no
+    generated workload issues atomics, so this kernel is the one that
+    fills the pending-atomic tables and the atomic ack paths."""
+    rng = random.Random(7)
+    traces = []
+    for _ in range(8):
+        trace = []
+        for _ in range(30):
+            addr = rng.randrange(6)
+            pick = rng.random()
+            if pick < 0.4:
+                trace.append(load(addr))
+            elif pick < 0.7:
+                trace.append(store(addr))
+            else:
+                trace.append(atomic(addr))
+        trace.append(fence())
+        traces.append(trace)
+    return Kernel("racing-atomics", traces)

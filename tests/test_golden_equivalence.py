@@ -127,3 +127,60 @@ def test_ready_mask_implementations_agree(cls_values, now):
     expected = sum(1 << slot for slot, cls in enumerate(cls_values)
                    if _is_candidate(cls, now))
     assert ready_mask(cls_values, now) == expected
+
+
+# ---------------------------------------------------------------------------
+# atomics: every protocol's atomic path against a pinned fixture
+# ---------------------------------------------------------------------------
+# No generated workload issues an atomic, so the goldens above never
+# reach an atomic request, ack or counter.  ``runstats_atomics_tiny.json``
+# pins ``racing_atomics`` on the tiny preset for every protocol and
+# consistency model: the RunStats, the access-log sizes, the tracer
+# event count per phase and name and, for G-TSC, the audit record count
+# per kind.  To regenerate it after an intended change, dump
+# ``_simulate_atomics(key)`` for every key.
+
+from repro.obs import ProtocolAuditLog, Tracer  # noqa: E402
+
+from tests.conftest import racing_atomics  # noqa: E402
+
+ATOMICS_GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
+                                   "runstats_atomics_tiny.json")
+
+with open(ATOMICS_GOLDEN_PATH) as handle:
+    ATOMICS_GOLDEN = json.load(handle)
+
+
+def _simulate_atomics(key: str) -> dict:
+    _workload, protocol, consistency = key.split("|")
+    config = GPUConfig.tiny(protocol=Protocol(protocol),
+                            consistency=Consistency(consistency))
+    audit = ProtocolAuditLog() if config.protocol is Protocol.GTSC else None
+    tracer = Tracer()
+    gpu = GPU(config, obs=Observability(tracer=tracer, audit=audit))
+    stats = gpu.run(racing_atomics())
+    log = gpu.machine.log
+    events: dict = {}
+    for phase, _start, _value, _track, name, _args in tracer.events:
+        events[f"{phase}:{name}"] = events.get(f"{phase}:{name}", 0) + 1
+    out = {"runstats": stats.to_dict(), "trace": events,
+           "log": {"loads": len(log.loads), "stores": len(log.stores),
+                   "atomics": len(log.atomics)}}
+    if audit is not None:
+        out["audit"] = audit.counts()
+    return out
+
+
+@pytest.mark.parametrize("key", sorted(ATOMICS_GOLDEN))
+def test_atomic_paths_bit_identical_to_golden(key):
+    expected = json.dumps(ATOMICS_GOLDEN[key], sort_keys=True)
+    actual = json.dumps(_simulate_atomics(key), sort_keys=True)
+    assert actual == expected, f"simulated outcome changed for {key}"
+
+
+def test_atomics_golden_covers_every_protocol_and_model():
+    assert sorted(ATOMICS_GOLDEN) == sorted(
+        f"racing-atomics|{p.value}|{c.value}"
+        for p in Protocol for c in Consistency)
+    assert all(case["log"]["atomics"] > 0
+               for case in ATOMICS_GOLDEN.values())

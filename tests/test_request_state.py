@@ -14,7 +14,6 @@ every part of it, with the cyclic collector switched off.
 """
 
 import gc
-import random
 import weakref
 
 import pytest
@@ -25,9 +24,10 @@ from repro.gpu.machine import Machine
 from repro.harness.parallel import _simulate_point
 from repro.harness.runner import ExperimentRunner, point_of
 from repro.obs import Observability
-from repro.trace import Kernel, atomic, fence, load, store
 from repro.validate.checker import check_gtsc_log
 from repro.workloads import build_workload
+
+from tests.conftest import racing_atomics
 
 SCALE = 0.3
 
@@ -44,28 +44,6 @@ REQUEST_TABLES = {
                          "_pending_atomics"), ()),
     Protocol.NONCOHERENT: (("_pending_stores", "_pending_atomics"), ()),
 }
-
-
-def racing_atomics():
-    """Loads, stores and atomics racing on six shared lines: no
-    generated workload issues atomics, so this kernel is the one that
-    fills the pending-atomic tables."""
-    rng = random.Random(7)
-    traces = []
-    for _ in range(8):
-        trace = []
-        for _ in range(30):
-            addr = rng.randrange(6)
-            pick = rng.random()
-            if pick < 0.4:
-                trace.append(load(addr))
-            elif pick < 0.7:
-                trace.append(store(addr))
-            else:
-                trace.append(atomic(addr))
-        trace.append(fence())
-        traces.append(trace)
-    return Kernel("racing-atomics", traces)
 
 
 def kernel_for(workload):
