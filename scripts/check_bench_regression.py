@@ -6,14 +6,16 @@ Usage:
         --result RESULT.json [RESULT.json ...] \
         --baseline BASELINE.json [BASELINE.json ...]
 
-CI produces both sides on one runner, alternately, three runs each:
-the baseline files from the base commit's copies of the benchmark
-files, checked out in a git worktree, and the result files from the
-change, so the two are comparable.  Each side's time for a benchmark
-is its best (min) time over all of that side's files: on a shared
-host one run per side reports noise as a regression, and the minimum
-over several interleaved runs separates the change from the host, as
-``bench/ab.py`` does for the end-to-end metrics.
+CI produces both sides on one runner in four rounds of one run each,
+the base first in odd rounds and the change first in even rounds: the
+baseline files from the base commit's copies of the benchmark files,
+checked out in a git worktree, and the result files from the change,
+so the two are comparable.  Each side's time for a benchmark is its
+best (min) time over all of that side's files: on a shared host one
+run per side reports noise as a regression, and the minimum over
+several interleaved runs, with the order swapped each round as
+``bench/ab.py`` does for the end-to-end metrics, keeps a fast or slow
+phase of the host from always landing on the same side.
 
 Exits non-zero when any benchmark's best time regressed by more
 than its tolerance over the baseline's best time.  Tolerances are

@@ -25,8 +25,7 @@ Implements, per the paper:
 
 from __future__ import annotations
 
-from collections import deque
-from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Set
+from typing import TYPE_CHECKING, Callable, Dict, List, Set
 
 from repro.config import CombiningPolicy, VisibilityPolicy
 from repro.core.messages import (
@@ -40,14 +39,7 @@ from repro.core.messages import (
     BusWrAck,
 )
 from repro.mem.cache import CacheArray
-from repro.protocols.base import (
-    L1ControllerBase,
-    LoadWaiter,
-    Message,
-    PendingStore,
-    pop_pending,
-)
-from repro.validate.versions import AtomicRecord, LoadRecord, StoreRecord
+from repro.protocols.base import L1ControllerBase, LoadWaiter, Message
 
 
 def _unpinned(line) -> bool:
@@ -64,8 +56,8 @@ if TYPE_CHECKING:  # pragma: no cover
 class GTSCL1Controller(L1ControllerBase):
     """Per-SM L1 controller for G-TSC."""
 
-    __slots__ = ("cache", "epoch", "_pending_stores", "_pending_atomics",
-                 "_locked_waiters", "_pending_writers", "_warps")
+    __slots__ = ("cache", "epoch", "_locked_waiters", "_pending_writers",
+                 "_warps")
 
     # response dispatch by concrete message class: one dict lookup on
     # the hot receive path instead of an isinstance ladder
@@ -73,7 +65,7 @@ class GTSCL1Controller(L1ControllerBase):
         BusFill: "_on_fill",
         BusRnw: "_on_renewal",
         BusWrAck: "_on_write_ack",
-        BusAtmAck: "_on_atomic_ack",
+        BusAtmAck: "_on_write_ack",
         BusInv: "_on_back_inv",
     }
 
@@ -82,13 +74,10 @@ class GTSCL1Controller(L1ControllerBase):
         config = machine.config
         self.cache = CacheArray(config.l1_sets, config.l1_assoc)
         self.epoch = 0
-        # FIFO of unacknowledged stores per line (acks return in order)
-        self._pending_stores: Dict[int, Deque[PendingStore]] = {}
-        # FIFO of unacknowledged atomics per line
-        self._pending_atomics: Dict[int, Deque[PendingStore]] = {}
         # loads delayed by the update-visibility rule, per line
         self._locked_waiters: Dict[int, List[tuple]] = {}
-        # warps with a pending store per line (for the OLD_COPY policy)
+        # warps with a pending store or atomic per line (for the
+        # OLD_COPY policy)
         self._pending_writers: Dict[int, Set[int]] = {}
         # every warp that ever touched this L1 (for epoch resets)
         self._warps: Set["Warp"] = set()
@@ -103,11 +92,9 @@ class GTSCL1Controller(L1ControllerBase):
         counters["l1_access"] += 1
 
         # update-visibility rule (Section V-A): the common case (no
-        # pending store on this line) must cost two dict probes, so
-        # the policy check runs only when one exists
-        pending = (self._pending_stores.get(addr)
-                   or self._pending_atomics.get(addr))
-        if pending and self._blocks_load(warp, addr):
+        # pending store or atomic on this line) must cost one dict
+        # probe, so the policy check runs only when one exists
+        if addr in self._pending_writes and self._blocks_load(warp, addr):
             counters["l1_locked_wait"] += 1
             self._park_locked(warp, addr, on_done)
             return True
@@ -132,7 +119,7 @@ class GTSCL1Controller(L1ControllerBase):
                                       self.track, addr, wts, line.rts,
                                       warp.ts, self.epoch, warp.uid)
                 self._record_load(warp, addr, line.version, engine.now,
-                                  hit=True)
+                                  True, warp.ts, self.epoch)
                 engine.post(engine.now + self._l1_latency, on_done)
                 return True
 
@@ -163,12 +150,24 @@ class GTSCL1Controller(L1ControllerBase):
 
     def store(self, warp: "Warp", addr: int,
               on_done: Callable[[], None]) -> bool:
+        return self._issue_write(warp, addr, on_done, "l1_store", BusWr)
+
+    def atomic(self, warp: "Warp", addr: int,
+               on_done: Callable[[], None]) -> bool:
+        """Atomic RMW: performed at the L2 through the store path; the
+        updated line is unreadable locally until the ack, exactly like
+        a store under the update-visibility rule."""
+        return self._issue_write(warp, addr, on_done, "l1_atomic", BusAtm)
+
+    def _issue_write(self, warp: "Warp", addr: int,
+                     on_done: Callable[[], None], counter: str,
+                     request: type) -> bool:
+        """Write a store (``BusWr``) or an atomic (``BusAtm``) through
+        to the L2 (Fig. 3) and hold it until its ack."""
         self._warps.add(warp)
         counters = self._counters
         counters["l1_access"] += 1
-        counters["l1_store"] += 1
-
-        version = self.machine.versions.new_version(addr)
+        counters[counter] += 1
         line = self.cache.lookup(addr)
         if line is not None:
             # block accesses to the updated line until the ack arrives
@@ -177,39 +176,8 @@ class GTSCL1Controller(L1ControllerBase):
         if writers is None:
             writers = self._pending_writers[addr] = set()
         writers.add(warp.uid)
-        pending = PendingStore(warp, addr, version, on_done,
-                               self.engine.now)
-        queue = self._pending_stores.get(addr)
-        if queue is None:
-            queue = self._pending_stores[addr] = deque()
-        queue.append(pending)
-        self._send(BusWr(addr, self.sm_id, warp.ts, version, self.epoch))
-        return True
-
-    def atomic(self, warp: "Warp", addr: int,
-               on_done: Callable[[], None]) -> bool:
-        """Atomic RMW: performed at the L2 via the store path; the
-        updated line is unreadable locally until the ack, exactly like
-        a store under the update-visibility rule."""
-        self._warps.add(warp)
-        counters = self._counters
-        counters["l1_access"] += 1
-        counters["l1_atomic"] += 1
-        version = self.machine.versions.new_version(addr)
-        line = self.cache.lookup(addr)
-        if line is not None:
-            line.pending_stores += 1
-        writers = self._pending_writers.get(addr)
-        if writers is None:
-            writers = self._pending_writers[addr] = set()
-        writers.add(warp.uid)
-        pending = PendingStore(warp, addr, version, on_done,
-                               self.engine.now)
-        queue = self._pending_atomics.get(addr)
-        if queue is None:
-            queue = self._pending_atomics[addr] = deque()
-        queue.append(pending)
-        self._send(BusAtm(addr, self.sm_id, warp.ts, version, self.epoch))
+        version = self._push_write(warp, addr, on_done)
+        self._send(request(addr, self.sm_id, warp.ts, version, self.epoch))
         return True
 
     # ------------------------------------------------------------------
@@ -242,10 +210,8 @@ class GTSCL1Controller(L1ControllerBase):
 
     def _release_locked(self, addr: int) -> None:
         """Replay loads that were delayed by a (now drained) store."""
-        if self._pending_stores.get(addr) or self._pending_atomics.get(addr):
+        if addr in self._pending_writes:
             return
-        self._pending_stores.pop(addr, None)
-        self._pending_atomics.pop(addr, None)
         self._pending_writers.pop(addr, None)
         waiters = self._locked_waiters.pop(addr, None)
         if not waiters:
@@ -325,10 +291,11 @@ class GTSCL1Controller(L1ControllerBase):
                     installed=True)
 
     def _on_write_ack(self, msg: BusWrAck) -> None:
-        queue = self._pending_stores.get(msg.addr)
-        if not queue:  # pragma: no cover - defensive
-            raise RuntimeError(f"write ack with no pending store: {msg!r}")
-        pending = pop_pending(queue, msg.version)
+        """A store's ack, or an atomic's (``BusAtmAck``, which adds the
+        old version): adopt the assigned lease and wake the warp."""
+        pending = self._pop_write(msg.addr, msg.version)
+        atomic = type(msg) is BusAtmAck
+        warp = pending.warp
         stale = msg.epoch < self.epoch
         line = self.cache.lookup(msg.addr, touch=False)
         if line is not None:
@@ -340,91 +307,26 @@ class GTSCL1Controller(L1ControllerBase):
                 line.version = pending.version
                 line.epoch = self.epoch
         if not stale:
-            pending.warp.ts = max(pending.warp.ts, msg.wts)
+            warp.ts = max(warp.ts, msg.wts)
             if self.audit is not None:
-                self.audit.record(self.engine.now, "l1_store_ack",
+                self.audit.record(self.engine.now,
+                                  "l1_atomic_ack" if atomic
+                                  else "l1_store_ack",
                                   self.track, msg.addr, msg.wts,
-                                  msg.rts, pending.warp.ts, self.epoch,
-                                  pending.warp.uid)
-        logical = pending.warp.ts if stale else msg.wts
-        hist = self._store_hist
-        if hist is None:
-            hist = self._store_hist = self.stats.hist.get("store_latency")
-        hist.add(self.engine.now - pending.issue_cycle)
-        log = self.machine.log
-        if log.enabled:
-            log.stores.append(StoreRecord(
-                warp_uid=pending.warp.uid,
-                addr=msg.addr,
-                version=pending.version,
-                logical_ts=logical,
-                epoch=self.epoch,
-                issue_cycle=pending.issue_cycle,
-                complete_cycle=self.engine.now,
-            ))
-        self._drop_writer_if_drained(msg.addr, pending.warp.uid)
-        engine = self.engine
-        engine.post(engine.now, pending.on_done)
-        self._release_locked(msg.addr)
-
-    def _on_atomic_ack(self, msg: BusAtmAck) -> None:
-        queue = self._pending_atomics.get(msg.addr)
-        if not queue:  # pragma: no cover - defensive
-            raise RuntimeError(f"atomic ack with no pending RMW: {msg!r}")
-        pending = pop_pending(queue, msg.version)
-        stale = msg.epoch < self.epoch
-        line = self.cache.lookup(msg.addr, touch=False)
-        if line is not None:
-            if line.pending_stores > 0:
-                line.pending_stores -= 1
-            if not stale and msg.wts >= line.wts:
-                line.wts = msg.wts
-                line.rts = msg.rts
-                line.version = pending.version
-                line.epoch = self.epoch
-        if not stale:
-            pending.warp.ts = max(pending.warp.ts, msg.wts)
-            if self.audit is not None:
-                self.audit.record(self.engine.now, "l1_atomic_ack",
-                                  self.track, msg.addr, msg.wts,
-                                  msg.rts, pending.warp.ts, self.epoch,
-                                  pending.warp.uid)
-        logical = pending.warp.ts if stale else msg.wts
-        hist = self._atomic_hist
-        if hist is None:
-            hist = self._atomic_hist = self.stats.hist.get("atomic_latency")
-        hist.add(self.engine.now - pending.issue_cycle)
-        log = self.machine.log
-        if log.enabled:
-            log.atomics.append(AtomicRecord(
-                warp_uid=pending.warp.uid,
-                addr=msg.addr,
-                old_version=msg.old_version,
-                new_version=pending.version,
-                logical_ts=logical,
-                epoch=self.epoch,
-                issue_cycle=pending.issue_cycle,
-                complete_cycle=self.engine.now,
-            ))
-        self._drop_writer_if_drained(msg.addr, pending.warp.uid)
-        engine = self.engine
-        engine.post(engine.now, pending.on_done)
+                                  msg.rts, warp.ts, self.epoch, warp.uid)
+        self._finish_write(pending, msg.old_version if atomic else None,
+                           warp.ts if stale else msg.wts, self.epoch)
+        self._drop_writer_if_drained(msg.addr, warp.uid)
         self._release_locked(msg.addr)
 
     def _drop_writer_if_drained(self, addr: int, warp_uid: int) -> None:
         """Clear a warp from the pending-writer set once it has no
-        in-flight store *or* atomic left on the line."""
+        in-flight store or atomic left on the line."""
         writers = self._pending_writers.get(addr)
         if writers is None or warp_uid not in writers:
             return
-        still_writing = any(
-            p.warp.uid == warp_uid
-            for p in self._pending_stores.get(addr, ())
-        ) or any(
-            p.warp.uid == warp_uid
-            for p in self._pending_atomics.get(addr, ())
-        )
-        if not still_writing:
+        if not any(p.warp.uid == warp_uid
+                   for p in self._pending_writes.get(addr, ())):
             writers.discard(warp_uid)
 
     # ------------------------------------------------------------------
@@ -469,7 +371,8 @@ class GTSCL1Controller(L1ControllerBase):
                              addr, wts, rts, waiter.warp.ts,
                              self.epoch, waiter.warp.uid)
             self._record_load(waiter.warp, addr, version,
-                              waiter.issue_cycle, hit=False)
+                              waiter.issue_cycle, False, waiter.warp.ts,
+                              self.epoch)
             engine.post(now, waiter.on_done)
         if stragglers:
             top_ts = max(w.warp.ts for w in stragglers)
@@ -513,26 +416,3 @@ class GTSCL1Controller(L1ControllerBase):
         self.cache.flush()
         for warp in self._warps:
             warp.ts = 1
-
-    # ------------------------------------------------------------------
-    # record keeping
-    # ------------------------------------------------------------------
-    def _record_load(self, warp: "Warp", addr: int, version: int,
-                     issue_cycle: int, hit: bool) -> None:
-        now = self.engine.now
-        hist = self._load_hist
-        if hist is None:
-            hist = self._load_hist = self.stats.hist.get("load_latency")
-        hist.add(now - issue_cycle)
-        log = self.machine.log
-        if log.enabled:    # don't even build the record when disabled
-            log.loads.append(LoadRecord(
-                warp_uid=warp.uid,
-                addr=addr,
-                version=version,
-                logical_ts=warp.ts,
-                epoch=self.epoch,
-                issue_cycle=issue_cycle,
-                complete_cycle=now,
-                l1_hit=hit,
-            ))

@@ -46,7 +46,7 @@ class GTSCL2Bank(L2BankBase):
     _handler_names = {
         BusRd: "_read",
         BusWr: "_write",
-        BusAtm: "_atomic",
+        BusAtm: "_write",
     }
 
     def __init__(self, bank_id: int, machine: "Machine") -> None:
@@ -148,12 +148,23 @@ class GTSCL2Bank(L2BankBase):
     # writes: logically scheduled in the future, never stalled (Fig. 5)
     # ------------------------------------------------------------------
     def _write(self, msg: BusWr) -> None:
+        """Perform a store, or an atomic (``BusAtm``), at the bank.
+
+        An atomic is the store plus the read of the version it
+        replaces (a protocol extension): its timestamps follow Fig. 5
+        like any store's, and the read is atomic by construction
+        because the bank performs both halves in one step.  Neither
+        ever stalls.
+        """
         line = self.cache.lookup(msg.addr)
         if line is None:
             # both loads and stores fetch the line from DRAM on a miss
             self._miss(msg)
             return
         self._counters["l2_hit"] += 1
+        atomic = type(msg) is BusAtm
+        if atomic:
+            self._counters["l2_atomics"] += 1
 
         lease = self._lease
         warp_ts = msg.warp_ts if msg.epoch == self.domain.epoch else 1
@@ -163,6 +174,7 @@ class GTSCL2Bank(L2BankBase):
             line = self.cache.lookup(msg.addr)
             warp_ts = 1  # requester's clock is from the retired epoch
             wts = max(line.rts + 1, 1)
+        old_version = line.version
         line.wts = wts
         line.rts = wts + lease
         line.version = msg.version
@@ -171,57 +183,18 @@ class GTSCL2Bank(L2BankBase):
         self.machine.versions.record_wts(msg.addr, msg.version, wts,
                                          self.domain.epoch)
         if self.audit is not None:
-            self.audit.record(self.engine.now, "write", self.track,
+            self.audit.record(self.engine.now,
+                              "atomic" if atomic else "write", self.track,
                               msg.addr, line.wts, line.rts, warp_ts,
                               self.domain.epoch)
-        self._reply(msg.sm, BusWrAck(msg.addr, msg.sm, line.wts, line.rts,
-                                     self.domain.epoch,
-                                     version=msg.version))
-
-    # ------------------------------------------------------------------
-    # atomics: the write path plus the old value (protocol extension)
-    # ------------------------------------------------------------------
-    def _atomic(self, msg: BusAtm) -> None:
-        """Read-modify-write, serialized by the bank like any store.
-
-        Timestamp assignment is identical to Figure 5 — the write is
-        logically scheduled after every outstanding lease — and the
-        read half observes the line's previous version, which is
-        atomic by construction because the bank performs both halves
-        in one step.  No stalls, exactly like G-TSC stores.
-        """
-        line = self.cache.lookup(msg.addr)
-        if line is None:
-            self._miss(msg)
-            return
-        self._counters["l2_hit"] += 1
-        self._counters["l2_atomics"] += 1
-
-        lease = self._lease
-        old_version = line.version
-        warp_ts = msg.warp_ts if msg.epoch == self.domain.epoch else 1
-        wts = max(line.rts + 1, warp_ts)
-        if wts + lease > self._ts_max:
-            self.domain.overflow_reset()
-            line = self.cache.lookup(msg.addr)
-            old_version = line.version
-            warp_ts = 1
-            wts = max(line.rts + 1, 1)
-        line.wts = wts
-        line.rts = wts + lease
-        line.version = msg.version
-        line.dirty = True
-        line.renewals = 0
-        self.machine.versions.record_wts(msg.addr, msg.version, wts,
-                                         self.domain.epoch)
-        if self.audit is not None:
-            self.audit.record(self.engine.now, "atomic", self.track,
-                              msg.addr, line.wts, line.rts, warp_ts,
-                              self.domain.epoch)
-        self._reply(msg.sm, BusAtmAck(msg.addr, msg.sm, line.wts,
-                                      line.rts, old_version,
-                                      self.domain.epoch,
-                                      version=msg.version))
+        if atomic:
+            ack = BusAtmAck(msg.addr, msg.sm, line.wts, line.rts,
+                            old_version, self.domain.epoch,
+                            version=msg.version)
+        else:
+            ack = BusWrAck(msg.addr, msg.sm, line.wts, line.rts,
+                           self.domain.epoch, version=msg.version)
+        self._reply(msg.sm, ack)
 
     # ------------------------------------------------------------------
     # DRAM fill and eviction (Figure 6)

@@ -137,47 +137,28 @@ class BusInv(Message):
         return 0
 
 
-class BusAtm(Message):
-    """Atomic RMW request: performed at the L2 like a store, but the
-    old value is returned to the warp (extension beyond the paper's
-    load/store protocol, following its write path)."""
+class BusAtm(BusWr):
+    """Atomic RMW request: the write request with the operand word in
+    place of the line (extension beyond the paper's load/store
+    protocol, performed by the L2's write path)."""
 
-    kind = "data"
-    __slots__ = ("warp_ts", "version", "epoch")
-
-    def __init__(self, addr: int, sm: int, warp_ts: int, version: int,
-                 epoch: int) -> None:
-        self.addr = addr
-        self.sm = sm
-        self.warp_ts = warp_ts
-        self.version = version
-        self.epoch = epoch
+    __slots__ = ()
 
     def payload_bytes(self, config) -> int:
         # warp_ts + the operand word (atomics are sub-line)
         return config.timestamp_bytes + 8
 
 
-class BusAtmAck(Message):
-    """Atomic response: the assigned lease plus the old value.
+class BusAtmAck(BusWrAck):
+    """Atomic response: the write ack plus the old value the RMW read."""
 
-    Like :class:`BusWrAck`, ``version`` echoes the RMW's own new
-    version so the ack pairs with the right pending atomic.
-    """
-
-    kind = "ctrl"
-    __slots__ = ("wts", "rts", "old_version", "epoch", "version")
+    __slots__ = ("old_version",)
 
     def __init__(self, addr: int, sm: int, wts: int, rts: int,
                  old_version: int, epoch: int,
                  version: Optional[int] = None) -> None:
-        self.addr = addr
-        self.sm = sm
-        self.wts = wts
-        self.rts = rts
+        super().__init__(addr, sm, wts, rts, epoch, version)
         self.old_version = old_version
-        self.epoch = epoch
-        self.version = version
 
     def payload_bytes(self, config) -> int:
         # rts + wts + the returned old word

@@ -3,16 +3,26 @@
 Every protocol is expressed as a per-SM L1 controller plus a per-bank
 L2 controller exchanging messages over the NoC.  The bases here own
 the mechanics all protocols share — message sizing, the L2 bank's
-service pipeline, the miss path to DRAM — so each protocol file only
-contains its actual state machine.
+service pipeline, the miss path to DRAM, and the L1's table of stores
+and atomics awaiting their acks with the records and latencies booked
+when one completes — so each protocol file only contains its actual
+state machine.
+
+An atomic is a store that returns the old value.  Every protocol sends
+it down its one write path: the atomic request class subclasses the
+store request and changes only its size, the atomic ack subclasses the
+store ack and adds ``old_version``, and the handlers tell them apart
+by exact class (``type(msg)``) only where the names they book differ.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from collections import deque
+from typing import TYPE_CHECKING, Callable, Deque, Dict, Optional
 
 from repro.mem.cache import CacheArray, CacheLine
 from repro.mem.mshr import MSHRTable
+from repro.validate.versions import AtomicRecord, LoadRecord, StoreRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.gpu.machine import Machine
@@ -86,31 +96,6 @@ class PendingStore:
         self.issue_cycle = issue_cycle
 
 
-def pop_pending(queue, version: Optional[int]):
-    """Pop the pending store/atomic an acknowledgment answers.
-
-    Acks carry the version of the request they acknowledge whenever the
-    protocol can (all four protocols thread it through).  Matching by
-    version matters because the L2's MSHR-full retry path re-enters the
-    bank pipeline on an independent timer, which can reorder same-line
-    requests from one SM — plain FIFO popping would then pair each ack
-    with the wrong pending entry, tearing atomic old/new pairs and warp
-    timestamp updates.  Falls back to FIFO only when the ack carries no
-    version (unit tests that hand-build messages); an ack whose version
-    matches no pending entry raises ``RuntimeError``.
-    """
-    if version is None:
-        return queue.popleft()
-    for index, pending in enumerate(queue):
-        if pending.version == version:
-            del queue[index]
-            return pending
-    raise RuntimeError(
-        f"ack for line {queue[0].addr:#x} carries version {version}, "
-        f"which no pending request on the line holds "
-        f"(pending: {[pending.version for pending in queue]})")
-
-
 class _Dispatch:
     """Message dispatch through a table built once per class.
 
@@ -146,16 +131,25 @@ class _Dispatch:
 class L1ControllerBase(_Dispatch):
     """Per-SM private-cache controller.
 
-    The SM calls :meth:`load` / :meth:`store`; both return True when
-    the access was accepted and False when a structural hazard (full
-    MSHR) forces the SM to retry later.  Completion is signalled
-    through the ``on_done`` callback.
+    The SM calls :meth:`load` / :meth:`store` / :meth:`atomic`; each
+    returns True when the access was accepted and False when a
+    structural hazard (full MSHR) forces the SM to retry later.
+    Completion is signalled through the ``on_done`` callback.
+
+    A store or atomic that waits for the L2's ack sits in
+    ``_pending_writes`` from :meth:`_push_write` until
+    :meth:`_pop_write` matches the ack to it, and
+    :meth:`_finish_write` books its completion.
     """
 
     __slots__ = ("sm_id", "uid", "machine", "config", "engine", "stats",
                  "_counters", "_l1_latency", "_load_hist", "_store_hist",
                  "_atomic_hist", "_num_homes", "_src", "mshr", "trace",
-                 "audit", "track")
+                 "audit", "track", "_pending_writes")
+
+    #: whether :meth:`_finish_write` books ``store_latency`` and
+    #: ``atomic_latency`` (the plain L1s and MESI's atomics book none)
+    _books_write_latency = True
 
     def __init__(self, sm_id: int, machine: "Machine") -> None:
         super().__init__()
@@ -192,6 +186,9 @@ class L1ControllerBase(_Dispatch):
         # unit_prefix is "" single-GPU (audit logs bit-identical to
         # pre-multigpu runs) and "g<i>:" inside a cluster
         self.track = f"{machine.unit_prefix}sm{sm_id}"
+        # stores and atomics awaiting their acks, per line in issue
+        # order; a line's entry lives only while one is in flight
+        self._pending_writes: Dict[int, Deque[PendingStore]] = {}
 
     # -- SM-facing interface ---------------------------------------------------
     def load(self, warp: "Warp", addr: int,
@@ -242,6 +239,103 @@ class L1ControllerBase(_Dispatch):
         """Fire an SM completion callback ``delay`` cycles from now."""
         engine = self.engine
         engine.post(engine.now + delay, callback)
+
+    # -- stores and atomics awaiting acks -----------------------------------------
+    def _push_write(self, warp: "Warp", addr: int,
+                    on_done: Callable[[], None]) -> int:
+        """Hold a new store or atomic on ``addr`` until its ack arrives;
+        returns the version it writes."""
+        version = self.machine.versions.new_version(addr)
+        pending = PendingStore(warp, addr, version, on_done,
+                               self.engine.now)
+        queue = self._pending_writes.get(addr)
+        if queue is None:
+            queue = self._pending_writes[addr] = deque()
+        queue.append(pending)
+        return version
+
+    def _pop_write(self, addr: int, version: Optional[int]) -> PendingStore:
+        """Take the pending store or atomic an ack answers off the table.
+
+        Acks carry the version of the request they acknowledge (every
+        protocol threads it through).  Matching by version matters
+        because the L2's MSHR-full retry path re-enters the bank
+        pipeline on an independent timer, which can reorder same-line
+        requests from one SM — plain FIFO popping would then pair each
+        ack with the wrong pending entry, tearing atomic old/new pairs
+        and warp timestamp updates.  Falls back to FIFO only when the
+        ack carries no version (unit tests that hand-build messages);
+        an ack whose version matches no pending entry raises
+        ``RuntimeError``.  The line's entry goes with its last request.
+        """
+        queue = self._pending_writes.get(addr)
+        if not queue:
+            raise RuntimeError(
+                f"ack for line {addr:#x} with no pending store or atomic")
+        if version is None:
+            pending = queue.popleft()
+        else:
+            for index, pending in enumerate(queue):
+                if pending.version == version:
+                    del queue[index]
+                    break
+            else:
+                raise RuntimeError(
+                    f"ack for line {addr:#x} carries version {version}, "
+                    f"which no pending request on the line holds "
+                    f"(pending: {[pending.version for pending in queue]})")
+        if not queue:
+            del self._pending_writes[addr]
+        return pending
+
+    def _finish_write(self, pending: PendingStore,
+                      old_version: Optional[int] = None,
+                      logical_ts: int = 0, epoch: int = 0) -> None:
+        """Complete an acked store, or an atomic that read
+        ``old_version``: book its latency and access-log record, and
+        wake its warp this cycle."""
+        engine = self.engine
+        now = engine.now
+        if self._books_write_latency:
+            if old_version is None:
+                hist = self._store_hist
+                if hist is None:
+                    hist = self._store_hist = \
+                        self.stats.hist.get("store_latency")
+            else:
+                hist = self._atomic_hist
+                if hist is None:
+                    hist = self._atomic_hist = \
+                        self.stats.hist.get("atomic_latency")
+            hist.add(now - pending.issue_cycle)
+        log = self.machine.log
+        if log.enabled:    # don't even build the record when disabled
+            if old_version is None:
+                log.stores.append(StoreRecord(
+                    pending.warp.uid, pending.addr, pending.version,
+                    logical_ts, epoch, pending.issue_cycle, now))
+            else:
+                log.atomics.append(AtomicRecord(
+                    pending.warp.uid, pending.addr, old_version,
+                    pending.version, logical_ts, epoch,
+                    pending.issue_cycle, now))
+        engine.post(now, pending.on_done)
+
+    def _record_load(self, warp: "Warp", addr: int, version: int,
+                     issue_cycle: int, hit: bool, logical_ts: int = 0,
+                     epoch: int = 0) -> None:
+        """Book a completed load's latency and, when the access log is
+        on, its record."""
+        now = self.engine.now
+        hist = self._load_hist
+        if hist is None:
+            hist = self._load_hist = self.stats.hist.get("load_latency")
+        hist.add(now - issue_cycle)
+        log = self.machine.log
+        if log.enabled:    # don't even build the record when disabled
+            log.loads.append(LoadRecord(warp.uid, addr, version,
+                                        logical_ts, epoch, issue_cycle,
+                                        now, hit))
 
 
 # ---------------------------------------------------------------------------

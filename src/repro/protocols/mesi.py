@@ -41,9 +41,9 @@ from repro.protocols.base import (
     LoadWaiter,
     Message,
     PendingStore,
-    pop_pending,
 )
-from repro.validate.versions import AtomicRecord, LoadRecord, StoreRecord
+from repro.protocols.plain import MemAtm, MemAtmAck
+from repro.validate.versions import StoreRecord
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.machine import Machine
@@ -136,48 +136,28 @@ class InvAck(Message):
         return config.line_size if self.had_data else 0
 
 
-class MemAtmD(Message):
-    """Atomic RMW at the directory."""
-
-    kind = "data"
-    __slots__ = ("version",)
-
-    def __init__(self, addr: int, sm: int, version: int) -> None:
-        super().__init__(addr, sm)
-        self.version = version
-
-    def payload_bytes(self, config) -> int:
-        return 8
-
-
-class AtmAckD(Message):
-    kind = "ctrl"
-    __slots__ = ("old_version", "version")
-
-    def __init__(self, addr: int, sm: int, old_version: int,
-                 version: int = None) -> None:
-        super().__init__(addr, sm)
-        self.old_version = old_version
-        self.version = version
-
-    def payload_bytes(self, config) -> int:
-        return 8
-
-
 # ---------------------------------------------------------------------------
 # L1 controller
 # ---------------------------------------------------------------------------
 
 class MESIL1Controller(L1ControllerBase):
-    """Write-back MSI private cache."""
+    """Write-back MSI private cache.
+
+    Atomics (``MemAtm``, as on the plain L1s) are performed at the
+    directory and wait for their acks in the base's ``_pending_writes``;
+    stores wait for ownership instead, in ``_awaiting_ownership``,
+    since one ``DataM`` completes every store queued on its line.
+    Atomics book no latency histogram; stores book ``store_latency``.
+    """
+
+    _books_write_latency = False
 
     def __init__(self, sm_id: int, machine: "Machine") -> None:
         super().__init__(sm_id, machine)
         config = machine.config
         self.cache = CacheArray(config.l1_sets, config.l1_assoc)
         # stores waiting for ownership, FIFO per line
-        self._pending_stores: Dict[int, Deque[PendingStore]] = {}
-        self._pending_atomics: Dict[int, Deque[PendingStore]] = {}
+        self._awaiting_ownership: Dict[int, Deque[PendingStore]] = {}
         # lines with a GetM in flight (avoid duplicate requests)
         self._m_requested: Set[int] = set()
         # loads merged into an in-flight GetM: issuing a GetS while our
@@ -194,7 +174,7 @@ class MESIL1Controller(L1ControllerBase):
         if line is not None and line.expiry != _INVALID:
             self._counters["l1_hit"] += 1
             self._record_load(warp, addr, line.version, self.engine.now,
-                              hit=True)
+                              True)
             self._complete(on_done, self.config.l1_latency)
             return True
         self._counters["l1_miss"] += 1
@@ -234,15 +214,14 @@ class MESIL1Controller(L1ControllerBase):
             line.dirty = True
             self.machine.versions.record_wts(addr, version,
                                              self.engine.now)
-            self._record_store(warp, addr, version, self.engine.now,
-                               self.engine.now)
+            self._record_store(warp, addr, version, self.engine.now)
             self._complete(on_done, self.config.l1_latency)
             return True
         pending = PendingStore(warp, addr, version, on_done,
                                self.engine.now)
-        queue = self._pending_stores.get(addr)
+        queue = self._awaiting_ownership.get(addr)
         if queue is None:
-            queue = self._pending_stores[addr] = deque()
+            queue = self._awaiting_ownership[addr] = deque()
         queue.append(pending)
         if addr not in self._m_requested:
             self._m_requested.add(addr)
@@ -253,21 +232,16 @@ class MESIL1Controller(L1ControllerBase):
                on_done: Callable[[], None]) -> bool:
         self._counters["l1_access"] += 1
         self._counters["l1_atomic"] += 1
-        version = self.machine.versions.new_version(addr)
         # atomics are performed at the directory; drop the local copy
         self._invalidate_local(addr)
-        pending = PendingStore(warp, addr, version, on_done,
-                               self.engine.now)
-        queue = self._pending_atomics.get(addr)
-        if queue is None:
-            queue = self._pending_atomics[addr] = deque()
-        queue.append(pending)
-        self._send(MemAtmD(addr, self.sm_id, version))
+        version = self._push_write(warp, addr, on_done)
+        self._send(MemAtm(addr, self.sm_id, version))
         return True
 
     # -- responses --------------------------------------------------------------
     def receive(self, msg: Message) -> None:
-        if isinstance(msg, DataS):
+        cls = type(msg)
+        if cls is DataS:
             line = self.cache.lookup(msg.addr)
             if line is not None and line.expiry == _MODIFIED:
                 # a racing GetM was granted first: our M data is newer
@@ -278,21 +252,22 @@ class MESIL1Controller(L1ControllerBase):
                 version = msg.version
             for waiter in self.mshr.drain(msg.addr):
                 self._record_load(waiter.warp, msg.addr, version,
-                                  waiter.issue_cycle, hit=False)
+                                  waiter.issue_cycle, False)
                 self._complete(waiter.on_done)
-        elif isinstance(msg, DataM):
+        elif cls is DataM:
             self._on_ownership(msg)
-        elif isinstance(msg, Inv):
+        elif cls is Inv:
             self._on_invalidate(msg)
-        elif isinstance(msg, AtmAckD):
-            self._on_atomic_ack(msg)
+        elif cls is MemAtmAck:
+            self._finish_write(self._pop_write(msg.addr, msg.version),
+                               msg.old_version)
         else:  # pragma: no cover - defensive
             raise TypeError(f"unexpected message at MESI L1: {msg!r}")
 
     def _on_ownership(self, msg: DataM) -> None:
         self._m_requested.discard(msg.addr)
         line = self._install(msg.addr, msg.version, _MODIFIED)
-        queue = self._pending_stores.get(msg.addr)
+        queue = self._awaiting_ownership.get(msg.addr)
         if not queue:  # pragma: no cover - defensive
             raise RuntimeError(f"ownership grant with no store: {msg!r}")
         # perform every queued store locally, in order
@@ -306,14 +281,14 @@ class MESIL1Controller(L1ControllerBase):
             self.machine.versions.record_wts(msg.addr, pending.version,
                                              self.engine.now)
             self._record_store(pending.warp, msg.addr, pending.version,
-                               pending.issue_cycle, self.engine.now)
+                               pending.issue_cycle)
             self._complete(pending.on_done)
-        self._pending_stores.pop(msg.addr, None)
+        self._awaiting_ownership.pop(msg.addr, None)
         # serve the loads that merged into this write miss: they read
         # the freshly written value
         for waiter in self._loads_after_getm.pop(msg.addr, []):
             self._record_load(waiter.warp, msg.addr, newest,
-                              waiter.issue_cycle, hit=False)
+                              waiter.issue_cycle, False)
             self._complete(waiter.on_done)
         if line is None:
             # could not cache the granted line (all ways busy): push
@@ -332,18 +307,6 @@ class MESIL1Controller(L1ControllerBase):
         self.cache.invalidate(msg.addr)
         self._counters["l1_invalidations_received"] += 1
         self._send(InvAck(msg.addr, self.sm_id, version, had_data))
-
-    def _on_atomic_ack(self, msg: AtmAckD) -> None:
-        queue = self._pending_atomics[msg.addr]
-        pending = pop_pending(queue, msg.version)
-        if not queue:
-            del self._pending_atomics[msg.addr]
-        self.machine.log.record_atomic(AtomicRecord(
-            warp_uid=pending.warp.uid, addr=msg.addr,
-            old_version=msg.old_version, new_version=pending.version,
-            logical_ts=0, epoch=0, issue_cycle=pending.issue_cycle,
-            complete_cycle=self.engine.now))
-        self._complete(pending.on_done)
 
     # -- local cache management -----------------------------------------------
     def _install(self, addr: int, version: int,
@@ -374,19 +337,19 @@ class MESIL1Controller(L1ControllerBase):
         self.cache.flush()
 
     # -- records -----------------------------------------------------------------
-    def _record_load(self, warp, addr, version, issue_cycle, hit):
-        self.stats.hist.add("load_latency",
-                            self.engine.now - issue_cycle)
-        self.machine.log.record_load(LoadRecord(
-            warp_uid=warp.uid, addr=addr, version=version, logical_ts=0,
-            epoch=0, issue_cycle=issue_cycle,
-            complete_cycle=self.engine.now, l1_hit=hit))
-
-    def _record_store(self, warp, addr, version, issue_cycle, done):
-        self.stats.hist.add("store_latency", done - issue_cycle)
-        self.machine.log.record_store(StoreRecord(
-            warp_uid=warp.uid, addr=addr, version=version, logical_ts=0,
-            epoch=0, issue_cycle=issue_cycle, complete_cycle=done))
+    def _record_store(self, warp: "Warp", addr: int, version: int,
+                      issue_cycle: int) -> None:
+        """Book a store performed in M now: its latency and, when the
+        access log is on, its record."""
+        now = self.engine.now
+        hist = self._store_hist
+        if hist is None:
+            hist = self._store_hist = self.stats.hist.get("store_latency")
+        hist.add(now - issue_cycle)
+        log = self.machine.log
+        if log.enabled:    # don't even build the record when disabled
+            log.stores.append(StoreRecord(warp.uid, addr, version, 0, 0,
+                                          issue_cycle, now))
 
 
 # ---------------------------------------------------------------------------
@@ -438,10 +401,11 @@ class MESIL2Bank(L2BankBase):
 
     # -- dispatch ------------------------------------------------------------
     def _process(self, msg: Message) -> None:
-        if isinstance(msg, InvAck):
+        cls = type(msg)
+        if cls is InvAck:
             self._on_inv_ack(msg)
             return
-        if isinstance(msg, PutM):
+        if cls is PutM:
             self._on_putm(msg)
             return
         entry = self._entry(msg.addr)
@@ -454,11 +418,11 @@ class MESIL2Bank(L2BankBase):
             self._miss(msg)
             return
         self._counters["l2_hit"] += 1
-        if isinstance(msg, GetS):
+        if cls is GetS:
             self._gets(msg, entry, line)
-        elif isinstance(msg, GetM):
+        elif cls is GetM:
             self._getm(msg, entry, line)
-        elif isinstance(msg, MemAtmD):
+        elif cls is MemAtm:
             self._atomic(msg, entry, line)
         else:  # pragma: no cover - defensive
             raise TypeError(f"unexpected message at directory: {msg!r}")
@@ -549,15 +513,16 @@ class MESIL2Bank(L2BankBase):
             return
         if line is None:  # pragma: no cover - entry pinned while busy
             raise RuntimeError("directory line lost mid-transaction")
-        if isinstance(grant, GetM):
+        cls = type(grant)
+        if cls is GetM:
             self._grant_ownership(grant, entry, line)
-        elif isinstance(grant, GetS):
+        elif cls is GetS:
             entry.owner = None
             entry.sharers.add(grant.sm)
             self._reply(grant.sm, DataS(grant.addr, grant.sm,
                                         line.version))
             self._unpark(entry)
-        elif isinstance(grant, MemAtmD):
+        elif cls is MemAtm:
             self._perform_atomic(grant, entry, line)
         else:  # pragma: no cover - defensive
             raise TypeError(f"unexpected grant: {grant!r}")
@@ -579,7 +544,7 @@ class MESIL2Bank(L2BankBase):
                                     had_data=False))
 
     # -- atomics ---------------------------------------------------------------
-    def _atomic(self, msg: MemAtmD, entry: _DirEntry,
+    def _atomic(self, msg: MemAtm, entry: _DirEntry,
                 line: CacheLine) -> None:
         targets = set(entry.sharers)
         targets.discard(msg.sm)
@@ -598,7 +563,7 @@ class MESIL2Bank(L2BankBase):
             return
         self._perform_atomic(msg, entry, line)
 
-    def _perform_atomic(self, msg: MemAtmD, entry: _DirEntry,
+    def _perform_atomic(self, msg: MemAtm, entry: _DirEntry,
                         line: CacheLine) -> None:
         self._counters["l2_atomics"] += 1
         old_version = line.version
@@ -608,8 +573,8 @@ class MESIL2Bank(L2BankBase):
         entry.owner = None
         self.machine.versions.record_wts(msg.addr, msg.version,
                                          self.engine.now)
-        self._reply(msg.sm, AtmAckD(msg.addr, msg.sm, old_version,
-                                    version=msg.version))
+        self._reply(msg.sm, MemAtmAck(msg.addr, msg.sm, old_version,
+                                      version=msg.version))
         self._unpark(entry)
 
     def _unpark(self, entry: _DirEntry) -> None:

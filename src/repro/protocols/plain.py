@@ -24,60 +24,8 @@ from repro.protocols.base import (
     L2BankBase,
     LoadWaiter,
     Message,
-    PendingStore,
-    pop_pending,
 )
-from repro.validate.versions import AtomicRecord, LoadRecord, StoreRecord
-
-
-class _AtomicMixin:
-    """Shared atomic plumbing for the two baseline L1 controllers:
-    forward the RMW to the L2 (invalidating any local copy) and match
-    responses per line, by version (see :func:`pop_pending`).  A
-    line's queue is dropped once its last atomic is acknowledged."""
-
-    __slots__ = ()
-
-    def _init_atomics(self) -> None:
-        self._pending_atomics: Dict[int, Deque[PendingStore]] = {}
-
-    def atomic(self, warp, addr: int,
-               on_done: Callable[[], None]) -> bool:
-        cache = getattr(self, "cache", None)
-        if cache is not None:
-            counters = self._counters
-            counters["l1_access"] += 1
-            counters["l1_atomic"] += 1
-            cache.invalidate(addr)
-        version = self.machine.versions.new_version(addr)
-        pending = PendingStore(warp, addr, version, on_done,
-                               self.engine.now)
-        queue = self._pending_atomics.get(addr)
-        if queue is None:
-            queue = self._pending_atomics[addr] = deque()
-        queue.append(pending)
-        self._send(MemAtm(addr, self.sm_id, version))
-        return True
-
-    def _on_atomic_ack(self, msg: "MemAtmAck") -> None:
-        queue = self._pending_atomics[msg.addr]
-        pending = pop_pending(queue, msg.version)
-        if not queue:
-            del self._pending_atomics[msg.addr]
-        log = self.machine.log
-        if log.enabled:
-            log.atomics.append(AtomicRecord(
-                warp_uid=pending.warp.uid,
-                addr=msg.addr,
-                old_version=msg.old_version,
-                new_version=pending.version,
-                logical_ts=0,
-                epoch=0,
-                issue_cycle=pending.issue_cycle,
-                complete_cycle=self.engine.now,
-            ))
-        engine = self.engine
-        engine.post(engine.now, pending.on_done)
+from repro.validate.versions import LoadRecord
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.machine import Machine
@@ -129,29 +77,25 @@ class MemAck(Message):
         self.version = version
 
 
-class MemAtm(Message):
-    kind = "data"
-    __slots__ = ("version",)
+class MemAtm(MemWr):
+    """Atomic RMW request: the write with the operand word in place of
+    the line."""
 
-    def __init__(self, addr: int, sm: int, version: int) -> None:
-        self.addr = addr
-        self.sm = sm
-        self.version = version
+    __slots__ = ()
 
     def payload_bytes(self, config) -> int:
         return 8
 
 
-class MemAtmAck(Message):
-    kind = "ctrl"
-    __slots__ = ("old_version", "version")
+class MemAtmAck(MemAck):
+    """Atomic response: the write ack plus the old value."""
+
+    __slots__ = ("old_version",)
 
     def __init__(self, addr: int, sm: int, old_version: int,
                  version: int = None) -> None:
-        self.addr = addr
-        self.sm = sm
+        super().__init__(addr, sm, version)
         self.old_version = old_version
-        self.version = version
 
     def payload_bytes(self, config) -> int:
         return 8
@@ -161,26 +105,26 @@ class MemAtmAck(Message):
 # BL: L1 disabled
 # ---------------------------------------------------------------------------
 
-class DisabledL1Controller(_AtomicMixin, L1ControllerBase):
+class DisabledL1Controller(L1ControllerBase):
     """Coherence by construction: every access goes straight to L2.
 
     With no cache, the only state is the requests in flight: per line,
-    a FIFO of loads awaiting their fill and queues of stores and
-    atomics awaiting their acks.  A line's entry exists only while it
-    has a request in flight, so a run ends with all three tables empty
+    a FIFO of loads awaiting their fill, and the base's queue of stores
+    and atomics awaiting their acks.  A line's entry exists only while
+    it has a request in flight, so a run ends with both tables empty
     however many lines it touched.
     """
 
-    __slots__ = ("_load_waiters", "_pending_stores", "_pending_atomics")
+    __slots__ = ("_load_waiters",)
+
+    _books_write_latency = False
 
     def __init__(self, sm_id: int, machine: "Machine") -> None:
         super().__init__(sm_id, machine)
         # fills carry no request tag, so each one completes the line's
         # oldest waiting load; stores and atomics match their acks by
-        # version (pop_pending)
+        # version (_pop_write)
         self._load_waiters: Dict[int, Deque[LoadWaiter]] = {}
-        self._pending_stores: Dict[int, Deque[PendingStore]] = {}
-        self._init_atomics()
 
     def load(self, warp: "Warp", addr: int,
              on_done: Callable[[], None]) -> bool:
@@ -194,14 +138,18 @@ class DisabledL1Controller(_AtomicMixin, L1ControllerBase):
 
     def store(self, warp: "Warp", addr: int,
               on_done: Callable[[], None]) -> bool:
-        version = self.machine.versions.new_version(addr)
-        pending = PendingStore(warp, addr, version, on_done,
-                               self.engine.now)
-        queue = self._pending_stores.get(addr)
-        if queue is None:
-            queue = self._pending_stores[addr] = deque()
-        queue.append(pending)
-        self._send(MemWr(addr, self.sm_id, version))
+        return self._issue_write(warp, addr, on_done, MemWr)
+
+    def atomic(self, warp: "Warp", addr: int,
+               on_done: Callable[[], None]) -> bool:
+        return self._issue_write(warp, addr, on_done, MemAtm)
+
+    def _issue_write(self, warp: "Warp", addr: int,
+                     on_done: Callable[[], None], request: type) -> bool:
+        """Send a store (``MemWr``) or an atomic (``MemAtm``) to the L2
+        and hold it until its ack."""
+        version = self._push_write(warp, addr, on_done)
+        self._send(request(addr, self.sm_id, version))
         return True
 
     def receive(self, msg: Message) -> None:
@@ -226,25 +174,10 @@ class DisabledL1Controller(_AtomicMixin, L1ControllerBase):
             engine = self.engine
             engine.post(engine.now, waiter.on_done)
         elif cls is MemAck:
-            queue = self._pending_stores[msg.addr]
-            pending = pop_pending(queue, msg.version)
-            if not queue:
-                del self._pending_stores[msg.addr]
-            log = self.machine.log
-            if log.enabled:
-                log.stores.append(StoreRecord(
-                    warp_uid=pending.warp.uid,
-                    addr=msg.addr,
-                    version=pending.version,
-                    logical_ts=0,
-                    epoch=0,
-                    issue_cycle=pending.issue_cycle,
-                    complete_cycle=self.engine.now,
-                ))
-            engine = self.engine
-            engine.post(engine.now, pending.on_done)
+            self._finish_write(self._pop_write(msg.addr, msg.version))
         elif cls is MemAtmAck:
-            self._on_atomic_ack(msg)
+            self._finish_write(self._pop_write(msg.addr, msg.version),
+                               msg.old_version)
         else:  # pragma: no cover - defensive
             raise TypeError(f"unexpected message at BL L1: {msg!r}")
 
@@ -253,17 +186,17 @@ class DisabledL1Controller(_AtomicMixin, L1ControllerBase):
 # Baseline W/L1: non-coherent private cache
 # ---------------------------------------------------------------------------
 
-class NonCoherentL1Controller(_AtomicMixin, L1ControllerBase):
+class NonCoherentL1Controller(L1ControllerBase):
     """Write-through L1 with no coherence actions whatsoever."""
 
-    __slots__ = ("cache", "_pending_stores", "_pending_atomics")
+    __slots__ = ("cache",)
+
+    _books_write_latency = False
 
     def __init__(self, sm_id: int, machine: "Machine") -> None:
         super().__init__(sm_id, machine)
         config = machine.config
         self.cache = CacheArray(config.l1_sets, config.l1_assoc)
-        self._pending_stores: Dict[int, Deque[PendingStore]] = {}
-        self._init_atomics()
 
     def load(self, warp: "Warp", addr: int,
              on_done: Callable[[], None]) -> bool:
@@ -301,18 +234,23 @@ class NonCoherentL1Controller(_AtomicMixin, L1ControllerBase):
         counters = self._counters
         counters["l1_access"] += 1
         counters["l1_store"] += 1
-        version = self.machine.versions.new_version(addr)
+        version = self._push_write(warp, addr, on_done)
         line = self.cache.lookup(addr)
         if line is not None:
             # keep the local copy fresh so this SM sees its own writes
             line.version = version
-        pending = PendingStore(warp, addr, version, on_done,
-                               self.engine.now)
-        queue = self._pending_stores.get(addr)
-        if queue is None:
-            queue = self._pending_stores[addr] = deque()
-        queue.append(pending)
         self._send(MemWr(addr, self.sm_id, version))
+        return True
+
+    def atomic(self, warp: "Warp", addr: int,
+               on_done: Callable[[], None]) -> bool:
+        counters = self._counters
+        counters["l1_access"] += 1
+        counters["l1_atomic"] += 1
+        # performed at the L2: drop the local copy
+        self.cache.invalidate(addr)
+        version = self._push_write(warp, addr, on_done)
+        self._send(MemAtm(addr, self.sm_id, version))
         return True
 
     def receive(self, msg: Message) -> None:
@@ -333,22 +271,10 @@ class NonCoherentL1Controller(_AtomicMixin, L1ControllerBase):
                     ))
                 engine.post(engine.now, waiter.on_done)
         elif cls is MemAck:
-            queue = self._pending_stores[msg.addr]
-            pending = pop_pending(queue, msg.version)
-            if not queue:
-                del self._pending_stores[msg.addr]
-            log = self.machine.log
-            if log.enabled:
-                log.stores.append(StoreRecord(
-                    warp_uid=pending.warp.uid, addr=msg.addr,
-                    version=pending.version, logical_ts=0, epoch=0,
-                    issue_cycle=pending.issue_cycle,
-                    complete_cycle=self.engine.now,
-                ))
-            engine = self.engine
-            engine.post(engine.now, pending.on_done)
+            self._finish_write(self._pop_write(msg.addr, msg.version))
         elif cls is MemAtmAck:
-            self._on_atomic_ack(msg)
+            self._finish_write(self._pop_write(msg.addr, msg.version),
+                               msg.old_version)
         else:  # pragma: no cover - defensive
             raise TypeError(f"unexpected message at non-coherent L1: {msg!r}")
 
@@ -374,22 +300,20 @@ class PlainL2Bank(L2BankBase):
         cls = type(msg)
         if cls is MemRd:
             self._reply(msg.sm, MemFill(msg.addr, msg.sm, line.version))
-        elif cls is MemWr:
-            line.version = msg.version
-            line.dirty = True
-            self.machine.versions.record_wts(msg.addr, msg.version,
-                                             self.engine.now)
-            self._reply(msg.sm, MemAck(msg.addr, msg.sm,
-                                       version=msg.version))
-        elif cls is MemAtm:
-            self._counters["l2_atomics"] += 1
+        elif cls is MemWr or cls is MemAtm:
+            # an atomic is the write that also returns the old version
             old_version = line.version
             line.version = msg.version
             line.dirty = True
             self.machine.versions.record_wts(msg.addr, msg.version,
                                              self.engine.now)
-            self._reply(msg.sm, MemAtmAck(msg.addr, msg.sm, old_version,
-                                          version=msg.version))
+            if cls is MemAtm:
+                self._counters["l2_atomics"] += 1
+                ack = MemAtmAck(msg.addr, msg.sm, old_version,
+                                version=msg.version)
+            else:
+                ack = MemAck(msg.addr, msg.sm, version=msg.version)
+            self._reply(msg.sm, ack)
         else:  # pragma: no cover - defensive
             raise TypeError(f"unexpected message at plain L2: {msg!r}")
 

@@ -32,10 +32,7 @@ from repro.protocols.base import (
     L2BankBase,
     LoadWaiter,
     Message,
-    PendingStore,
-    pop_pending,
 )
-from repro.validate.versions import AtomicRecord, LoadRecord, StoreRecord
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.machine import Machine
@@ -109,34 +106,25 @@ class TCWrAck(Message):
         return config.tc_timestamp_bytes
 
 
-class TCAtm(Message):
-    """Atomic RMW request (operand word only)."""
+class TCAtm(TCWr):
+    """Atomic RMW request: the write with the operand word in place of
+    the line."""
 
-    kind = "data"
-    __slots__ = ("version",)
-
-    def __init__(self, addr: int, sm: int, version: int) -> None:
-        self.addr = addr
-        self.sm = sm
-        self.version = version
+    __slots__ = ()
 
     def payload_bytes(self, config) -> int:
         return 8
 
 
-class TCAtmAck(Message):
-    """Atomic response: old value plus GWCT."""
+class TCAtmAck(TCWrAck):
+    """Atomic response: the write ack (GWCT) plus the old value."""
 
-    kind = "ctrl"
-    __slots__ = ("old_version", "gwct", "version")
+    __slots__ = ("old_version",)
 
     def __init__(self, addr: int, sm: int, old_version: int,
                  gwct: int, version: int = None) -> None:
-        self.addr = addr
-        self.sm = sm
+        super().__init__(addr, sm, gwct, version)
         self.old_version = old_version
-        self.gwct = gwct
-        self.version = version
 
     def payload_bytes(self, config) -> int:
         return config.tc_timestamp_bytes + 8
@@ -149,22 +137,19 @@ class TCAtmAck(Message):
 class TCL1Controller(L1ControllerBase):
     """Per-SM L1 under Temporal Coherence."""
 
-    __slots__ = ("cache", "_pending_stores", "_pending_atomics",
-                 "_combine")
+    __slots__ = ("cache", "_combine")
 
     # response dispatch by concrete class (same idiom as G-TSC)
     _handler_names = {
         TCFill: "_on_fill",
         TCWrAck: "_on_write_ack",
-        TCAtmAck: "_on_atomic_ack",
+        TCAtmAck: "_on_write_ack",
     }
 
     def __init__(self, sm_id: int, machine: "Machine") -> None:
         super().__init__(sm_id, machine)
         config = machine.config
         self.cache = CacheArray(config.l1_sets, config.l1_assoc)
-        self._pending_stores: Dict[int, Deque[PendingStore]] = {}
-        self._pending_atomics: Dict[int, Deque[PendingStore]] = {}
         self._combine = config.combining is CombiningPolicy.MSHR
 
     def load(self, warp: "Warp", addr: int,
@@ -181,7 +166,7 @@ class TCL1Controller(L1ControllerBase):
             line = cache._lines[slot]
             if now < line.expiry:
                 counters["l1_hit"] += 1
-                self._record_load(warp, addr, line.version, now, hit=True)
+                self._record_load(warp, addr, line.version, now, True)
                 engine.post(now + self._l1_latency, on_done)
                 return True
 
@@ -207,37 +192,25 @@ class TCL1Controller(L1ControllerBase):
 
     def store(self, warp: "Warp", addr: int,
               on_done: Callable[[], None]) -> bool:
-        counters = self._counters
-        counters["l1_access"] += 1
-        counters["l1_store"] += 1
-        version = self.machine.versions.new_version(addr)
-        # write-through, no-write-allocate: drop the (now stale) local
-        # copy so this SM's later reads fetch the written value from L2
-        self.cache.invalidate(addr)
-        pending = PendingStore(warp, addr, version, on_done,
-                               self.engine.now)
-        queue = self._pending_stores.get(addr)
-        if queue is None:
-            queue = self._pending_stores[addr] = deque()
-        queue.append(pending)
-        self._send(TCWr(addr, self.sm_id, version))
-        return True
+        return self._issue_write(warp, addr, on_done, "l1_store", TCWr)
 
     def atomic(self, warp: "Warp", addr: int,
                on_done: Callable[[], None]) -> bool:
+        return self._issue_write(warp, addr, on_done, "l1_atomic", TCAtm)
+
+    def _issue_write(self, warp: "Warp", addr: int,
+                     on_done: Callable[[], None], counter: str,
+                     request: type) -> bool:
+        """Write a store (``TCWr``) or an atomic (``TCAtm``) through to
+        the L2 and hold it until its ack."""
         counters = self._counters
         counters["l1_access"] += 1
-        counters["l1_atomic"] += 1
-        version = self.machine.versions.new_version(addr)
-        # like stores: performed at L2, local copy dropped
+        counters[counter] += 1
+        # write-through, no-write-allocate: drop the (now stale) local
+        # copy so this SM's later reads fetch the written value from L2
         self.cache.invalidate(addr)
-        pending = PendingStore(warp, addr, version, on_done,
-                               self.engine.now)
-        queue = self._pending_atomics.get(addr)
-        if queue is None:
-            queue = self._pending_atomics[addr] = deque()
-        queue.append(pending)
-        self._send(TCAtm(addr, self.sm_id, version))
+        version = self._push_write(warp, addr, on_done)
+        self._send(request(addr, self.sm_id, version))
         return True
 
     def receive(self, msg: Message) -> None:
@@ -267,89 +240,22 @@ class TCL1Controller(L1ControllerBase):
         now = engine.now
         for waiter in self.mshr.drain(msg.addr):
             self._record_load(waiter.warp, msg.addr, msg.version,
-                              waiter.issue_cycle, hit=False)
+                              waiter.issue_cycle, False)
             engine.post(now, waiter.on_done)
 
     def _on_write_ack(self, msg: TCWrAck) -> None:
-        queue = self._pending_stores.get(msg.addr)
-        if not queue:  # pragma: no cover - defensive
-            raise RuntimeError(f"write ack with no pending store: {msg!r}")
-        pending = pop_pending(queue, msg.version)
-        if not queue:
-            self._pending_stores.pop(msg.addr, None)
+        """A store's ack, or an atomic's (``TCAtmAck``, which adds the
+        old version)."""
+        pending = self._pop_write(msg.addr, msg.version)
         # TC-Weak: remember when this write becomes globally visible
         warp = pending.warp
         if msg.gwct > warp.gwct:
             warp.gwct = msg.gwct
-        now = self.engine.now
-        hist = self._store_hist
-        if hist is None:
-            hist = self._store_hist = self.stats.hist.get("store_latency")
-        hist.add(now - pending.issue_cycle)
-        log = self.machine.log
-        if log.enabled:
-            log.stores.append(StoreRecord(
-                warp_uid=warp.uid,
-                addr=msg.addr,
-                version=pending.version,
-                logical_ts=0,
-                epoch=0,
-                issue_cycle=pending.issue_cycle,
-                complete_cycle=now,
-            ))
-        self.engine.post(now, pending.on_done)
-
-    def _on_atomic_ack(self, msg: TCAtmAck) -> None:
-        queue = self._pending_atomics.get(msg.addr)
-        if not queue:  # pragma: no cover - defensive
-            raise RuntimeError(f"atomic ack with no pending RMW: {msg!r}")
-        pending = pop_pending(queue, msg.version)
-        if not queue:
-            self._pending_atomics.pop(msg.addr, None)
-        warp = pending.warp
-        if msg.gwct > warp.gwct:
-            warp.gwct = msg.gwct
-        now = self.engine.now
-        hist = self._atomic_hist
-        if hist is None:
-            hist = self._atomic_hist = self.stats.hist.get("atomic_latency")
-        hist.add(now - pending.issue_cycle)
-        log = self.machine.log
-        if log.enabled:
-            log.atomics.append(AtomicRecord(
-                warp_uid=warp.uid,
-                addr=msg.addr,
-                old_version=msg.old_version,
-                new_version=pending.version,
-                logical_ts=0,
-                epoch=0,
-                issue_cycle=pending.issue_cycle,
-                complete_cycle=now,
-            ))
-        self.engine.post(now, pending.on_done)
+        atomic = type(msg) is TCAtmAck
+        self._finish_write(pending, msg.old_version if atomic else None)
 
     def flush(self) -> None:
         self.cache.flush()
-
-    def _record_load(self, warp: "Warp", addr: int, version: int,
-                     issue_cycle: int, hit: bool) -> None:
-        now = self.engine.now
-        hist = self._load_hist
-        if hist is None:
-            hist = self._load_hist = self.stats.hist.get("load_latency")
-        hist.add(now - issue_cycle)
-        log = self.machine.log
-        if log.enabled:
-            log.loads.append(LoadRecord(
-                warp_uid=warp.uid,
-                addr=addr,
-                version=version,
-                logical_ts=0,
-                epoch=0,
-                issue_cycle=issue_cycle,
-                complete_cycle=now,
-                l1_hit=hit,
-            ))
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +277,7 @@ class TCL2Bank(L2BankBase):
     _handler_names = {
         TCRd: "_read",
         TCWr: "_write",
-        TCAtm: "_atomic",
+        TCAtm: "_write",
     }
 
     def __init__(self, bank_id: int, machine: "Machine") -> None:
@@ -432,11 +338,19 @@ class TCL2Bank(L2BankBase):
         self._reply(msg.sm, TCFill(msg.addr, msg.sm, line.version, grant))
 
     def _write(self, msg: TCWr) -> None:
+        """A store, or an atomic (``TCAtm``): an atomic follows the
+        store's path and returns the old value.  TC-Strong parks either
+        behind the line's unexpired leases; TC-Weak performs it now and
+        reports the GWCT, so an atomic's atomicity point is the L2 but
+        its global visibility still waits for self-invalidation."""
         line = self.cache.lookup(msg.addr)
         if line is None:
             self._miss(msg)
             return
         self._counters["l2_hit"] += 1
+        atomic = type(msg) is TCAtm
+        if atomic:
+            self._counters["l2_atomics"] += 1
         now = self.engine.now
         if self.strong and now < line.expiry:
             # TC-Strong: wait for every outstanding lease to expire
@@ -444,7 +358,8 @@ class TCL2Bank(L2BankBase):
             self._counters["l2_write_stall_cycles"] += line.expiry - now
             if self.trace is not None:
                 self.trace.complete(now, line.expiry, self.track,
-                                    "write_stall", {"addr": msg.addr})
+                                    "atomic_stall" if atomic
+                                    else "write_stall", {"addr": msg.addr})
             self._blocked[msg.addr] = deque()
             self.engine.post(line.expiry, self._perform_blocked_write,
                              (msg,))
@@ -465,58 +380,16 @@ class TCL2Bank(L2BankBase):
         now = self.engine.now
         expiry = line.expiry
         gwct = expiry if expiry > now else now
-        line.version = msg.version
-        line.dirty = True
-        self.machine.versions.record_wts(msg.addr, msg.version, now)
-        self._reply(msg.sm, TCWrAck(msg.addr, msg.sm, gwct,
-                                    version=msg.version))
-
-    def _atomic(self, msg: TCAtm) -> None:
-        """Atomic RMW: follows the write path, returning the old value.
-
-        TC-Strong parks the atomic behind unexpired leases exactly
-        like a store; TC-Weak performs it immediately and reports the
-        GWCT, so the atomicity point is the L2 but global visibility
-        still waits for self-invalidation.
-        """
-        line = self.cache.lookup(msg.addr)
-        if line is None:
-            self._miss(msg)
-            return
-        self._counters["l2_hit"] += 1
-        self._counters["l2_atomics"] += 1
-        now = self.engine.now
-        if self.strong and now < line.expiry:
-            self._counters["l2_write_stalls"] += 1
-            self._counters["l2_write_stall_cycles"] += line.expiry - now
-            if self.trace is not None:
-                self.trace.complete(now, line.expiry, self.track,
-                                    "atomic_stall", {"addr": msg.addr})
-            self._blocked[msg.addr] = deque()
-            self.engine.post(line.expiry, self._perform_blocked_atomic,
-                             (msg,))
-            return
-        self._perform_atomic(msg, line)
-
-    def _perform_blocked_atomic(self, msg: TCAtm) -> None:
-        line = self.cache.lookup(msg.addr)
-        if line is None:  # pragma: no cover - lease-pinned, can't evict
-            raise RuntimeError("blocked line evicted under inclusion")
-        self._perform_atomic(msg, line)
-        parked = self._blocked.pop(msg.addr, deque())
-        for queued in parked:
-            self._process(queued)
-
-    def _perform_atomic(self, msg: TCAtm, line: CacheLine) -> None:
-        now = self.engine.now
-        expiry = line.expiry
-        gwct = expiry if expiry > now else now
         old_version = line.version
         line.version = msg.version
         line.dirty = True
         self.machine.versions.record_wts(msg.addr, msg.version, now)
-        self._reply(msg.sm, TCAtmAck(msg.addr, msg.sm, old_version, gwct,
-                                     version=msg.version))
+        if type(msg) is TCAtm:
+            ack = TCAtmAck(msg.addr, msg.sm, old_version, gwct,
+                           version=msg.version)
+        else:
+            ack = TCWrAck(msg.addr, msg.sm, gwct, version=msg.version)
+        self._reply(msg.sm, ack)
 
     # -- fill / inclusion -------------------------------------------------------
     def _retry_fill(self, addr: int) -> None:

@@ -140,18 +140,6 @@ class AccessLog:
     stores: List[StoreRecord] = field(default_factory=list)
     atomics: List["AtomicRecord"] = field(default_factory=list)
 
-    def record_load(self, record: LoadRecord) -> None:
-        if self.enabled:
-            self.loads.append(record)
-
-    def record_store(self, record: StoreRecord) -> None:
-        if self.enabled:
-            self.stores.append(record)
-
-    def record_atomic(self, record: "AtomicRecord") -> None:
-        if self.enabled:
-            self.atomics.append(record)
-
     def loads_of(self, addr: int) -> List[LoadRecord]:
         """All recorded loads of one address (test helper)."""
         return [r for r in self.loads if r.addr == addr]

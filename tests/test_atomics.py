@@ -164,7 +164,7 @@ def test_atomicity_checker_catches_torn_rmw():
     log = AccessLog()
     # claims to have read version 1 while writing version 3 — but
     # version 2 intervened
-    log.record_atomic(AtomicRecord(
+    log.atomics.append(AtomicRecord(
         warp_uid=0, addr=0, old_version=1, new_version=3,
         logical_ts=30, epoch=0, issue_cycle=0, complete_cycle=5))
     with pytest.raises(Exception, match="torn"):

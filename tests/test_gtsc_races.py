@@ -195,7 +195,7 @@ def test_crossed_write_acks_pair_by_version():
     done_b, cb_b = tracker()
     from repro.protocols.base import PendingStore
     from collections import deque
-    l1._pending_stores[0] = deque([
+    l1._pending_writes[0] = deque([
         PendingStore(warp_a, 0, 1, cb_a, 0),
         PendingStore(warp_b, 0, 2, cb_b, 0),
     ])
@@ -226,13 +226,13 @@ def test_write_ack_matching_no_pending_version_raises():
     line.pending_stores = 2
     from repro.protocols.base import PendingStore
     from collections import deque
-    l1._pending_stores[0x40] = deque([
+    l1._pending_writes[0x40] = deque([
         PendingStore(warp_a, 0x40, 1, lambda: None, 0),
         PendingStore(warp_b, 0x40, 2, lambda: None, 0),
     ])
     with pytest.raises(RuntimeError, match="line 0x40 carries version 9"):
         l1.receive(BusWrAck(0x40, 0, wts=30, rts=40, epoch=0, version=9))
-    assert [p.version for p in l1._pending_stores[0x40]] == [1, 2]
+    assert [p.version for p in l1._pending_writes[0x40]] == [1, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +250,7 @@ def test_old_write_ack_does_not_clobber_newer_line_state():
     line.pending_stores = 1
     from repro.protocols.base import PendingStore
     from collections import deque
-    l1._pending_stores[0] = deque([PendingStore(warp, 0, 3,
+    l1._pending_writes[0] = deque([PendingStore(warp, 0, 3,
                                                 lambda: None, 0)])
     l1.receive(BusWrAck(0, 0, wts=50, rts=60, epoch=0))
     machine.engine.run()

@@ -34,15 +34,14 @@ SCALE = 0.3
 #: the per-line request tables of each protocol's L1 and L2 controllers
 #: (every controller also has an MSHR table, checked separately)
 REQUEST_TABLES = {
-    Protocol.GTSC: (("_pending_stores", "_pending_atomics",
-                     "_locked_waiters", "_pending_writers"), ()),
-    Protocol.TC: (("_pending_stores", "_pending_atomics"), ("_blocked",)),
-    Protocol.MESI: (("_pending_stores", "_pending_atomics",
+    Protocol.GTSC: (("_pending_writes", "_locked_waiters",
+                     "_pending_writers"), ()),
+    Protocol.TC: (("_pending_writes",), ("_blocked",)),
+    Protocol.MESI: (("_pending_writes", "_awaiting_ownership",
                      "_loads_after_getm", "_m_requested"),
                     ("_stray_acks",)),
-    Protocol.DISABLED: (("_load_waiters", "_pending_stores",
-                         "_pending_atomics"), ()),
-    Protocol.NONCOHERENT: (("_pending_stores", "_pending_atomics"), ()),
+    Protocol.DISABLED: (("_load_waiters", "_pending_writes"), ()),
+    Protocol.NONCOHERENT: (("_pending_writes",), ()),
 }
 
 

@@ -3,6 +3,8 @@ violations, not just bless everything."""
 
 import pytest
 
+from repro.config import GPUConfig, Protocol
+from repro.gpu.gpu import make_gpu
 from repro.validate.checker import (
     CoherenceViolation,
     check_gtsc_log,
@@ -15,6 +17,8 @@ from repro.validate.versions import (
     StoreRecord,
     VersionStore,
 )
+
+from tests.conftest import racing_atomics
 
 
 def make_load(warp=0, addr=0, version=0, ts=1, epoch=0, cycle=10,
@@ -72,9 +76,9 @@ def test_value_check_accepts_correct_window():
     versions = VersionStore()
     _store_with_wts(versions, 0, 1, wts=10)
     log = AccessLog()
-    log.record_load(make_load(version=0, ts=5))    # before the store
-    log.record_load(make_load(version=1, ts=10))   # at the store
-    log.record_load(make_load(version=1, ts=50))   # after
+    log.loads.append(make_load(version=0, ts=5))    # before the store
+    log.loads.append(make_load(version=1, ts=10))   # at the store
+    log.loads.append(make_load(version=1, ts=50))   # after
     assert check_gtsc_log(log, versions) == 3
 
 
@@ -83,7 +87,7 @@ def test_value_check_rejects_future_read():
     versions = VersionStore()
     _store_with_wts(versions, 0, 1, wts=10)
     log = AccessLog()
-    log.record_load(make_load(version=1, ts=5))  # reads v1 before wts 10
+    log.loads.append(make_load(version=1, ts=5))  # reads v1 before wts 10
     with pytest.raises(CoherenceViolation, match="requires version 0"):
         check_gtsc_log(log, versions)
 
@@ -92,7 +96,7 @@ def test_value_check_rejects_stale_read():
     versions = VersionStore()
     _store_with_wts(versions, 0, 1, wts=10)
     log = AccessLog()
-    log.record_load(make_load(version=0, ts=20))  # v1 window covers 20
+    log.loads.append(make_load(version=0, ts=20))  # v1 window covers 20
     with pytest.raises(CoherenceViolation, match="requires version 1"):
         check_gtsc_log(log, versions)
 
@@ -104,8 +108,8 @@ def test_value_check_handles_out_of_mint_order_timestamps():
     assert versions.new_version(0) == 2
     versions.record_wts(0, 2, wts=12)         # minted second, earlier wts
     log = AccessLog()
-    log.record_load(make_load(version=2, ts=20))
-    log.record_load(make_load(version=1, ts=40))
+    log.loads.append(make_load(version=2, ts=20))
+    log.loads.append(make_load(version=1, ts=40))
     assert check_gtsc_log(log, versions) == 2
 
 
@@ -115,8 +119,8 @@ def test_value_check_epoch_boundaries():
     assert versions.new_version(0) == 2
     versions.record_wts(0, 2, wts=5, epoch=1)  # after a reset
     log = AccessLog()
-    log.record_load(make_load(version=1, ts=3, epoch=1))   # pre-v2 window
-    log.record_load(make_load(version=2, ts=6, epoch=1))
+    log.loads.append(make_load(version=1, ts=3, epoch=1))   # pre-v2 window
+    log.loads.append(make_load(version=2, ts=6, epoch=1))
     assert check_gtsc_log(log, versions) == 2
 
 
@@ -126,31 +130,31 @@ def test_value_check_epoch_boundaries():
 
 def test_monotonicity_accepts_nondecreasing():
     log = AccessLog()
-    log.record_load(make_load(ts=1, cycle=10))
-    log.record_store(make_store(ts=5, cycle=20))
-    log.record_load(make_load(ts=5, cycle=30))
+    log.loads.append(make_load(ts=1, cycle=10))
+    log.stores.append(make_store(ts=5, cycle=20))
+    log.loads.append(make_load(ts=5, cycle=30))
     check_warp_monotonicity(log)
 
 
 def test_monotonicity_rejects_backwards_clock():
     log = AccessLog()
-    log.record_store(make_store(ts=50, cycle=10))
-    log.record_load(make_load(ts=20, cycle=20))
+    log.stores.append(make_store(ts=50, cycle=10))
+    log.loads.append(make_load(ts=20, cycle=20))
     with pytest.raises(CoherenceViolation, match="backwards"):
         check_warp_monotonicity(log)
 
 
 def test_monotonicity_resets_across_epochs():
     log = AccessLog()
-    log.record_store(make_store(ts=500, cycle=10, epoch=0))
-    log.record_load(make_load(ts=2, cycle=20, epoch=1))  # after a reset
+    log.stores.append(make_store(ts=500, cycle=10, epoch=0))
+    log.loads.append(make_load(ts=2, cycle=20, epoch=1))  # after a reset
     check_warp_monotonicity(log)
 
 
 def test_monotonicity_tracks_warps_independently():
     log = AccessLog()
-    log.record_store(make_store(warp=0, ts=50, cycle=10))
-    log.record_load(make_load(warp=1, ts=5, cycle=20))
+    log.stores.append(make_store(warp=0, ts=50, cycle=10))
+    log.loads.append(make_load(warp=1, ts=5, cycle=20))
     check_warp_monotonicity(log)
 
 
@@ -164,7 +168,7 @@ def test_single_writer_accepts_increasing_processing_order():
     assert versions.new_version(0) == 2
     versions.record_wts(0, 2, wts=25)
     log = AccessLog()
-    log.record_store(make_store(version=1))
+    log.stores.append(make_store(version=1))
     assert check_single_writer_logical(log, versions) == 2
 
 
@@ -174,7 +178,7 @@ def test_single_writer_rejects_equal_timestamps():
     assert versions.new_version(0) == 2
     versions.record_wts(0, 2, wts=10)  # duplicate wts: forbidden
     log = AccessLog()
-    log.record_store(make_store(version=1))
+    log.stores.append(make_store(version=1))
     with pytest.raises(CoherenceViolation, match="processing order"):
         check_single_writer_logical(log, versions)
 
@@ -184,15 +188,20 @@ def test_single_writer_rejects_equal_timestamps():
 # ---------------------------------------------------------------------------
 
 def test_disabled_log_records_nothing():
-    log = AccessLog(enabled=False)
-    log.record_load(make_load())
-    log.record_store(make_store())
-    assert log.loads == [] and log.stores == []
+    """Every protocol checks ``log.enabled`` before it records, so an
+    unrecorded run of loads, stores and atomics leaves the log empty."""
+    for protocol in Protocol:
+        gpu = make_gpu(GPUConfig.tiny(protocol=protocol),
+                       record_accesses=False)
+        gpu.run(racing_atomics())
+        log = gpu.machine.log
+        assert (log.loads, log.stores, log.atomics) == ([], [], []), \
+            protocol
 
 
 def test_loads_of_filters_by_address():
     log = AccessLog()
-    log.record_load(make_load(addr=1))
-    log.record_load(make_load(addr=2))
-    log.record_load(make_load(addr=1))
+    log.loads.append(make_load(addr=1))
+    log.loads.append(make_load(addr=2))
+    log.loads.append(make_load(addr=1))
     assert len(log.loads_of(1)) == 2
