@@ -119,7 +119,8 @@ class GTSCL1Controller(L1ControllerBase):
                                       self.track, addr, wts, line.rts,
                                       warp.ts, self.epoch, warp.uid)
                 self._record_load(warp, addr, line.version, engine.now,
-                                  True, warp.ts, self.epoch)
+                                  hit=True, logical_ts=warp.ts,
+                                  epoch=self.epoch)
                 engine.post(engine.now + self._l1_latency, on_done)
                 return True
 
@@ -371,8 +372,8 @@ class GTSCL1Controller(L1ControllerBase):
                              addr, wts, rts, waiter.warp.ts,
                              self.epoch, waiter.warp.uid)
             self._record_load(waiter.warp, addr, version,
-                              waiter.issue_cycle, False, waiter.warp.ts,
-                              self.epoch)
+                              waiter.issue_cycle, hit=False,
+                              logical_ts=waiter.warp.ts, epoch=self.epoch)
             engine.post(now, waiter.on_done)
         if stragglers:
             top_ts = max(w.warp.ts for w in stragglers)

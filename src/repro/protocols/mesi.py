@@ -174,7 +174,7 @@ class MESIL1Controller(L1ControllerBase):
         if line is not None and line.expiry != _INVALID:
             self._counters["l1_hit"] += 1
             self._record_load(warp, addr, line.version, self.engine.now,
-                              True)
+                              hit=True)
             self._complete(on_done, self.config.l1_latency)
             return True
         self._counters["l1_miss"] += 1
@@ -252,7 +252,7 @@ class MESIL1Controller(L1ControllerBase):
                 version = msg.version
             for waiter in self.mshr.drain(msg.addr):
                 self._record_load(waiter.warp, msg.addr, version,
-                                  waiter.issue_cycle, False)
+                                  waiter.issue_cycle, hit=False)
                 self._complete(waiter.on_done)
         elif cls is DataM:
             self._on_ownership(msg)
@@ -288,7 +288,7 @@ class MESIL1Controller(L1ControllerBase):
         # the freshly written value
         for waiter in self._loads_after_getm.pop(msg.addr, []):
             self._record_load(waiter.warp, msg.addr, newest,
-                              waiter.issue_cycle, False)
+                              waiter.issue_cycle, hit=False)
             self._complete(waiter.on_done)
         if line is None:
             # could not cache the granted line (all ways busy): push

@@ -166,7 +166,7 @@ class TCL1Controller(L1ControllerBase):
             line = cache._lines[slot]
             if now < line.expiry:
                 counters["l1_hit"] += 1
-                self._record_load(warp, addr, line.version, now, True)
+                self._record_load(warp, addr, line.version, now, hit=True)
                 engine.post(now + self._l1_latency, on_done)
                 return True
 
@@ -240,7 +240,7 @@ class TCL1Controller(L1ControllerBase):
         now = engine.now
         for waiter in self.mshr.drain(msg.addr):
             self._record_load(waiter.warp, msg.addr, msg.version,
-                              waiter.issue_cycle, False)
+                              waiter.issue_cycle, hit=False)
             engine.post(now, waiter.on_done)
 
     def _on_write_ack(self, msg: TCWrAck) -> None:
