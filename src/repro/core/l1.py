@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict, List, Set
 
-from repro.config import CombiningPolicy, VisibilityPolicy
+from repro.config import VisibilityPolicy
 from repro.core.messages import (
     BusAtm,
     BusAtmAck,
@@ -39,7 +39,7 @@ from repro.core.messages import (
     BusWrAck,
 )
 from repro.mem.cache import CacheArray
-from repro.protocols.base import L1ControllerBase, LoadWaiter, Message
+from repro.protocols.base import L1ControllerBase, Message
 
 
 def _unpinned(line) -> bool:
@@ -56,8 +56,7 @@ if TYPE_CHECKING:  # pragma: no cover
 class GTSCL1Controller(L1ControllerBase):
     """Per-SM L1 controller for G-TSC."""
 
-    __slots__ = ("cache", "epoch", "_locked_waiters", "_pending_writers",
-                 "_warps")
+    __slots__ = ("cache", "epoch", "_locked_waiters", "_warps")
 
     # response dispatch by concrete message class: one dict lookup on
     # the hot receive path instead of an isinstance ladder
@@ -76,9 +75,6 @@ class GTSCL1Controller(L1ControllerBase):
         self.epoch = 0
         # loads delayed by the update-visibility rule, per line
         self._locked_waiters: Dict[int, List[tuple]] = {}
-        # warps with a pending store or atomic per line (for the
-        # OLD_COPY policy)
-        self._pending_writers: Dict[int, Set[int]] = {}
         # every warp that ever touched this L1 (for epoch resets)
         self._warps: Set["Warp"] = set()
 
@@ -113,15 +109,14 @@ class GTSCL1Controller(L1ControllerBase):
                 wts = line.wts
                 if wts > warp.ts:
                     warp.ts = wts
-                engine = self.engine
+                now = self.engine.now
                 if self.audit is not None:
-                    self.audit.record(engine.now, "l1_load",
-                                      self.track, addr, wts, line.rts,
-                                      warp.ts, self.epoch, warp.uid)
-                self._record_load(warp, addr, line.version, engine.now,
+                    self.audit.record(now, "l1_load", self.track, addr,
+                                      wts, line.rts, warp.ts, self.epoch,
+                                      warp.uid)
+                self._finish_load(warp, addr, line.version, now, on_done,
                                   hit=True, logical_ts=warp.ts,
                                   epoch=self.epoch)
-                engine.post(engine.now + self._l1_latency, on_done)
                 return True
 
         # miss: cold (no tag) or coherence (lease behind warp_ts)
@@ -130,24 +125,8 @@ class GTSCL1Controller(L1ControllerBase):
         if slot is not None:
             counters["l1_expired_miss"] += 1
             stale_wts = line.wts
-
-        entry = self.mshr.get(addr)
-        combine = self.config.combining is CombiningPolicy.MSHR
-        if entry is not None and combine:
-            entry.waiters.append(LoadWaiter(warp, on_done, self.engine.now))
-            return True
-        if entry is None:
-            if self.mshr.full:
-                self._counters["l1_mshr_stall"] += 1
-                if self.trace is not None:
-                    self.trace.instant(self.engine.now, self.track,
-                                       "mshr_stall", {"addr": addr})
-                return False
-            entry = self.mshr.allocate(addr)
-        entry.waiters.append(LoadWaiter(warp, on_done, self.engine.now))
-        self._send(BusRd(addr, self.sm_id, stale_wts, warp.ts, self.epoch))
-        entry.issued = True
-        return True
+        return self._load_miss(warp, addr, on_done, BusRd, stale_wts,
+                               warp.ts, self.epoch)
 
     def store(self, warp: "Warp", addr: int,
               on_done: Callable[[], None]) -> bool:
@@ -173,10 +152,6 @@ class GTSCL1Controller(L1ControllerBase):
         if line is not None:
             # block accesses to the updated line until the ack arrives
             line.pending_stores += 1
-        writers = self._pending_writers.get(addr)
-        if writers is None:
-            writers = self._pending_writers[addr] = set()
-        writers.add(warp.uid)
         version = self._push_write(warp, addr, on_done)
         self._send(request(addr, self.sm_id, warp.ts, version, self.epoch))
         return True
@@ -197,8 +172,9 @@ class GTSCL1Controller(L1ControllerBase):
         """
         if self.config.visibility is VisibilityPolicy.DELAY:
             return True
-        writers = self._pending_writers.get(addr)
-        return writers is not None and warp.uid in writers
+        uid = warp.uid
+        return any(pending.warp.uid == uid
+                   for pending in self._pending_writes[addr])
 
     def _park_locked(self, warp: "Warp", addr: int,
                      on_done: Callable[[], None]) -> None:
@@ -211,20 +187,8 @@ class GTSCL1Controller(L1ControllerBase):
 
     def _release_locked(self, addr: int) -> None:
         """Replay loads that were delayed by a (now drained) store."""
-        if addr in self._pending_writes:
-            return
-        self._pending_writers.pop(addr, None)
-        waiters = self._locked_waiters.pop(addr, None)
-        if not waiters:
-            return
-        for warp, on_done, _issue in waiters:
-            accepted = self.load(warp, addr, on_done)
-            if not accepted:
-                # MSHR full: put the load back in the locked queue and
-                # retry on a timer rather than losing it
-                self._park_locked(warp, addr, on_done)
-                self.engine.schedule(self.config.mshr_retry_interval,
-                                     self._retry_locked, addr)
+        if addr not in self._pending_writes:
+            self._retry_locked(addr)
 
     def _retry_locked(self, addr: int) -> None:
         waiters = self._locked_waiters.pop(addr, None)
@@ -232,6 +196,8 @@ class GTSCL1Controller(L1ControllerBase):
             return
         for warp, on_done, _issue in waiters:
             if not self.load(warp, addr, on_done):
+                # MSHR full: put the load back in the locked queue and
+                # retry on a timer rather than losing it
                 self._park_locked(warp, addr, on_done)
                 self.engine.schedule(self.config.mshr_retry_interval,
                                      self._retry_locked, addr)
@@ -240,13 +206,12 @@ class GTSCL1Controller(L1ControllerBase):
     # responses from L2
     # ------------------------------------------------------------------
     def receive(self, msg: Message) -> None:
+        """Adopt the newer epoch a response reveals (Section V-D), then
+        dispatch it."""
         epoch = getattr(msg, "epoch", self.epoch)
         if epoch > self.epoch:
             self._epoch_reset(epoch)
-        handler = self._handlers.get(type(msg))
-        if handler is None:  # pragma: no cover - defensive
-            raise TypeError(f"unexpected message at G-TSC L1: {msg!r}")
-        handler(self, msg)
+        self._dispatch(msg)
 
     def _on_back_inv(self, msg: BusInv) -> None:
         # inclusive-L2 ablation: back-invalidate (never drops a
@@ -317,18 +282,7 @@ class GTSCL1Controller(L1ControllerBase):
                                   msg.rts, warp.ts, self.epoch, warp.uid)
         self._finish_write(pending, msg.old_version if atomic else None,
                            warp.ts if stale else msg.wts, self.epoch)
-        self._drop_writer_if_drained(msg.addr, warp.uid)
         self._release_locked(msg.addr)
-
-    def _drop_writer_if_drained(self, addr: int, warp_uid: int) -> None:
-        """Clear a warp from the pending-writer set once it has no
-        in-flight store or atomic left on the line."""
-        writers = self._pending_writers.get(addr)
-        if writers is None or warp_uid not in writers:
-            return
-        if not any(p.warp.uid == warp_uid
-                   for p in self._pending_writes.get(addr, ())):
-            writers.discard(warp_uid)
 
     # ------------------------------------------------------------------
     # MSHR drain / renewal (Section V-B)
@@ -363,18 +317,15 @@ class GTSCL1Controller(L1ControllerBase):
                 entry.waiters = []
                 mshr.release(addr)
         audit = self.audit
-        engine = self.engine
-        now = engine.now
         for waiter in done:
-            waiter.warp.ts = max(waiter.warp.ts, wts)
+            warp = waiter.warp
+            warp.ts = max(warp.ts, wts)
             if audit is not None:
                 audit.record(self.engine.now, "l1_load", self.track,
-                             addr, wts, rts, waiter.warp.ts,
-                             self.epoch, waiter.warp.uid)
-            self._record_load(waiter.warp, addr, version,
-                              waiter.issue_cycle, hit=False,
-                              logical_ts=waiter.warp.ts, epoch=self.epoch)
-            engine.post(now, waiter.on_done)
+                             addr, wts, rts, warp.ts, self.epoch, warp.uid)
+            self._finish_load(warp, addr, version, waiter.issue_cycle,
+                              waiter.on_done, hit=False,
+                              logical_ts=warp.ts, epoch=self.epoch)
         if stragglers:
             top_ts = max(w.warp.ts for w in stragglers)
             if installed:

@@ -30,7 +30,7 @@ from repro.core.messages import (
 from repro.config import LeasePolicy
 from repro.core.timestamps import TimestampDomain
 from repro.mem.cache import CacheLine
-from repro.protocols.base import L2BankBase, Message
+from repro.protocols.base import L2BankBase
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.machine import Machine
@@ -68,15 +68,6 @@ class GTSCL2Bank(L2BankBase):
         self._lease = machine.config.lease
         self._ts_max = domain.ts_max
         domain.on_reset(self._timestamp_reset)
-
-    # ------------------------------------------------------------------
-    # request dispatch
-    # ------------------------------------------------------------------
-    def _process(self, msg: Message) -> None:
-        handler = self._handlers.get(type(msg))
-        if handler is None:  # pragma: no cover - defensive
-            raise TypeError(f"unexpected message at G-TSC L2: {msg!r}")
-        handler(self, msg)
 
     # ------------------------------------------------------------------
     # reads: renewal vs fill (Figure 4)

@@ -2,11 +2,16 @@
 
 Every protocol is expressed as a per-SM L1 controller plus a per-bank
 L2 controller exchanging messages over the NoC.  The bases here own
-the mechanics all protocols share — message sizing, the L2 bank's
-service pipeline, the miss path to DRAM, and the L1's table of stores
-and atomics awaiting their acks with the records and latencies booked
-when one completes — so each protocol file only contains its actual
-state machine.
+the mechanics all protocols share — message sizing and dispatch, the
+L2 bank's service pipeline and its miss path to DRAM, and the L1's
+load path after the hit test: a miss parks on the line's MSHR entry
+(:meth:`L1ControllerBase._load_miss`), a fill drains the entry
+(:meth:`L1ControllerBase._fill_waiters`), and every load completes in
+:meth:`L1ControllerBase._finish_load`, which books its latency and
+access-log record.  The L1 base also keeps the table of stores and
+atomics awaiting their acks, and completes them in
+:meth:`L1ControllerBase._finish_write`.  Each protocol file keeps only
+its hit test, the requests it sends and the replies only it handles.
 
 An atomic is a store that returns the old value.  Every protocol sends
 it down its one write path: the atomic request class subclasses the
@@ -20,6 +25,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Deque, Dict, Optional
 
+from repro.config import CombiningPolicy
 from repro.mem.cache import CacheArray, CacheLine
 from repro.mem.mshr import MSHRTable
 from repro.validate.versions import AtomicRecord, LoadRecord, StoreRecord
@@ -104,10 +110,10 @@ class _Dispatch:
     the same table with each name resolved on that subclass, so an
     override dispatches.  A controller reads the table through its
     ``_handlers`` slot (a slot read is cheaper than a class-attribute
-    read on the hot receive path) and calls ``handler(self, msg)``.
-    The table holds functions, not bound methods: a per-instance table
-    of bound methods would tie every controller into a reference cycle
-    with itself.
+    read on the hot receive path) and calls ``handler(self, msg)``
+    through :meth:`_dispatch`.  The table holds functions, not bound
+    methods: a per-instance table of bound methods would tie every
+    controller into a reference cycle with itself.
     """
 
     __slots__ = ("_handlers",)
@@ -123,6 +129,14 @@ class _Dispatch:
     def __init__(self) -> None:
         self._handlers = self._handler_table
 
+    def _dispatch(self, msg: "Message") -> None:
+        """Hand ``msg`` to the method its class maps to."""
+        handler = self._handlers.get(type(msg))
+        if handler is None:
+            raise TypeError(
+                f"unexpected message at {type(self).__name__}: {msg!r}")
+        handler(self, msg)
+
 
 # ---------------------------------------------------------------------------
 # L1 controller base
@@ -136,20 +150,25 @@ class L1ControllerBase(_Dispatch):
     structural hazard (full MSHR) forces the SM to retry later.
     Completion is signalled through the ``on_done`` callback.
 
-    A store or atomic that waits for the L2's ack sits in
-    ``_pending_writes`` from :meth:`_push_write` until
-    :meth:`_pop_write` matches the ack to it, and
-    :meth:`_finish_write` books its completion.
+    A protocol's :meth:`load` runs its hit test and completes a hit in
+    :meth:`_finish_load`; a miss goes to :meth:`_load_miss`, which
+    parks it on the line's MSHR entry, and the fill completes the
+    entry's loads through :meth:`_fill_waiters`.  A store or atomic
+    that waits for the L2's ack sits in ``_pending_writes`` from
+    :meth:`_push_write` until :meth:`_pop_write` matches the ack to
+    it, and :meth:`_finish_write` books its completion.  Responses
+    reach their handlers through ``_handler_names``.
     """
 
     __slots__ = ("sm_id", "uid", "machine", "config", "engine", "stats",
                  "_counters", "_l1_latency", "_load_hist", "_store_hist",
-                 "_atomic_hist", "_num_homes", "_src", "mshr", "trace",
-                 "audit", "track", "_pending_writes")
+                 "_atomic_hist", "_num_homes", "_src", "mshr", "_combine",
+                 "trace", "audit", "track", "_pending_writes")
 
-    #: whether :meth:`_finish_write` books ``store_latency`` and
-    #: ``atomic_latency`` (the plain L1s and MESI's atomics book none)
-    _books_write_latency = True
+    #: whether :meth:`_finish_load` and :meth:`_finish_write` book
+    #: ``load_latency``, ``store_latency`` and ``atomic_latency`` (the
+    #: plain L1s book none)
+    _books_latency = True
 
     def __init__(self, sm_id: int, machine: "Machine") -> None:
         super().__init__()
@@ -178,6 +197,9 @@ class L1ControllerBase(_Dispatch):
                            * machine.config.n_gpus)
         self._src = (("sm", sm_id), machine.link_port)
         self.mshr = MSHRTable(machine.config.l1_mshr_entries)
+        # whether a load that misses on a line already being fetched
+        # joins that read (Section V-B's MSHR combining) or sends its own
+        self._combine = machine.config.combining is CombiningPolicy.MSHR
         # observability refs, cached once; None keeps the hot paths to
         # a single identity check per instrumentation point
         obs = machine.obs
@@ -204,9 +226,8 @@ class L1ControllerBase(_Dispatch):
         """Issue an atomic RMW (performed at the L2, like real GPUs)."""
         raise NotImplementedError
 
-    def receive(self, msg: Message) -> None:
-        """Handle a response delivered by the NoC."""
-        raise NotImplementedError
+    #: a response delivered by the NoC goes to its class's handler
+    receive = _Dispatch._dispatch
 
     def flush(self) -> None:
         """Invalidate private state at kernel boundaries."""
@@ -234,11 +255,66 @@ class L1ControllerBase(_Dispatch):
         network.send(self._src[via], dst, size, msg.kind,
                      home.l2_banks[bank].receive, msg)
 
-    def _complete(self, callback: Callable[[], None],
-                  delay: int = 0) -> None:
-        """Fire an SM completion callback ``delay`` cycles from now."""
+    # -- loads -------------------------------------------------------------------
+    def _load_miss(self, warp: "Warp", addr: int,
+                   on_done: Callable[[], None], request: type,
+                   *fields) -> bool:
+        """Park a load that missed on ``addr`` in the line's MSHR entry.
+
+        Under MSHR combining a load joins the read already in flight on
+        the line.  Otherwise it takes a new entry (under forward-all,
+        the line's existing one) and sends ``request(addr, sm_id,
+        *fields)``.  When a new entry is needed and the MSHR is full,
+        the load is refused: it books ``l1_mshr_stall`` and returns
+        False, and the SM retries later.
+        """
+        now = self.engine.now
+        mshr = self.mshr
+        entry = mshr.get(addr)
+        if entry is None:
+            if mshr.full:
+                self._counters["l1_mshr_stall"] += 1
+                if self.trace is not None:
+                    self.trace.instant(now, self.track, "mshr_stall",
+                                       {"addr": addr})
+                return False
+            entry = mshr.allocate(addr)
+        elif self._combine:
+            entry.waiters.append(LoadWaiter(warp, on_done, now))
+            return True
+        entry.waiters.append(LoadWaiter(warp, on_done, now))
+        self._send(request(addr, self.sm_id, *fields))
+        entry.issued = True
+        return True
+
+    def _fill_waiters(self, addr: int, version: int) -> None:
+        """Complete every load parked on ``addr``'s MSHR entry: each
+        reads the filled ``version``."""
+        for waiter in self.mshr.drain(addr):
+            self._finish_load(waiter.warp, addr, version,
+                              waiter.issue_cycle, waiter.on_done,
+                              hit=False)
+
+    def _finish_load(self, warp: "Warp", addr: int, version: int,
+                     issue_cycle: int, on_done: Callable[[], None],
+                     hit: bool, logical_ts: int = 0,
+                     epoch: int = 0) -> None:
+        """Complete a load that read ``version``: book its latency and
+        access-log record, and wake its warp ``l1_latency`` from now on
+        a hit, or this cycle on a fill."""
         engine = self.engine
-        engine.post(engine.now + delay, callback)
+        now = engine.now
+        if self._books_latency:
+            hist = self._load_hist
+            if hist is None:
+                hist = self._load_hist = self.stats.hist.get("load_latency")
+            hist.add(now - issue_cycle)
+        log = self.machine.log
+        if log.enabled:    # don't even build the record when disabled
+            log.loads.append(LoadRecord(warp.uid, addr, version,
+                                        logical_ts, epoch, issue_cycle,
+                                        now, hit))
+        engine.post(now + self._l1_latency if hit else now, on_done)
 
     # -- stores and atomics awaiting acks -----------------------------------------
     def _push_write(self, warp: "Warp", addr: int,
@@ -288,15 +364,22 @@ class L1ControllerBase(_Dispatch):
             del self._pending_writes[addr]
         return pending
 
+    def _on_write_ack(self, msg: Message) -> None:
+        """Complete the store an ack answers, or the atomic, whose ack
+        also carries the ``old_version`` it read."""
+        self._finish_write(self._pop_write(msg.addr, msg.version),
+                           getattr(msg, "old_version", None))
+
     def _finish_write(self, pending: PendingStore,
                       old_version: Optional[int] = None,
-                      logical_ts: int = 0, epoch: int = 0) -> None:
-        """Complete an acked store, or an atomic that read
-        ``old_version``: book its latency and access-log record, and
-        wake its warp this cycle."""
+                      logical_ts: int = 0, epoch: int = 0,
+                      delay: int = 0) -> None:
+        """Complete a store, or an atomic that read ``old_version``:
+        book its latency and access-log record, and wake its warp
+        ``delay`` cycles from now."""
         engine = self.engine
         now = engine.now
-        if self._books_write_latency:
+        if self._books_latency:
             if old_version is None:
                 hist = self._store_hist
                 if hist is None:
@@ -319,23 +402,7 @@ class L1ControllerBase(_Dispatch):
                     pending.warp.uid, pending.addr, old_version,
                     pending.version, logical_ts, epoch,
                     pending.issue_cycle, now))
-        engine.post(now, pending.on_done)
-
-    def _record_load(self, warp: "Warp", addr: int, version: int,
-                     issue_cycle: int, hit: bool, logical_ts: int = 0,
-                     epoch: int = 0) -> None:
-        """Book a completed load's latency and, when the access log is
-        on, its record."""
-        now = self.engine.now
-        hist = self._load_hist
-        if hist is None:
-            hist = self._load_hist = self.stats.hist.get("load_latency")
-        hist.add(now - issue_cycle)
-        log = self.machine.log
-        if log.enabled:    # don't even build the record when disabled
-            log.loads.append(LoadRecord(warp.uid, addr, version,
-                                        logical_ts, epoch, issue_cycle,
-                                        now, hit))
+        engine.post(now + delay, pending.on_done)
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +415,10 @@ class L2BankBase(_Dispatch):
     Owns the tag array, the bank's service pipeline (requests occupy
     the bank for ``l2_service`` cycles and complete an access
     ``l2_latency`` later), and the miss path to the bank's DRAM
-    partition.  Subclasses implement :meth:`_process` (the protocol
-    state machine) plus the fill/eviction hooks.
+    partition.  :meth:`_process` hands each request that leaves the
+    pipeline to its class's handler in ``_handler_names``; subclasses
+    write those handlers (the protocol state machine) plus the
+    fill/eviction hooks.
     """
 
     __slots__ = ("bank_id", "machine", "config", "engine", "stats",
@@ -390,8 +459,8 @@ class L2BankBase(_Dispatch):
         self._ready_at = start + self._l2_service
         engine.post(start + self._l2_latency, self._process, (msg,))
 
-    def _process(self, msg: Message) -> None:
-        raise NotImplementedError
+    #: a request leaving the pipeline goes to its class's handler
+    _process = _Dispatch._dispatch
 
     # -- miss path ----------------------------------------------------------------
     def _miss(self, msg: Message) -> None:

@@ -33,7 +33,6 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Set
 
-from repro.config import CombiningPolicy
 from repro.mem.cache import CacheArray, CacheLine
 from repro.protocols.base import (
     L1ControllerBase,
@@ -43,7 +42,6 @@ from repro.protocols.base import (
     PendingStore,
 )
 from repro.protocols.plain import MemAtm, MemAtmAck
-from repro.validate.versions import StoreRecord
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.machine import Machine
@@ -147,10 +145,15 @@ class MESIL1Controller(L1ControllerBase):
     directory and wait for their acks in the base's ``_pending_writes``;
     stores wait for ownership instead, in ``_awaiting_ownership``,
     since one ``DataM`` completes every store queued on its line.
-    Atomics book no latency histogram; stores book ``store_latency``.
+    Both complete through the base's ``_finish_write``.
     """
 
-    _books_write_latency = False
+    _handler_names = {
+        DataS: "_on_shared",
+        DataM: "_on_ownership",
+        Inv: "_on_invalidate",
+        MemAtmAck: "_on_write_ack",
+    }
 
     def __init__(self, sm_id: int, machine: "Machine") -> None:
         super().__init__(sm_id, machine)
@@ -173,9 +176,8 @@ class MESIL1Controller(L1ControllerBase):
         line = self.cache.lookup(addr)
         if line is not None and line.expiry != _INVALID:
             self._counters["l1_hit"] += 1
-            self._record_load(warp, addr, line.version, self.engine.now,
-                              hit=True)
-            self._complete(on_done, self.config.l1_latency)
+            self._finish_load(warp, addr, line.version, self.engine.now,
+                              on_done, hit=True)
             return True
         self._counters["l1_miss"] += 1
         if addr in self._m_requested:
@@ -186,26 +188,15 @@ class MESIL1Controller(L1ControllerBase):
                 merged = self._loads_after_getm[addr] = []
             merged.append(LoadWaiter(warp, on_done, self.engine.now))
             return True
-        entry = self.mshr.get(addr)
-        if entry is not None and \
-                self.config.combining is CombiningPolicy.MSHR:
-            entry.waiters.append(LoadWaiter(warp, on_done, self.engine.now))
-            return True
-        if entry is None:
-            if self.mshr.full:
-                self._counters["l1_mshr_stall"] += 1
-                return False
-            entry = self.mshr.allocate(addr)
-        entry.waiters.append(LoadWaiter(warp, on_done, self.engine.now))
-        self._send(GetS(addr, self.sm_id))
-        entry.issued = True
-        return True
+        return self._load_miss(warp, addr, on_done, GetS)
 
     def store(self, warp: "Warp", addr: int,
               on_done: Callable[[], None]) -> bool:
         self._counters["l1_access"] += 1
         self._counters["l1_store"] += 1
         version = self.machine.versions.new_version(addr)
+        pending = PendingStore(warp, addr, version, on_done,
+                               self.engine.now)
         line = self.cache.lookup(addr)
         if line is not None and line.expiry == _MODIFIED:
             # write hit in M: no coherence traffic at all
@@ -214,11 +205,8 @@ class MESIL1Controller(L1ControllerBase):
             line.dirty = True
             self.machine.versions.record_wts(addr, version,
                                              self.engine.now)
-            self._record_store(warp, addr, version, self.engine.now)
-            self._complete(on_done, self.config.l1_latency)
+            self._finish_write(pending, delay=self._l1_latency)
             return True
-        pending = PendingStore(warp, addr, version, on_done,
-                               self.engine.now)
         queue = self._awaiting_ownership.get(addr)
         if queue is None:
             queue = self._awaiting_ownership[addr] = deque()
@@ -239,30 +227,16 @@ class MESIL1Controller(L1ControllerBase):
         return True
 
     # -- responses --------------------------------------------------------------
-    def receive(self, msg: Message) -> None:
-        cls = type(msg)
-        if cls is DataS:
-            line = self.cache.lookup(msg.addr)
-            if line is not None and line.expiry == _MODIFIED:
-                # a racing GetM was granted first: our M data is newer
-                # than this shared grant — serve the waiters locally
-                version = line.version
-            else:
-                self._install(msg.addr, msg.version, _SHARED)
-                version = msg.version
-            for waiter in self.mshr.drain(msg.addr):
-                self._record_load(waiter.warp, msg.addr, version,
-                                  waiter.issue_cycle, hit=False)
-                self._complete(waiter.on_done)
-        elif cls is DataM:
-            self._on_ownership(msg)
-        elif cls is Inv:
-            self._on_invalidate(msg)
-        elif cls is MemAtmAck:
-            self._finish_write(self._pop_write(msg.addr, msg.version),
-                               msg.old_version)
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unexpected message at MESI L1: {msg!r}")
+    def _on_shared(self, msg: DataS) -> None:
+        line = self.cache.lookup(msg.addr)
+        if line is not None and line.expiry == _MODIFIED:
+            # a racing GetM was granted first: our M data is newer
+            # than this shared grant — serve the waiters locally
+            version = line.version
+        else:
+            self._install(msg.addr, msg.version, _SHARED)
+            version = msg.version
+        self._fill_waiters(msg.addr, version)
 
     def _on_ownership(self, msg: DataM) -> None:
         self._m_requested.discard(msg.addr)
@@ -280,16 +254,14 @@ class MESIL1Controller(L1ControllerBase):
                 line.dirty = True
             self.machine.versions.record_wts(msg.addr, pending.version,
                                              self.engine.now)
-            self._record_store(pending.warp, msg.addr, pending.version,
-                               pending.issue_cycle)
-            self._complete(pending.on_done)
+            self._finish_write(pending)
         self._awaiting_ownership.pop(msg.addr, None)
         # serve the loads that merged into this write miss: they read
         # the freshly written value
         for waiter in self._loads_after_getm.pop(msg.addr, []):
-            self._record_load(waiter.warp, msg.addr, newest,
-                              waiter.issue_cycle, hit=False)
-            self._complete(waiter.on_done)
+            self._finish_load(waiter.warp, msg.addr, newest,
+                              waiter.issue_cycle, waiter.on_done,
+                              hit=False)
         if line is None:
             # could not cache the granted line (all ways busy): push
             # the data straight back to the directory
@@ -335,21 +307,6 @@ class MESIL1Controller(L1ControllerBase):
         for line in list(self.cache.lines()):
             self._writeback_if_modified(line)
         self.cache.flush()
-
-    # -- records -----------------------------------------------------------------
-    def _record_store(self, warp: "Warp", addr: int, version: int,
-                      issue_cycle: int) -> None:
-        """Book a store performed in M now: its latency and, when the
-        access log is on, its record."""
-        now = self.engine.now
-        hist = self._store_hist
-        if hist is None:
-            hist = self._store_hist = self.stats.hist.get("store_latency")
-        hist.add(now - issue_cycle)
-        log = self.machine.log
-        if log.enabled:    # don't even build the record when disabled
-            log.stores.append(StoreRecord(warp.uid, addr, version, 0, 0,
-                                          issue_cycle, now))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from repro.protocols.base import (
     LoadWaiter,
     Message,
 )
-from repro.validate.versions import LoadRecord
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.machine import Machine
@@ -117,7 +116,13 @@ class DisabledL1Controller(L1ControllerBase):
 
     __slots__ = ("_load_waiters",)
 
-    _books_write_latency = False
+    _handler_names = {
+        MemFill: "_on_fill",
+        MemAck: "_on_write_ack",
+        MemAtmAck: "_on_write_ack",
+    }
+
+    _books_latency = False
 
     def __init__(self, sm_id: int, machine: "Machine") -> None:
         super().__init__(sm_id, machine)
@@ -152,34 +157,13 @@ class DisabledL1Controller(L1ControllerBase):
         self._send(request(addr, self.sm_id, version))
         return True
 
-    def receive(self, msg: Message) -> None:
-        cls = type(msg)
-        if cls is MemFill:
-            queue = self._load_waiters[msg.addr]
-            waiter = queue.popleft()
-            if not queue:
-                del self._load_waiters[msg.addr]
-            log = self.machine.log
-            if log.enabled:
-                log.loads.append(LoadRecord(
-                    warp_uid=waiter.warp.uid,
-                    addr=msg.addr,
-                    version=msg.version,
-                    logical_ts=0,
-                    epoch=0,
-                    issue_cycle=waiter.issue_cycle,
-                    complete_cycle=self.engine.now,
-                    l1_hit=False,
-                ))
-            engine = self.engine
-            engine.post(engine.now, waiter.on_done)
-        elif cls is MemAck:
-            self._finish_write(self._pop_write(msg.addr, msg.version))
-        elif cls is MemAtmAck:
-            self._finish_write(self._pop_write(msg.addr, msg.version),
-                               msg.old_version)
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unexpected message at BL L1: {msg!r}")
+    def _on_fill(self, msg: MemFill) -> None:
+        queue = self._load_waiters[msg.addr]
+        waiter = queue.popleft()
+        if not queue:
+            del self._load_waiters[msg.addr]
+        self._finish_load(waiter.warp, msg.addr, msg.version,
+                          waiter.issue_cycle, waiter.on_done, hit=False)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +175,10 @@ class NonCoherentL1Controller(L1ControllerBase):
 
     __slots__ = ("cache",)
 
-    _books_write_latency = False
+    # the no-L1 controller's replies, each resolved on this class
+    _handler_names = DisabledL1Controller._handler_names
+
+    _books_latency = False
 
     def __init__(self, sm_id: int, machine: "Machine") -> None:
         super().__init__(sm_id, machine)
@@ -205,29 +192,11 @@ class NonCoherentL1Controller(L1ControllerBase):
         line = self.cache.lookup(addr)
         if line is not None:
             counters["l1_hit"] += 1
-            log = self.machine.log
-            if log.enabled:
-                log.loads.append(LoadRecord(
-                    warp_uid=warp.uid, addr=addr, version=line.version,
-                    logical_ts=0, epoch=0, issue_cycle=self.engine.now,
-                    complete_cycle=self.engine.now, l1_hit=True,
-                ))
-            engine = self.engine
-            engine.post(engine.now + self._l1_latency, on_done)
+            self._finish_load(warp, addr, line.version, self.engine.now,
+                              on_done, hit=True)
             return True
         counters["l1_miss"] += 1
-        entry = self.mshr.get(addr)
-        if entry is not None:
-            entry.waiters.append(LoadWaiter(warp, on_done, self.engine.now))
-            return True
-        if self.mshr.full:
-            counters["l1_mshr_stall"] += 1
-            return False
-        entry = self.mshr.allocate(addr)
-        entry.waiters.append(LoadWaiter(warp, on_done, self.engine.now))
-        self._send(MemRd(addr, self.sm_id))
-        entry.issued = True
-        return True
+        return self._load_miss(warp, addr, on_done, MemRd)
 
     def store(self, warp: "Warp", addr: int,
               on_done: Callable[[], None]) -> bool:
@@ -253,30 +222,11 @@ class NonCoherentL1Controller(L1ControllerBase):
         self._send(MemAtm(addr, self.sm_id, version))
         return True
 
-    def receive(self, msg: Message) -> None:
-        cls = type(msg)
-        if cls is MemFill:
-            line, _evicted = self.cache.allocate(msg.addr)
-            if line is not None:
-                line.version = msg.version
-            log = self.machine.log
-            engine = self.engine
-            for waiter in self.mshr.drain(msg.addr):
-                if log.enabled:
-                    log.loads.append(LoadRecord(
-                        warp_uid=waiter.warp.uid, addr=msg.addr,
-                        version=msg.version, logical_ts=0, epoch=0,
-                        issue_cycle=waiter.issue_cycle,
-                        complete_cycle=engine.now, l1_hit=False,
-                    ))
-                engine.post(engine.now, waiter.on_done)
-        elif cls is MemAck:
-            self._finish_write(self._pop_write(msg.addr, msg.version))
-        elif cls is MemAtmAck:
-            self._finish_write(self._pop_write(msg.addr, msg.version),
-                               msg.old_version)
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unexpected message at non-coherent L1: {msg!r}")
+    def _on_fill(self, msg: MemFill) -> None:
+        line, _evicted = self.cache.allocate(msg.addr)
+        if line is not None:
+            line.version = msg.version
+        self._fill_waiters(msg.addr, msg.version)
 
     def flush(self) -> None:
         self.cache.flush()

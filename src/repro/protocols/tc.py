@@ -25,14 +25,9 @@ from collections import deque
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Deque, Dict, Optional
 
-from repro.config import CombiningPolicy, Consistency
+from repro.config import Consistency
 from repro.mem.cache import CacheArray, CacheLine
-from repro.protocols.base import (
-    L1ControllerBase,
-    L2BankBase,
-    LoadWaiter,
-    Message,
-)
+from repro.protocols.base import L1ControllerBase, L2BankBase, Message
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.machine import Machine
@@ -137,7 +132,7 @@ class TCAtmAck(TCWrAck):
 class TCL1Controller(L1ControllerBase):
     """Per-SM L1 under Temporal Coherence."""
 
-    __slots__ = ("cache", "_combine")
+    __slots__ = ("cache",)
 
     # response dispatch by concrete class (same idiom as G-TSC)
     _handler_names = {
@@ -150,14 +145,12 @@ class TCL1Controller(L1ControllerBase):
         super().__init__(sm_id, machine)
         config = machine.config
         self.cache = CacheArray(config.l1_sets, config.l1_assoc)
-        self._combine = config.combining is CombiningPolicy.MSHR
 
     def load(self, warp: "Warp", addr: int,
              on_done: Callable[[], None]) -> bool:
         counters = self._counters
         counters["l1_access"] += 1
-        engine = self.engine
-        now = engine.now
+        now = self.engine.now
         cache = self.cache
         slot = cache._where.get(addr)
         if slot is not None:
@@ -166,8 +159,8 @@ class TCL1Controller(L1ControllerBase):
             line = cache._lines[slot]
             if now < line.expiry:
                 counters["l1_hit"] += 1
-                self._record_load(warp, addr, line.version, now, hit=True)
-                engine.post(now + self._l1_latency, on_done)
+                self._finish_load(warp, addr, line.version, now, on_done,
+                                  hit=True)
                 return True
 
         counters["l1_miss"] += 1
@@ -175,20 +168,7 @@ class TCL1Controller(L1ControllerBase):
             # tag matched but the lease ran out: the self-invalidation
             # ("coherence") miss that physical time forces on TC
             counters["l1_expired_miss"] += 1
-
-        entry = self.mshr.get(addr)
-        if entry is not None and self._combine:
-            entry.waiters.append(LoadWaiter(warp, on_done, now))
-            return True
-        if entry is None:
-            if self.mshr.full:
-                counters["l1_mshr_stall"] += 1
-                return False
-            entry = self.mshr.allocate(addr)
-        entry.waiters.append(LoadWaiter(warp, on_done, now))
-        self._send(TCRd(addr, self.sm_id))
-        entry.issued = True
-        return True
+        return self._load_miss(warp, addr, on_done, TCRd)
 
     def store(self, warp: "Warp", addr: int,
               on_done: Callable[[], None]) -> bool:
@@ -213,12 +193,6 @@ class TCL1Controller(L1ControllerBase):
         self._send(request(addr, self.sm_id, version))
         return True
 
-    def receive(self, msg: Message) -> None:
-        handler = self._handlers.get(type(msg))
-        if handler is None:  # pragma: no cover - defensive
-            raise TypeError(f"unexpected message at TC L1: {msg!r}")
-        handler(self, msg)
-
     def _on_fill(self, msg: TCFill) -> None:
         if msg.expiry <= self.engine.now:
             # the lease died in flight (NoC delay): the value was
@@ -236,12 +210,7 @@ class TCL1Controller(L1ControllerBase):
             if line is not None:
                 line.version = msg.version
                 line.expiry = msg.expiry
-        engine = self.engine
-        now = engine.now
-        for waiter in self.mshr.drain(msg.addr):
-            self._record_load(waiter.warp, msg.addr, msg.version,
-                              waiter.issue_cycle, hit=False)
-            engine.post(now, waiter.on_done)
+        self._fill_waiters(msg.addr, msg.version)
 
     def _on_write_ack(self, msg: TCWrAck) -> None:
         """A store's ack, or an atomic's (``TCAtmAck``, which adds the
@@ -321,10 +290,7 @@ class TCL2Bank(L2BankBase):
             blocked.append(msg)
             self._counters["l2_blocked_requests"] += 1
             return
-        handler = self._handlers.get(type(msg))
-        if handler is None:  # pragma: no cover - defensive
-            raise TypeError(f"unexpected message at TC L2: {msg!r}")
-        handler(self, msg)
+        self._dispatch(msg)
 
     def _read(self, msg: TCRd) -> None:
         line = self.cache.lookup(msg.addr)

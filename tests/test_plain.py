@@ -1,6 +1,6 @@
 """Tests for the two non-protocol baselines (BL and Baseline W/L1)."""
 
-from repro.config import Consistency, GPUConfig, Protocol
+from repro.config import CombiningPolicy, Consistency, GPUConfig, Protocol
 from repro.gpu.gpu import GPU
 from repro.gpu.machine import Machine
 from repro.gpu.warp import Warp
@@ -145,6 +145,20 @@ def test_noncoherent_combines_misses_in_mshr():
         l1.load(Warp(uid, pack_trace([])), 0, lambda: None)
     machine.engine.run()
     assert machine.stats.get("l2_access") == 1
+
+
+def test_noncoherent_forward_all_sends_every_miss():
+    """The forward-all ablation reaches the non-coherent L1 as it does
+    the others: each missing load sends its own read."""
+    machine = make_machine(Protocol.NONCOHERENT,
+                           combining=CombiningPolicy.FORWARD_ALL)
+    l1 = machine.l1s[0]
+    done, cb = tracker()
+    for uid in range(3):
+        l1.load(Warp(uid, pack_trace([])), 0, cb)
+    machine.engine.run()
+    assert machine.stats.get("l2_access") == 3
+    assert done == [True] * 3
 
 
 def test_plain_l2_evicts_dirty_lines_with_writeback():

@@ -34,8 +34,7 @@ SCALE = 0.3
 #: the per-line request tables of each protocol's L1 and L2 controllers
 #: (every controller also has an MSHR table, checked separately)
 REQUEST_TABLES = {
-    Protocol.GTSC: (("_pending_writes", "_locked_waiters",
-                     "_pending_writers"), ()),
+    Protocol.GTSC: (("_pending_writes", "_locked_waiters"), ()),
     Protocol.TC: (("_pending_writes",), ("_blocked",)),
     Protocol.MESI: (("_pending_writes", "_awaiting_ownership",
                      "_loads_after_getm", "_m_requested"),
