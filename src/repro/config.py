@@ -157,7 +157,6 @@ class GPUConfig:
     # --- core organisation -------------------------------------------------
     num_sms: int = 16
     max_warps_per_sm: int = 48
-    threads_per_warp: int = 32
 
     # --- L1 (per SM) --------------------------------------------------------
     l1_size: int = 16 * 1024
@@ -209,7 +208,6 @@ class GPUConfig:
     lease_max_factor: int = 8           # cap for adaptive leases
 
     # --- scheduling ---------------------------------------------------------
-    issue_width: int = 1             # memory instructions issued per SM/cycle
     mshr_retry_interval: int = 4     # cycles before retrying a full MSHR
     scheduler: SchedulerPolicy = SchedulerPolicy.RR
 

@@ -9,13 +9,13 @@ from repro.config import (
     Protocol,
     VisibilityPolicy,
 )
+from repro.serve.schema import SpecError, validate_spec
 
 
 def test_paper_preset_matches_section_vi_a():
     config = GPUConfig.paper()
     assert config.num_sms == 16
     assert config.max_warps_per_sm == 48
-    assert config.threads_per_warp == 32
     assert config.l1_size == 16 * 1024
     assert config.num_l2_banks == 8
     assert config.total_l2_size == 1024 * 1024  # 1MB overall
@@ -101,3 +101,12 @@ def test_describe_mentions_protocol_and_lease():
     text = GPUConfig.small(lease=12).describe()
     assert "gtsc" in text
     assert "lease=12" in text
+
+
+@pytest.mark.parametrize("name", ["issue_width", "threads_per_warp"])
+def test_override_of_a_field_nothing_reads_is_refused(name):
+    """No module modelled an issue width or a warp's thread count, so
+    they are not config fields: a serve spec or ``repro simulate --set``
+    naming one is refused rather than accepted and ignored."""
+    with pytest.raises(SpecError, match=f"unknown config override '{name}'"):
+        validate_spec({"workload": "BFS", "overrides": {name: 2}})
