@@ -43,30 +43,6 @@ class StatsCollector:
         return dict(self.counters)
 
 
-# Counter names used across the code base (documented here so that the
-# harness and tests reference a single vocabulary):
-#
-#   cycles                      total execution cycles of the kernel
-#   instructions                warp instructions issued
-#   mem_instructions            load/store instructions issued
-#   stall_mem_cycles            SM-cycles where issue was blocked only
-#                               by outstanding memory (Fig. 13)
-#   stall_fence_cycles          SM-cycles blocked at a fence
-#   l1_access / l1_hit / l1_miss
-#   l1_expired_miss             tag hit but lease/timestamp expired
-#   l1_renewals                 renewal requests sent (G-TSC)
-#   l1_locked_wait              accesses delayed by a pending store
-#   l2_access / l2_hit / l2_miss
-#   l2_write_stall_cycles       TC: cycles writes waited for leases
-#   l2_evict_stall              TC: replacement stalls due to inclusion
-#   noc_bytes                   total NoC traffic
-#   noc_bytes_<class>           per message class (data / control)
-#   noc_messages
-#   dram_reads / dram_writes
-#   ts_overflows                G-TSC timestamp-reset events
-#   gwct_stall_cycles           TC-Weak: fence wait on GWCT
-
-
 @dataclass
 class RunStats:
     """Immutable summary of one finished simulation run.

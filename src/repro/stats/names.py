@@ -7,8 +7,7 @@ the single vocabulary: every counter bumped anywhere in the simulator,
 every histogram, and the few values ``GPU.finish`` writes directly
 must appear here.  A test drives one smoke run of each protocol and
 fails on any emitted name the registry does not know, so adding a
-counter means adding it here (and usually to the doc block in
-``collector.py``) in the same change.
+counter means adding it here in the same change.
 """
 
 from __future__ import annotations
@@ -18,12 +17,13 @@ from typing import Iterable, Set
 #: Every fixed-name counter the simulator bumps via ``stats.add``.
 COUNTERS = frozenset({
     # engine / SM
-    "cycles",
-    "instructions",
-    "mem_instructions",
+    "cycles",                   # total execution cycles of the kernel
+    "instructions",             # warp instructions issued
+    "mem_instructions",         # load/store/atomic instructions issued
     "warps_retired",
     "stall_cycles",
-    "stall_mem_cycles",
+    "stall_mem_cycles",         # SM-cycles where issue was blocked only
+                                # by outstanding memory (Fig. 13)
     "barriers",
     "barrier_releases",
     "fences",
@@ -32,12 +32,12 @@ COUNTERS = frozenset({
     "l1_access",
     "l1_hit",
     "l1_miss",
-    "l1_expired_miss",
+    "l1_expired_miss",          # tag hit but lease/timestamp expired
     "l1_store",
     "l1_store_hit_m",
     "l1_atomic",
-    "l1_renewals",
-    "l1_locked_wait",
+    "l1_renewals",              # renewal requests sent (G-TSC)
+    "l1_locked_wait",           # loads delayed by a pending write
     "l1_mshr_stall",
     "l1_dead_on_arrival",
     "l1_back_invalidations",
@@ -50,9 +50,9 @@ COUNTERS = frozenset({
     "l2_atomics",
     "l2_renewals",
     "l2_evictions",
-    "l2_evict_stall",
+    "l2_evict_stall",           # TC: replacement stalls due to inclusion
     "l2_write_stalls",
-    "l2_write_stall_cycles",
+    "l2_write_stall_cycles",    # TC: cycles writes waited for leases
     "l2_mshr_stall",
     "l2_blocked_requests",
     # MESI directory
@@ -61,7 +61,7 @@ COUNTERS = frozenset({
     "dir_recalls",
     "dir_recall_invalidations",
     # interconnect / memory
-    "noc_bytes",
+    "noc_bytes",                # total NoC traffic
     "noc_messages",
     "noc_hops",
     "noc_latency_sum",
@@ -73,7 +73,7 @@ COUNTERS = frozenset({
     "interlink_latency_sum",
     "home_ts_summarizations",
     # timestamps (G-TSC)
-    "ts_overflows",
+    "ts_overflows",             # G-TSC timestamp-reset events
     "kernel_ts_resets",
 })
 
@@ -96,8 +96,8 @@ HISTOGRAMS = frozenset({
     "atomic_latency",
 })
 
-#: Families of counters whose suffix is data-dependent
-#: (``noc_bytes_ctrl``, ``noc_bytes_data``, ...).
+#: Families of counters whose suffix is data-dependent: the bytes per
+#: message class (``noc_bytes_ctrl``, ``noc_bytes_data``, ...).
 DYNAMIC_PREFIXES = ("noc_bytes_", "interlink_bytes_")
 
 
