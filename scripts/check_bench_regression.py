@@ -15,7 +15,9 @@ best (min) time over all of that side's files: on a shared host one
 run per side reports noise as a regression, and the minimum over
 several interleaved runs, with the order swapped each round as
 ``bench/ab.py`` does for the end-to-end metrics, keeps a fast or slow
-phase of the host from always landing on the same side.
+phase of the host from always landing on the same side.  Before round
+one each side runs once more and writes no file, so whatever favours
+the first run of the loop reaches neither side's minimum.
 
 Exits non-zero when any benchmark's best time regressed by more
 than its tolerance over the baseline's best time.  Tolerances are
