@@ -129,7 +129,7 @@ class _Dispatch:
     def __init__(self) -> None:
         self._handlers = self._handler_table
 
-    def _dispatch(self, msg: "Message") -> None:
+    def _dispatch(self, msg: Message) -> None:
         """Hand ``msg`` to the method its class maps to."""
         handler = self._handlers.get(type(msg))
         if handler is None:
